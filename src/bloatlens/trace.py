@@ -10,9 +10,11 @@ by successful opens (used to resolve fchdir and dirfd-relative calls).
 
 from __future__ import annotations
 
+import codecs
 import logging
 import re
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, fields
 from os import PathLike, fspath
 from typing import IO, Iterable
 
@@ -26,12 +28,16 @@ EMITTING_SYSCALLS = {
     "execve": 0,
     "stat": 0,
     "lstat": 0,
+    "stat64": 0,
+    "lstat64": 0,
     "access": 0,
     "readlink": 0,
     "openat": 1,
     "openat2": 1,
     "execveat": 1,
     "newfstatat": 1,
+    "fstatat64": 1,
+    "statx": 1,
     "faccessat": 1,
     "faccessat2": 1,
     "readlinkat": 1,
@@ -44,12 +50,23 @@ STATE_SYSCALLS = {"chdir", "fchdir", "fork", "vfork", "clone", "clone3", "close"
 # remembering (fchdir and dirfd resolution look these up later).
 FD_RETURNING = {"open", "openat", "openat2", "creat"}
 
-_LINE_RE = re.compile(r"^\s*(?P<pid>\d+)\s+(?P<rest>.*)$")
-_CALL_RE = re.compile(r"^(?P<name>[a-zA-Z0-9_]+)\((?P<body>.*)$", re.DOTALL)
+_TRACKED = EMITTING_SYSCALLS.keys() | STATE_SYSCALLS
+
+_LINE_RE = re.compile(r"\s*(\d+)\s+(.*)")
+# Greedy: the argument list runs to the last ") = " on the line. The return
+# token stops at "<": tracers run with fd annotation print "3</opt/app>".
+_CALL_RE = re.compile(r"([a-zA-Z0-9_]+)\((.*)\) = \s*([^\s<]*)", re.DOTALL)
 _NOISE_RE = re.compile(r"^(---\s.*---|\+\+\+\s.*\+\+\+)$")
 _UNFINISHED_RE = re.compile(r"^(?P<name>[a-zA-Z0-9_]+)\((?P<args>.*)<unfinished \.\.\.>$")
 _RESUMED_RE = re.compile(r"^<\.\.\. (?P<name>[a-zA-Z0-9_]+) resumed>(?P<rest>.*)$", re.DOTALL)
-_DIRFD_RE = re.compile(r"^(?P<fd>\d+)(<(?P<path>[^>]*)>)?$")
+# A descriptor as the first argument, bare or annotated ("5</opt/app>").
+_DIRFD_RE = re.compile(r"\s*(?P<fd>\d+)(<(?P<path>[^>]*)>)?\s*(?:,|$)")
+# The path argument, indexed by its position: a C-quoted string first, or
+# after the dirfd of the *at family. Groups: dirfd (empty at position 0),
+# string body, and a trailing "..." that marks a string the tracer truncated.
+_QUOTED = r'"([^"\\]*(?:\\.[^"\\]*)*)"(\.\.\.)?'
+_PATH_ARG_RE = (re.compile(r"\s*()" + _QUOTED),
+                re.compile(r"\s*([^,]*?)\s*,\s*" + _QUOTED))
 
 
 @dataclass
@@ -78,7 +95,9 @@ class AccessSet:
                 raise ValueError(f"access path must be absolute: {p!r}")
 
     def __or__(self, other: "AccessSet") -> "AccessSet":
-        return AccessSet(self.paths | other.paths)
+        stats = TraceStats(*(getattr(self.stats, f.name) + getattr(other.stats, f.name)
+                             for f in fields(TraceStats)))
+        return AccessSet(self.paths | other.paths, stats)
 
 
 def normalize_path(cwd: str, raw: str) -> str:
@@ -99,6 +118,8 @@ def _normalize(cwd: str, raw: str) -> tuple[str, bool]:
         raise ValueError(f"cwd must be absolute: {cwd!r}")
     if not raw.startswith("/"):
         raw = cwd.rstrip("/") + "/" + raw
+    if "//" not in raw and "/." not in raw and not raw.endswith("/"):
+        return raw, False  # no empty, "." or ".." segment: already normal
     stack: list[str] = []
     escaped = False
     for seg in raw.split("/"):
@@ -114,96 +135,35 @@ def _normalize(cwd: str, raw: str) -> tuple[str, bool]:
     return "/" + "/".join(stack), escaped
 
 
-def _split_args(body: str) -> list[str]:
-    """Split a syscall argument list at top-level commas.
+def _decode(quoted: str) -> str | None:
+    """Decode the body of a C-quoted string, or None if an escape is malformed.
 
-    Quotes (with backslash escapes) and bracket nesting are respected, so
-    struct arguments like {st_mode=...} stay in one piece.
+    strace escapes every non-printable byte, so escapes decode to bytes and
+    the bytes to UTF-8 with surrogateescape: the same names ``os.scandir``
+    and ``tarfile`` give the image's files.
     """
-    args: list[str] = []
-    depth = 0
-    in_str = False
-    esc = False
-    cur: list[str] = []
-    for ch in body:
-        if in_str:
-            cur.append(ch)
-            if esc:
-                esc = False
-            elif ch == "\\":
-                esc = True
-            elif ch == '"':
-                in_str = False
-            continue
-        if ch == '"':
-            in_str = True
-            cur.append(ch)
-        elif ch in "([{":
-            depth += 1
-            cur.append(ch)
-        elif ch in ")]}":
-            depth -= 1
-            cur.append(ch)
-        elif ch == "," and depth == 0:
-            args.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        args.append("".join(cur).strip())
-    return args
-
-
-def _unquote(arg: str) -> tuple[str | None, bool]:
-    """Decode a C-quoted string argument.
-
-    Returns (value, truncated). Truncated strings (strace's trailing '...'
-    outside the closing quote) cannot be trusted as full paths.
-    """
-    if not arg.startswith('"'):
-        return None, False
-    out: list[str] = []
-    i = 1
-    while i < len(arg):
-        ch = arg[i]
-        if ch == "\\":
-            nxt = arg[i + 1 : i + 2]
-            if nxt in ('"', "\\"):
-                out.append(nxt)
-                i += 2
-            elif nxt == "n":
-                out.append("\n")
-                i += 2
-            elif nxt == "t":
-                out.append("\t")
-                i += 2
-            elif nxt == "x":
-                out.append(chr(int(arg[i + 2 : i + 4], 16)))
-                i += 4
-            elif nxt.isdigit():
-                j = i + 1
-                while j < len(arg) and j < i + 4 and arg[j].isdigit():
-                    j += 1
-                out.append(chr(int(arg[i + 1 : j], 8)))
-                i = j
-            else:
-                out.append(nxt)
-                i += 2
-        elif ch == '"':
-            truncated = arg[i + 1 :].startswith("...")
-            return "".join(out), truncated
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out), True
-
-
-def _split_ret(body: str) -> tuple[str, str] | None:
-    """Split 'args...) = ret ...' at the last top-level ') = '."""
-    idx = body.rfind(") = ")
-    if idx < 0:
+    if "\\" not in quoted:
+        return quoted
+    try:
+        with warnings.catch_warnings():
+            # Escapes strace never prints (\q, \777) warn rather than raise.
+            warnings.simplefilter("error")
+            raw = codecs.escape_decode(quoted.encode("utf-8", "surrogateescape"))[0]
+    except (ValueError, Warning):
         return None
-    return body[:idx], body[idx + 4 :].strip()
+    return raw.decode("utf-8", "surrogateescape")
+
+
+def _path_arg(args: str, idx: int) -> tuple[str | None, str | None]:
+    """Read the path argument at position ``idx`` (0 or 1) of ``args``.
+
+    Returns (dirfd, path); the dirfd is None for idx 0, and the path is None
+    when the argument is not a complete, decodable string.
+    """
+    m = _PATH_ARG_RE[idx].match(args)
+    if m is None or m[3]:
+        return None, None
+    return (m[1] if idx else None), _decode(m[2])
 
 
 class _PidState:
@@ -221,7 +181,7 @@ class _PidState:
 
 def _iter_lines(log_input) -> Iterable[str]:
     if isinstance(log_input, (str, PathLike)):
-        with open(fspath(log_input), "r", encoding="utf-8", errors="replace") as f:
+        with open(fspath(log_input), "r", encoding="utf-8", errors="surrogateescape") as f:
             yield from f
     else:
         yield from log_input
@@ -266,7 +226,7 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
                 base = m.group("path")
             else:
                 base = st.fds.get(int(m.group("fd")))
-        if base is None:
+        if base is None or not base.startswith("/"):
             return None
         return _normalize(base, raw)[0]
 
@@ -280,53 +240,44 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
         return None
 
     for line in _iter_lines(log_input):
-        line = line.rstrip("\n")
-        if not line.strip():
+        line = line.rstrip()
+        if not line:
             continue
         stats.lines += 1
-        m = _LINE_RE.match(line)
+        m = _LINE_RE.fullmatch(line)
         if not m:
             stats.unparsed += 1
             continue
-        pid = int(m.group("pid"))
-        rest = m.group("rest").strip()
+        pid = int(m[1])
+        rest = m[2]
 
-        if _NOISE_RE.match(rest):
-            stats.parsed += 1
-            continue
-
-        um = _UNFINISHED_RE.match(rest)
-        if um:
+        if rest.endswith("<unfinished ...>") and (um := _UNFINISHED_RE.match(rest)):
             pending[pid] = (um.group("name"), um.group("args"))
             stats.parsed += 1
             continue
-        rm = _RESUMED_RE.match(rest)
-        if rm:
-            prev = pending.pop(pid, None)
-            if prev is None or prev[0] != rm.group("name"):
+        cm = _CALL_RE.match(rest)
+        if cm is None:
+            # Signals, exits and resumed halves never start like a call.
+            if _NOISE_RE.match(rest):
+                stats.parsed += 1
+                continue
+            rm = _RESUMED_RE.match(rest)
+            prev = rm and pending.pop(pid, None)
+            if prev and prev[0] == rm.group("name"):
+                cm = _CALL_RE.match(f"{prev[0]}({prev[1]}{rm.group('rest').lstrip()}")
+            if cm is None:
                 stats.unparsed += 1
                 continue
-            rest = f"{prev[0]}({prev[1]}{rm.group('rest').lstrip()}"
-
-        cm = _CALL_RE.match(rest)
-        if not cm:
-            stats.unparsed += 1
-            continue
-        split = _split_ret(cm.group("body"))
-        if split is None:
-            stats.unparsed += 1
-            continue
-        argbody, retpart = split
-        name = cm.group("name")
-        rettok = retpart.split(None, 1)[0] if retpart else ""
-        # Tracers run with fd annotation print returns like "3</opt/app>".
-        rettok = rettok.split("<", 1)[0]
+        stats.parsed += 1
+        name = cm[1]
+        if name not in _TRACKED:
+            continue  # recognized grammar, uninteresting syscall
         try:
-            retval = int(rettok)
+            retval = int(cm[3])
         except ValueError:
             retval = None  # "?" or garbage; treat as failure
         failed = retval is None or retval < 0
-        stats.parsed += 1
+        args = cm[2]
 
         if name in ("fork", "vfork", "clone", "clone3"):
             if not failed and retval > 0:
@@ -336,10 +287,9 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
         if name == "chdir":
             if failed:
                 continue
-            args = _split_args(argbody)
-            target, truncated = _unquote(args[0]) if args else (None, False)
+            target = _path_arg(args, 0)[1]
             st = state_for(pid)
-            if target is None or truncated:
+            if target is None:
                 st.cwd = None
                 stats.unresolvable += 1
             elif target.startswith("/"):
@@ -353,49 +303,31 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
         if name == "fchdir":
             if failed:
                 continue
-            args = _split_args(argbody)
             st = state_for(pid)
-            fd_path = None
-            if args:
-                dm = _DIRFD_RE.match(args[0])
-                if dm:
-                    fd_path = dm.group("path") or st.fds.get(int(dm.group("fd")))
-            if fd_path is None:
+            dm = _DIRFD_RE.match(args)
+            fd_path = dm and (dm.group("path") or st.fds.get(int(dm.group("fd"))))
+            if fd_path and fd_path.startswith("/"):
+                st.cwd = fd_path
+            else:
                 st.cwd = None
                 stats.unresolvable += 1
-            else:
-                st.cwd = fd_path
             continue
 
         if name == "close":
-            if not failed:
-                args = _split_args(argbody)
-                if args and args[0].split("<")[0].isdigit():
-                    state_for(pid).fds.pop(int(args[0].split("<")[0]), None)
+            if not failed and (dm := _DIRFD_RE.match(args)):
+                state_for(pid).fds.pop(int(dm.group("fd")), None)
             continue
-
-        if name not in EMITTING_SYSCALLS:
-            continue  # recognized grammar, uninteresting syscall
 
         stats.matched += 1
         if failed and not include_failed:
             stats.failed_excluded += 1
             continue
-        arg_idx = EMITTING_SYSCALLS[name]
-        args = _split_args(argbody)
-        if len(args) <= arg_idx:
-            stats.unresolvable += 1
-            continue
-        raw, truncated = _unquote(args[arg_idx])
-        if raw is None or truncated:
-            stats.unresolvable += 1
-            continue
-        dirfd = args[0] if arg_idx == 1 else None
-        resolved = resolve(pid, raw, dirfd)
+        dirfd, raw = _path_arg(args, EMITTING_SYSCALLS[name])
+        resolved = None if raw is None else resolve(pid, raw, dirfd)
         if resolved is None:
             stats.unresolvable += 1
             continue
-        if name in FD_RETURNING and not failed and retval is not None and retval >= 0:
+        if name in FD_RETURNING and not failed:
             state_for(pid).fds[retval] = resolved
         container_path = rebase(resolved)
         if container_path is None:
@@ -404,6 +336,7 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
             continue
         paths.add(container_path)
 
-    if pending:
-        stats.unparsed += len(pending)
+    # An unfinished call that never resumed is unparsed, not parsed.
+    stats.parsed -= len(pending)
+    stats.unparsed += len(pending)
     return AccessSet(frozenset(paths), stats)

@@ -1,9 +1,12 @@
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bloatlens.debloat import compute_retained
+from bloatlens.imagefs import RootfsSource, load_rootfs
 from bloatlens.trace import AccessSet, TraceStats, normalize_path, parse_trace
 
 from oracles import normalize_oracle
@@ -11,6 +14,33 @@ from oracles import normalize_oracle
 
 def parse(lines, **kw):
     return parse_trace(lines if isinstance(lines, list) else lines.splitlines(), **kw)
+
+
+def strace_quote(raw: bytes) -> str:
+    """Quote bytes the way strace prints a string argument."""
+    out = []
+    for b in raw:
+        ch = chr(b)
+        if ch in '"\\':
+            out.append("\\" + ch)
+        elif ch == "\t":
+            out.append("\\t")
+        elif ch == "\n":
+            out.append("\\n")
+        elif 0x20 <= b < 0x7F:
+            out.append(ch)
+        else:
+            out.append(f"\\{b:03o}")
+    return '"' + "".join(out) + '"'
+
+
+# Fragments that steer random lines toward the trace grammar.
+_TRACE_FRAGMENTS = st.sampled_from([
+    "open(", "openat(", "statx(", "chdir(", "fchdir(", "close(", "clone(",
+    "AT_FDCWD, ", "5</srv>, ", '"', "\\", "\\x", "\\x4", "\\303\\251", "\\q",
+    "/", "..", ", ", ") = ", "3", "-1 ENOENT", "?", "...", "{", "}",
+    " <unfinished ...>", "<... open resumed>", "--- ", " ---", "+++ ",
+])
 
 
 class TestNormalizePath:
@@ -158,9 +188,14 @@ class TestParseTrace:
             '1 stat("/etc/passwd", {st_mode=S_IFREG|0644, st_size=100, ...}) = 0\n'
             '1 lstat("/etc/shadow", {st_mode=S_IFREG|0640, ...}) = 0\n'
             '1 newfstatat(AT_FDCWD, "/etc/group", {st_mode=S_IFREG|0644, ...}, 0) = 0\n'
-            '1 access("/etc/hosts", R_OK) = 0'
+            '1 access("/etc/hosts", R_OK) = 0\n'
+            '1 statx(AT_FDCWD, "/etc/stx", AT_STATX_SYNC_AS_STAT, STATX_ALL, {stx_mask=STATX_BASIC_STATS, ...}) = 0\n'
+            '1 stat64("/etc/s64", {st_mode=S_IFREG|0644, st_size=100, ...}) = 0\n'
+            '1 lstat64("/etc/l64", {st_mode=S_IFLNK|0777, ...}) = 0\n'
+            '1 fstatat64(AT_FDCWD, "/etc/f64", {st_mode=S_IFREG|0644, ...}, 0) = 0'
         )
-        assert acc.paths == {"/etc/passwd", "/etc/shadow", "/etc/group", "/etc/hosts"}
+        assert acc.paths == {"/etc/passwd", "/etc/shadow", "/etc/group", "/etc/hosts",
+                             "/etc/stx", "/etc/s64", "/etc/l64", "/etc/f64"}
 
     def test_unknown_syscalls_skipped(self):
         acc = parse(
@@ -216,6 +251,58 @@ class TestParseTrace:
     def test_quoted_path_with_escapes(self):
         acc = parse(r'7 open("/tmp/we ird\"name\n", O_RDONLY) = 3')
         assert acc.paths == {'/tmp/we ird"name\n'}
+
+    def test_octal_escapes_decode_as_utf8_bytes(self):
+        acc = parse(r'7 openat(AT_FDCWD, "/opt/caf\303\251/x", O_RDONLY) = 3')
+        assert acc.paths == {"/opt/café/x"}
+
+    def test_non_utf8_byte_decodes_like_os_fsdecode(self):
+        acc = parse(r'7 open("/opt/\377", O_RDONLY) = 3')
+        assert acc.paths == {"/opt/" + os.fsdecode(b"\xff")}
+
+    @pytest.mark.parametrize("quoted", [r'"/tmp/a\x4"', r'"/tmp/a\x"', r'"/tmp/\q"', r'"/tmp/\777"'])
+    def test_malformed_escape_unresolvable(self, quoted):
+        acc = parse(f"7 open({quoted}, O_RDONLY) = 3")
+        assert acc.paths == set()
+        assert acc.stats.unresolvable == 1
+        assert acc.stats.matched == 1
+
+    def test_malformed_escape_in_chdir_unresolvable(self):
+        acc = parse('7 chdir("/a\\x") = 0\n7 open("f", O_RDONLY) = 3')
+        assert acc.paths == set()
+        assert acc.stats.unresolvable == 2
+
+    def test_relative_dirfd_annotation_unresolvable(self):
+        acc = parse(
+            '7 openat(5<rel/dir>, "f", O_RDONLY) = 6\n'
+            '7 fchdir(5<rel/dir>) = 0\n'
+            '7 open("g", O_RDONLY) = 3'
+        )
+        assert acc.paths == set()
+        assert acc.stats.unresolvable == 3
+
+    def test_unfinished_never_resumed_is_unparsed(self):
+        acc = parse('7 openat(AT_FDCWD, "/slow", O_RDONLY <unfinished ...>')
+        assert acc.paths == set()
+        assert (acc.stats.lines, acc.stats.parsed, acc.stats.unparsed) == (1, 0, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.binary(min_size=1, max_size=12).filter(
+        lambda b: b"/" not in b and b"\0" not in b and b not in (b".", b"..")),
+        min_size=1, max_size=4))
+    def test_property_byte_exact_round_trip(self, segs):
+        acc = parse(f"7 openat(AT_FDCWD, {strace_quote(b'/' + b'/'.join(segs))}, O_RDONLY) = 3")
+        assert acc.paths == {"/" + b"/".join(segs).decode("utf-8", "surrogateescape")}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(min_value=1, max_value=9),
+        st.lists(_TRACE_FRAGMENTS | st.text(max_size=6), max_size=12).map("".join),
+    ), max_size=8))
+    def test_property_never_raises(self, lines):
+        acc = parse([f"{pid} {text}" for pid, text in lines])
+        assert acc.stats.lines == len(lines)
+        assert acc.stats.lines == acc.stats.parsed + acc.stats.unparsed
 
     def test_truncated_path_unresolvable(self):
         acc = parse('7 open("/very/long/pa"..., O_RDONLY) = 3')
@@ -274,10 +361,26 @@ class TestAccessSet:
             AccessSet(frozenset({"rel/path"}))
 
     def test_union(self):
-        a = AccessSet(frozenset({"/a"}))
-        b = AccessSet(frozenset({"/b"}))
+        a = AccessSet(frozenset({"/a"}), TraceStats(3, 2, 1, 1, 0, 0, 0))
+        b = AccessSet(frozenset({"/b"}), TraceStats(10, 9, 1, 4, 1, 2, 1))
         assert (a | b).paths == {"/a", "/b"}
+        assert (a | b).stats == TraceStats(13, 11, 2, 5, 1, 2, 1)
 
     def test_stats_default(self):
         acc = AccessSet(frozenset())
         assert acc.stats == TraceStats()
+
+
+def test_octal_escaped_path_retained_from_rootfs(tmp_path):
+    root = tmp_path / "rootfs"
+    (root / "opt" / "café").mkdir(parents=True)
+    (root / "opt" / "café" / "x").write_bytes(b"payload")
+    (root / "opt" / "other").write_bytes(b"unused")
+    trace = tmp_path / "trace.log"
+    trace.write_bytes(b'1 openat(AT_FDCWD, "/opt/caf\\303\\251/x", O_RDONLY) = 3\n')
+
+    fs = load_rootfs(root)
+    retained = compute_retained(fs, parse_trace(trace))
+    assert "/opt/café/x" in retained.entries
+    assert "/opt/other" not in retained.entries
+    assert RootfsSource(root).read("/opt/café/x") == b"payload"
