@@ -12,6 +12,7 @@ ERROR).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -131,18 +132,21 @@ def _config_from(args, **extra) -> PipelineConfig:
     )
 
 
+@contextlib.contextmanager
 def _stage_inputs(args, need_trace: bool = True):
+    """(config, fs, source, access) for a stage command; closes the source."""
     config = _config_from(args)
     fs, source = _load_image(config)
-    access = None
-    if need_trace:
-        if not config.trace:
-            raise InputError("a trace log is required", flag="--trace")
-        if not os.path.isfile(config.trace):
-            raise InputError(f"trace log not found: {config.trace}", flag="--trace")
-        access = parse_trace(config.trace, root_prefix=config.root_prefix,
-                             include_failed=config.include_failed)
-    return config, fs, source, access
+    with source:
+        access = None
+        if need_trace:
+            if not config.trace:
+                raise InputError("a trace log is required", flag="--trace")
+            if not os.path.isfile(config.trace):
+                raise InputError(f"trace log not found: {config.trace}", flag="--trace")
+            access = parse_trace(config.trace, root_prefix=config.root_prefix,
+                                 include_failed=config.include_failed)
+        yield config, fs, source, access
 
 
 def _write(path: str, text: str) -> None:
@@ -184,30 +188,30 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_debloat(args) -> int:
     out = _require_out(args)
-    config, fs, source, access = _stage_inputs(args)
-    result = debloat(fs, access, keep=config.keep)
-    os.makedirs(out, exist_ok=True)
-    _write(os.path.join(out, "manifest.tsv"), render_manifest(result.retained))
-    _write(os.path.join(out, "debloat.json"), _dump_json({
-        "s_c": result.s_c,
-        "s_c_prime": result.s_c_prime,
-        "d_c": round(result.d_c, 6),
-        "files_original": len(fs.entries),
-        "files_retained": len(result.retained.entries),
-        "files_bloat": len(result.bloat.entries),
-    }))
-    if args.emit_rootfs:
-        materialize(result.retained, source, os.path.join(out, "rootfs"), fmt="dir")
-    if args.emit_tar:
-        materialize(result.retained, source, os.path.join(out, "debloated.tar"), fmt="tar")
-    print(f"d_c={result.d_c:.2f} ({result.s_c} -> {result.s_c_prime} bytes)")
-    return EXIT_OK
+    with _stage_inputs(args) as (config, fs, source, access):
+        result = debloat(fs, access, keep=config.keep)
+        os.makedirs(out, exist_ok=True)
+        _write(os.path.join(out, "manifest.tsv"), render_manifest(result.retained))
+        _write(os.path.join(out, "debloat.json"), _dump_json({
+            "s_c": result.s_c,
+            "s_c_prime": result.s_c_prime,
+            "d_c": round(result.d_c, 6),
+            "files_original": len(fs.entries),
+            "files_retained": len(result.retained.entries),
+            "files_bloat": len(result.bloat.entries),
+        }))
+        if args.emit_rootfs:
+            materialize(result.retained, source, os.path.join(out, "rootfs"), fmt="dir")
+        if args.emit_tar:
+            materialize(result.retained, source, os.path.join(out, "debloated.tar"), fmt="tar")
+        print(f"d_c={result.d_c:.2f} ({result.s_c} -> {result.s_c_prime} bytes)")
+        return EXIT_OK
 
 
 def _cmd_packages(args) -> int:
     out = _require_out(args)
-    config, fs, source, _ = _stage_inputs(args, need_trace=False)
-    catalog = detect_packages(fs, source, load_rules(args.rules))
+    with _stage_inputs(args, need_trace=False) as (config, fs, source, _):
+        catalog = detect_packages(fs, source, load_rules(args.rules))
     doc = [
         {
             "manager": r.manager,
@@ -228,10 +232,10 @@ def _cmd_packages(args) -> int:
 
 def _cmd_vulns(args) -> int:
     out = _require_out(args)
-    config, fs, source, access = _stage_inputs(args)
-    matches = _load_vuln_matches(args.vuln_report)
-    result = debloat(fs, access, keep=config.keep)
-    catalog = detect_packages(fs, source)
+    with _stage_inputs(args) as (config, fs, source, access):
+        matches = _load_vuln_matches(args.vuln_report)
+        result = debloat(fs, access, keep=config.keep)
+        catalog = detect_packages(fs, source)
     diff = surviving_cves(matches, result.bloat, catalog)
     table = severity_table(diff)
     doc = {
@@ -258,9 +262,9 @@ def _cmd_vulns(args) -> int:
 
 def _cmd_graph(args) -> int:
     out = _require_out(args)
-    config, fs, source, access = _stage_inputs(args)
-    result = debloat(fs, access, keep=config.keep)
-    catalog = detect_packages(fs, source, load_rules(args.rules))
+    with _stage_inputs(args) as (config, fs, source, access):
+        result = debloat(fs, access, keep=config.keep)
+        catalog = detect_packages(fs, source, load_rules(args.rules))
     dp_map = {}
     for rec in catalog:
         dp_map.setdefault(rec.graph_key, package_bloat_degree(rec, result.bloat, fs))

@@ -5,14 +5,27 @@ sources: an extracted rootfs directory, a single flat tar, or an ordered
 stack of image layer tars with OCI whiteout handling. The inventory records
 paths, kinds and apparent sizes only; file content stays in the source and
 is read back through a :class:`ContentSource` when needed.
+
+``load_flat_tar`` and ``load_layers`` return (FileSet, ContentSource) from
+one pass over each tar; the caller closes the source. A gzip, bzip2, xz
+or lzma tar is decompressed once into an anonymous temp file, which takes
+disk space equal to the uncompressed tar until the source is closed (or,
+for a layer none of whose members is left in the union, until the union
+is built).
 """
 
 from __future__ import annotations
 
+import bz2
+import contextlib
+import gzip
 import logging
+import lzma
 import os
 import stat
 import tarfile
+import tempfile
+import zlib
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping
@@ -35,6 +48,12 @@ ORIGIN_LAYERED = "layered"
 
 WHITEOUT_PREFIX = ".wh."
 OPAQUE_MARKER = ".wh..wh..opq"
+
+# Magic numbers of the tar compressions read here: gzip, bzip2, xz and
+# legacy lzma-alone (with the properties byte its encoders write by default).
+_DECOMPRESSORS = ((b"\x1f\x8b", gzip.open), (b"BZh", bz2.open),
+                  (b"\xfd7zXZ\x00", lzma.open), (b"\x5d\x00\x00", lzma.open))
+_DECOMPRESS_ERRORS = (EOFError, OSError, zlib.error, lzma.LZMAError)
 
 
 def _validate_path(path: str) -> None:
@@ -127,10 +146,6 @@ class FileSet:
             return NotImplemented
         return dict(self.entries) == dict(other.entries)
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __repr__(self) -> str:
         return f"FileSet({len(self.entries)} entries, origin={self.origin!r})"
 
@@ -151,6 +166,13 @@ def check_parent_closure(fs: FileSet) -> list[str]:
 def total_size(fs: FileSet) -> int:
     """Total apparent size in bytes: the sum over regular files only."""
     return sum(e.size for e in fs.entries.values() if e.kind == REGULAR)
+
+
+def _ancestors(path: str) -> Iterator[str]:
+    """Proper ancestors of an absolute path, nearest first, ending with '/'."""
+    while path != "/":
+        path = parent_of(path)
+        yield path
 
 
 class _Builder:
@@ -227,148 +249,10 @@ def load_rootfs(dir_path: str | os.PathLike) -> FileSet:
 
 def _tar_member_path(name: str) -> str | None:
     """Normalize a tar member name to an absolute path; None for the root."""
-    name = name.strip("/")
-    if name.startswith("./"):
-        name = name[2:]
-    if name in ("", "."):
-        return None
     parts = [p for p in name.split("/") if p not in ("", ".")]
     if not parts or ".." in parts:
         return None
     return "/" + "/".join(parts)
-
-
-def _entry_from_member(member: tarfile.TarInfo, path: str,
-                       sizes: Mapping[str, FileEntry]) -> FileEntry:
-    if member.isdir():
-        return FileEntry(path, DIRECTORY)
-    if member.issym():
-        return FileEntry(path, SYMLINK, 0, member.linkname)
-    if member.islnk():
-        # Hardlink: record an independent regular entry carrying the full
-        # size of the link target (tar stores the bytes once, size 0 here).
-        target = _tar_member_path(member.linkname)
-        target_entry = sizes.get(target) if target else None
-        if target_entry is None:
-            log.warning("hardlink %s points outside archive (%s)", path, member.linkname)
-            return FileEntry(path, REGULAR, 0)
-        return FileEntry(path, REGULAR, target_entry.size)
-    if member.isfile():
-        return FileEntry(path, REGULAR, member.size)
-    return FileEntry(path, OTHER)
-
-
-def _iter_tar(source, label: str):
-    """Yield (tarfile, member) pairs, wrapping parse failures as IngestError."""
-    try:
-        if isinstance(source, (str, os.PathLike)):
-            tf = tarfile.open(os.fspath(source), mode="r:*")
-        else:
-            tf = tarfile.open(fileobj=source, mode="r:*")
-    except (tarfile.TarError, OSError) as exc:
-        raise IngestError(
-            f"{label}: malformed tar at byte offset 0: cannot open: {exc}"
-        ) from exc
-    with tf:
-        while True:
-            try:
-                member = tf.next()
-            except tarfile.TarError as exc:
-                offset = getattr(tf, "offset", "?")
-                raise IngestError(
-                    f"{label}: malformed tar header at byte offset {offset}: {exc}"
-                ) from exc
-            if member is None:
-                # tarfile quietly stops at the first invalid mid-archive
-                # header; a legitimate end of archive leaves only zero
-                # padding behind.
-                try:
-                    tf.fileobj.seek(tf.offset)
-                    tail = tf.fileobj.read()
-                except (OSError, ValueError, AttributeError):
-                    tail = b""
-                if tail.strip(b"\x00"):
-                    raise IngestError(
-                        f"{label}: malformed tar header at byte offset {tf.offset}"
-                    )
-                break
-            yield tf, member
-
-
-def load_flat_tar(source: str | os.PathLike | IO[bytes]) -> FileSet:
-    """Inventory a flat (non-layered) tar; gzip wrapping is auto-detected."""
-    entries: dict[str, FileEntry] = {}
-    for _, member in _iter_tar(source, "flat tar"):
-        path = _tar_member_path(member.name)
-        if path is None:
-            continue
-        entries[path] = _entry_from_member(member, path, entries)
-    builder = _Builder()
-    for path in entries:
-        builder.add(entries[path])
-    return builder.build(ORIGIN_FLAT_TAR)
-
-
-def _apply_whiteouts(union: dict[str, FileEntry], members: list[tarfile.TarInfo]) -> None:
-    opaque_dirs = []
-    whiteouts = []
-    for member in members:
-        path = _tar_member_path(member.name)
-        if path is None:
-            continue
-        base = path.rsplit("/", 1)[-1]
-        if base == OPAQUE_MARKER:
-            opaque_dirs.append(parent_of(path))
-        elif base.startswith(WHITEOUT_PREFIX):
-            parent = parent_of(path)
-            prefix = "" if parent == "/" else parent
-            whiteouts.append(prefix + "/" + base[len(WHITEOUT_PREFIX):])
-    for d in opaque_dirs:
-        prefix = "/" if d == "/" else d + "/"
-        for p in [p for p in union if p != d and p.startswith(prefix)]:
-            del union[p]
-    for w in whiteouts:
-        union.pop(w, None)
-        prefix = w + "/"
-        for p in [p for p in union if p.startswith(prefix)]:
-            del union[p]
-
-
-def load_layers(layer_tars: Iterable[str | os.PathLike | IO[bytes]]) -> FileSet:
-    """Union an ordered (base-first) stack of layer tars.
-
-    Whiteout entries follow the OCI image layer spec: '.wh.<name>' deletes
-    <name> from the union of the lower layers, '.wh..wh..opq' hides all
-    prior contents of its directory. Whiteouts act on lower layers only,
-    so the layer's own additions are applied after its deletions. Later
-    layers replace earlier entries at the same path; replacing a directory
-    with a non-directory drops the old subtree.
-    """
-    layers = list(layer_tars)
-    if not layers:
-        raise IngestError("no layers given")
-    union: dict[str, FileEntry] = {}
-    for i, layer in enumerate(layers):
-        members = [m for _, m in _iter_tar(layer, f"layer {i}")]
-        _apply_whiteouts(union, members)
-        for member in members:
-            path = _tar_member_path(member.name)
-            if path is None:
-                continue
-            base = path.rsplit("/", 1)[-1]
-            if base.startswith(WHITEOUT_PREFIX):
-                continue
-            entry = _entry_from_member(member, path, union)
-            old = union.get(path)
-            if old is not None and old.kind == DIRECTORY and entry.kind != DIRECTORY:
-                prefix = path + "/"
-                for p in [p for p in union if p.startswith(prefix)]:
-                    del union[p]
-            union[path] = entry
-    builder = _Builder()
-    for path in union:
-        builder.add(union[path])
-    return builder.build(ORIGIN_LAYERED)
 
 
 class ContentSource:
@@ -411,38 +295,137 @@ class RootfsSource(ContentSource):
             return None
 
 
-class _TarIndexSource(ContentSource):
-    """Shared path->member index over one or more open tarfiles."""
-
-    def __init__(self):
-        self._tars: list[tarfile.TarFile] = []
-        self._index: dict[str, tuple[tarfile.TarFile, tarfile.TarInfo]] = {}
-
-    def _add_tar(self, source, label: str) -> None:
+def _decompressed(raw: IO[bytes], label: str, files: contextlib.ExitStack) -> IO[bytes]:
+    """A seekable plain tar stream for raw: raw itself when it is not
+    compressed, else a temp file (closed with ``files``) holding it
+    decompressed. As tarfile's 'r:*' does, a stream whose first block does
+    not decompress is read as a plain tar."""
+    start = raw.tell()
+    magic = raw.read(6)
+    raw.seek(start)
+    opener = next((op for m, op in _DECOMPRESSORS if magic.startswith(m)), None)
+    if opener is None:
+        return raw
+    with opener(raw) as stream:
         try:
+            chunk = stream.read(tarfile.BLOCKSIZE)
+        except _DECOMPRESS_ERRORS:
+            raw.seek(start)
+            return raw
+        try:
+            plain = files.enter_context(tempfile.TemporaryFile())
+            while chunk:
+                plain.write(chunk)
+                plain.flush()
+                try:
+                    chunk = stream.read(1 << 20)
+                except _DECOMPRESS_ERRORS as exc:
+                    raise IngestError(f"{label}: cannot decompress: {exc}") from exc
+            plain.seek(0)
+        except OSError as exc:
+            raise IngestError(f"{label}: cannot write the decompressed tar to a temp "
+                              f"file in {tempfile.gettempdir()}: {exc}") from exc
+    return plain
+
+
+class _TarSource(ContentSource):
+    """Inventory and content of tars that are each read in one pass.
+
+    ``_union`` maps each inventory path to (entry, mode, tar, member), where
+    member holds the bytes a read returns; for a hardlink, that is the
+    member its target had when the link came in archive order, as
+    extraction has it. Subclasses merge each tar in ``_add_tar``. Once the
+    union is built, a tar none of whose members is in it is closed, which
+    frees its temp file.
+    """
+
+    def __init__(self, tars: list[tuple[str | os.PathLike | IO[bytes], str]]):
+        self._stack = contextlib.ExitStack()
+        self._files: dict[tarfile.TarFile, contextlib.ExitStack] = {}
+        self._union: dict[str, tuple] = {}
+        try:
+            for source, label in tars:
+                self._add_tar(source, label)
+        except BaseException:
+            self.close()
+            raise
+        used = {tf for _, _, tf, _ in self._union.values()}
+        for tf, files in self._files.items():
+            if tf not in used:
+                files.close()
+
+    def _members(self, source, label: str) -> tuple[tarfile.TarFile, list]:
+        """Open one tar, decompressing it once if it is compressed, and walk
+        its headers once: (tar, [(path, member)]). Failures raise IngestError."""
+        files = self._stack.enter_context(contextlib.ExitStack())
+        try:
+            raw = source
             if isinstance(source, (str, os.PathLike)):
-                tf = tarfile.open(os.fspath(source), mode="r:*")
-            else:
-                tf = tarfile.open(fileobj=source, mode="r:*")
-            members = tf.getmembers()
+                raw = files.enter_context(open(source, "rb"))
+            plain = _decompressed(raw, label, files)
+            if raw is not source and plain is not raw:
+                raw.close()
+            tf = tarfile.open(fileobj=plain, mode="r:")
         except (tarfile.TarError, OSError) as exc:
-            raise IngestError(f"{label}: cannot index tar: {exc}") from exc
-        self._tars.append(tf)
-        for member in members:
+            raise IngestError(
+                f"{label}: malformed tar at byte offset 0: cannot open: {exc}"
+            ) from exc
+        self._files[tf] = files
+        members = []
+        while True:
+            try:
+                member = tf.next()
+            except tarfile.TarError as exc:
+                raise IngestError(
+                    f"{label}: malformed tar header at byte offset {tf.offset}: {exc}"
+                ) from exc
+            if member is None:
+                break
             path = _tar_member_path(member.name)
             if path is not None:
-                self._index[path] = (tf, member)
+                members.append((path, member))
+        # tarfile quietly stops at the first invalid mid-archive header; a
+        # legitimate end of archive leaves only zero padding behind.
+        plain.seek(tf.offset)
+        if any(block.strip(b"\x00") for block in iter(lambda: plain.read(1 << 16), b"")):
+            raise IngestError(f"{label}: malformed tar header at byte offset {tf.offset}")
+        return tf, members
+
+    def _add(self, path: str, tf: tarfile.TarFile, member: tarfile.TarInfo) -> None:
+        content = member
+        if member.isdir():
+            entry = FileEntry(path, DIRECTORY)
+        elif member.issym():
+            entry = FileEntry(path, SYMLINK, 0, member.linkname)
+        elif member.islnk():
+            # Hardlink: an independent regular entry carrying the full size
+            # and bytes of the link target (tar stores them once, size 0 here).
+            target = self._union.get(_tar_member_path(member.linkname))
+            if target is None:
+                log.warning("hardlink %s points outside archive (%s)", path, member.linkname)
+                entry, content = FileEntry(path, REGULAR, 0), None
+            else:
+                entry = FileEntry(path, REGULAR, target[0].size)
+                _, _, tf, content = target
+        elif member.isfile():
+            entry = FileEntry(path, REGULAR, member.size)
+        else:
+            entry = FileEntry(path, OTHER)
+        self._union[path] = (entry, member.mode, tf, content)
+
+    def _fileset(self, origin: str) -> FileSet:
+        builder = _Builder()
+        for entry, *_ in self._union.values():
+            builder.add(entry)
+        return builder.build(origin)
 
     def read(self, path: str) -> bytes:
-        hit = self._index.get(path)
+        hit = self._union.get(path)
         if hit is None:
             raise MaterializeError(f"cannot read {path}: not present in source tar")
-        tf, member = hit
-        if member.islnk():
-            target = _tar_member_path(member.linkname)
-            if target is None or target not in self._index:
-                raise MaterializeError(f"cannot read {path}: dangling hardlink")
-            tf, member = self._index[target]
+        _, _, tf, member = hit
+        if member is None:
+            raise MaterializeError(f"cannot read {path}: dangling hardlink")
         fobj = tf.extractfile(member)
         if fobj is None:
             raise MaterializeError(f"cannot read {path}: not a regular member")
@@ -450,27 +433,80 @@ class _TarIndexSource(ContentSource):
             return fobj.read()
 
     def mode(self, path: str) -> int | None:
-        hit = self._index.get(path)
-        return hit[1].mode if hit else None
+        return self._union.get(path, (None, None))[1]
 
     def close(self) -> None:
-        for tf in self._tars:
-            try:
-                tf.close()
-            except OSError:
-                pass
+        self._stack.close()
 
 
-class FlatTarSource(_TarIndexSource):
+class FlatTarSource(_TarSource):
+    """Content source over one flat tar: the last member at a path wins."""
+
     def __init__(self, source: str | os.PathLike | IO[bytes]):
-        super().__init__()
-        self._add_tar(source, "flat tar")
+        super().__init__([(source, "flat tar")])
+
+    def _add_tar(self, source, label: str) -> None:
+        tf, members = self._members(source, label)
+        for path, member in members:
+            self._add(path, tf, member)
 
 
-class LayeredSource(_TarIndexSource):
-    """Content source over a layer stack: the last definition of a path wins."""
+class LayeredSource(_TarSource):
+    """Content source over the union of a layer stack (see :func:`load_layers`)."""
 
     def __init__(self, layer_tars: Iterable[str | os.PathLike | IO[bytes]]):
-        super().__init__()
-        for i, layer in enumerate(layer_tars):
-            self._add_tar(layer, f"layer {i}")
+        layers = [(layer, f"layer {i}") for i, layer in enumerate(layer_tars)]
+        if not layers:
+            raise IngestError("no layers given")
+        super().__init__(layers)
+
+    def _add_tar(self, source, label: str) -> None:
+        tf, members = self._members(source, label)
+        union = self._union
+        opaque, gone, additions = set(), set(), []
+        for path, member in members:
+            parent, _, base = path.rpartition("/")
+            if base == OPAQUE_MARKER:
+                opaque.add(parent or "/")
+            elif base.startswith(WHITEOUT_PREFIX):
+                gone.add(f"{parent}/{base[len(WHITEOUT_PREFIX):]}")
+            else:
+                additions.append((path, member))
+        # Whiteouts hide lower layers only, so they apply first, in one pass:
+        # a path goes when it or an ancestor is whited out or an ancestor is opaque.
+        hiding = opaque | gone
+        if hiding:
+            for p in [p for p in union if p in gone or any(a in hiding for a in _ancestors(p))]:
+                del union[p]
+        for path, member in additions:
+            old = union.get(path)
+            if old is not None and old[0].kind == DIRECTORY and not member.isdir():
+                for p in [p for p in union if p.startswith(path + "/")]:
+                    del union[p]
+            self._add(path, tf, member)
+
+
+def load_flat_tar(source: str | os.PathLike | IO[bytes]) -> tuple[FileSet, FlatTarSource]:
+    """Inventory a flat (non-layered) tar and open it for reads, in one pass.
+
+    Compression (gzip, bzip2, xz, lzma) is auto-detected. The caller closes
+    the returned source.
+    """
+    content = FlatTarSource(source)
+    return content._fileset(ORIGIN_FLAT_TAR), content
+
+
+def load_layers(layer_tars: Iterable[str | os.PathLike | IO[bytes]]
+                ) -> tuple[FileSet, LayeredSource]:
+    """Union an ordered (base-first) stack of layer tars, in one pass each.
+
+    Returns the union's inventory and a content source over it, which the
+    caller closes. Whiteout entries follow the OCI image layer spec:
+    '.wh.<name>' deletes <name> from the union of the lower layers,
+    '.wh..wh..opq' hides all prior contents of its directory. Whiteouts act
+    on lower layers only, so the layer's own additions are applied after
+    its deletions. Later layers replace earlier entries at the same path;
+    replacing a directory with a non-directory drops the old subtree.
+    """
+    content = LayeredSource(layer_tars)
+    return content._fileset(ORIGIN_LAYERED), content

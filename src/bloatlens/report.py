@@ -41,8 +41,8 @@ from .imagefs import (
     REGULAR,
     ContentSource,
     FileSet,
-    FlatTarSource,
-    LayeredSource,
+    FlatTarSource,  # noqa: F401  bench/spans.py wraps these names
+    LayeredSource,  # noqa: F401
     RootfsSource,
     load_flat_tar,
     load_layers,
@@ -200,8 +200,8 @@ def _load_image(config: PipelineConfig) -> tuple[FileSet, ContentSource]:
         if not os.path.isfile(layer):
             raise InputError(f"layer tar not found: {layer}", flag="--layers")
     if len(config.layers) == 1:
-        return load_flat_tar(config.layers[0]), FlatTarSource(config.layers[0])
-    return load_layers(config.layers), LayeredSource(config.layers)
+        return load_flat_tar(config.layers[0])
+    return load_layers(config.layers)
 
 
 def load_any_report(doc):
@@ -230,44 +230,45 @@ def run_pipeline(config: PipelineConfig) -> AnalysisBundle:
         raise InputError(f"rules file not found: {config.rules}", flag="--rules")
 
     fs, source = _load_image(config)
-    partial_errors: list[str] = []
-    container_id = config.container_id or _default_container_id(config)
-    rules = load_rules(config.rules)
+    with source:
+        partial_errors: list[str] = []
+        container_id = config.container_id or _default_container_id(config)
+        rules = load_rules(config.rules)
 
-    access = parse_trace(config.trace, root_prefix=config.root_prefix,
-                         include_failed=config.include_failed)
-    result = debloat(fs, access, keep=config.keep)
-    catalog = detect_packages(fs, source, rules)
-    dp_pairs = [(rec, package_bloat_degree(rec, result.bloat, fs)) for rec in catalog]
-    dp_map: dict[str, float] = {}
-    for rec, dp in dp_pairs:
-        dp_map.setdefault(rec.graph_key, dp)
+        access = parse_trace(config.trace, root_prefix=config.root_prefix,
+                             include_failed=config.include_failed)
+        result = debloat(fs, access, keep=config.keep)
+        catalog = detect_packages(fs, source, rules)
+        dp_pairs = [(rec, package_bloat_degree(rec, result.bloat, fs)) for rec in catalog]
+        dp_map: dict[str, float] = {}
+        for rec, dp in dp_pairs:
+            dp_map.setdefault(rec.graph_key, dp)
 
-    vuln_diff = None
-    vuln_counts: dict[str, int] = {}
-    if config.vuln_report:
-        try:
-            with open(config.vuln_report, "r", encoding="utf-8") as f:
-                doc = json.load(f)
-            matches = load_any_report(doc)
-            vuln_diff = surviving_cves(matches, result.bloat, catalog)
-            vuln_counts = vuln_counts_by_package(matches, catalog)
-        except (VulnReportError, json.JSONDecodeError) as exc:
-            msg = f"vulnerability report ignored: {exc}"
-            log.error("%s", msg)
-            partial_errors.append(msg)
+        vuln_diff = None
+        vuln_counts: dict[str, int] = {}
+        if config.vuln_report:
+            try:
+                with open(config.vuln_report, "r", encoding="utf-8") as f:
+                    doc = json.load(f)
+                matches = load_any_report(doc)
+                vuln_diff = surviving_cves(matches, result.bloat, catalog)
+                vuln_counts = vuln_counts_by_package(matches, catalog)
+            except (VulnReportError, json.JSONDecodeError) as exc:
+                msg = f"vulnerability report ignored: {exc}"
+                log.error("%s", msg)
+                partial_errors.append(msg)
 
-    graph = build_graph(catalog, dp_map, vuln_counts)
-    document = _build_document(config, container_id, fs, result, catalog,
-                               dp_pairs, dp_map, vuln_diff, graph, partial_errors)
-    bundle = AnalysisBundle(
-        container_id=container_id, debloat=result, catalog=catalog,
-        d_p=dp_map, vuln=vuln_diff, graph=graph, document=document,
-        partial_errors=partial_errors,
-    )
-    if config.out:
-        write_outputs(bundle, config, source)
-    return bundle
+        graph = build_graph(catalog, dp_map, vuln_counts)
+        document = _build_document(config, container_id, fs, result, catalog,
+                                   dp_pairs, dp_map, vuln_diff, graph, partial_errors)
+        bundle = AnalysisBundle(
+            container_id=container_id, debloat=result, catalog=catalog,
+            d_p=dp_map, vuln=vuln_diff, graph=graph, document=document,
+            partial_errors=partial_errors,
+        )
+        if config.out:
+            write_outputs(bundle, config, source)
+        return bundle
 
 
 def _default_container_id(config: PipelineConfig) -> str:

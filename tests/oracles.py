@@ -34,6 +34,13 @@ def walk_inventory(root) -> dict[str, tuple[str, int, str | None]]:
     return out
 
 
+def file_bytes(root) -> dict[str, bytes]:
+    """Bytes of every regular file under a directory, keyed like walk_inventory."""
+    root = pathlib.Path(root)
+    return {"/" + p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file() and not p.is_symlink()}
+
+
 def fileset_inventory(fs) -> dict[str, tuple[str, int, str | None]]:
     return {p: (e.kind, e.size, e.link_target) for p, e in fs.entries.items()}
 

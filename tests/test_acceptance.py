@@ -463,7 +463,8 @@ def test_criterion_10_whiteout_semantics_vs_sequential_extraction(tmp_path):
         ("opt/cache/fresh", "file", b"fresh"),
     ])
     layers = [l1, l2, l3]
-    fs = load_layers(layers)
+    fs, source = load_layers(layers)
+    source.close()
     oracle = sequential_extract_union(layers, tmp_path / "scratch")
     assert fileset_inventory(fs) == oracle
     # Spot checks of each semantic rule.

@@ -124,11 +124,34 @@ class TestAnalyze:
         assert code == 0
         manifest = (out / "manifest.tsv").read_text()
         assert "/app/cfg.yaml" in manifest
-        debloated = load_flat_tar(out / "debloated.tar")
+        debloated, source = load_flat_tar(out / "debloated.tar")
+        source.close()
         assert "/etc/hostname" not in debloated.entries
         with tarfile.open(out / "debloated.tar") as tf:
             payload = tf.extractfile("./app/cfg.yaml").read()
         assert payload == b"y" * 20  # content comes from the upper layer
+
+    def test_truncated_gzip_layer_is_input_error(self, mini_rootfs, mini_trace_path,
+                                                 tmp_path, capsys):
+        import gzip
+        import tarfile
+
+        base = tmp_path / "base.tar"
+        with tarfile.open(base, "w") as tf:
+            tf.add(mini_rootfs, arcname=".")
+        upper = tmp_path / "upper.tar.gz"
+        data = gzip.compress(base.read_bytes())
+        upper.write_bytes(data[:len(data) // 2])
+        code, _, stderr = run_cli(
+            capsys, "analyze",
+            "--layers", str(base), str(upper),
+            "--trace", str(mini_trace_path),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        record = json.loads(stderr.strip().splitlines()[-1])
+        assert record["error"]["code"] == 2
+        assert record["error"]["message"].startswith("layer 1: ")
 
     def test_include_failed_retains_failed_call_paths(self, mini_rootfs, tmp_path,
                                                       capsys):
@@ -211,6 +234,29 @@ class TestStageSubcommands:
         catalog = json.loads((out / "catalog.json").read_text())
         assert {r["name"] for r in catalog} == {
             "liba", "libb", "widget-tools", "numpy-lite", "condapkg"}
+
+    @pytest.mark.parametrize("command", ["debloat", "packages", "vulns", "graph"])
+    def test_stage_closes_layer_sources(self, command, mini_rootfs, mini_trace_path,
+                                        mini_vuln_path, tmp_path, capsys):
+        import gc
+        import tarfile
+        import warnings
+
+        base, upper = tmp_path / "base.tar", tmp_path / "upper.tar.gz"
+        with tarfile.open(base, "w") as tf:
+            tf.add(mini_rootfs, arcname=".")
+        with tarfile.open(upper, "w:gz") as tf:
+            tf.add(mini_rootfs / "app", arcname="app")
+        args = ["--trace", str(mini_trace_path)] if command != "packages" else []
+        if command == "vulns":
+            args += ["--vuln-report", str(mini_vuln_path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code, _, _ = run_cli(capsys, command, "--layers", str(base), str(upper),
+                                 "--out", str(tmp_path / "out"), *args)
+            gc.collect()
+        assert code == 0
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
     def test_vulns_stage(self, mini_rootfs, mini_trace_path, mini_vuln_path,
                          tmp_path, capsys):

@@ -247,7 +247,9 @@ class TestMaterialize:
         retained = compute_retained(fs, access("/usr/bin/widget"))
         tar_path = tmp_path / "debloated.tar"
         materialize(retained, RootfsSource(mini_rootfs), tar_path, fmt="tar")
-        assert load_flat_tar(tar_path) == retained
+        loaded, source = load_flat_tar(tar_path)
+        source.close()
+        assert loaded == retained
         scratch = tmp_path / "extracted"
         with tarfile.open(tar_path) as tf:
             tf.extractall(scratch)

@@ -1,11 +1,18 @@
+import errno
 import io
+import lzma
 import os
+import pathlib
 import tarfile
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bloatlens import imagefs
-from bloatlens.errors import IngestError
+from bloatlens.debloat import materialize
+from bloatlens.errors import IngestError, MaterializeError
 from bloatlens.imagefs import (
     FileEntry,
     FileSet,
@@ -19,13 +26,20 @@ from bloatlens.imagefs import (
     total_size,
 )
 
-from oracles import fileset_inventory, walk_inventory
+from oracles import file_bytes, fileset_inventory, sequential_extract_union, walk_inventory
 
 
-def make_tar(path, members):
+def inventory(loaded):
+    """The FileSet of a tar loader's (FileSet, source) pair; closes the source."""
+    fs, source = loaded
+    source.close()
+    return fs
+
+
+def make_tar(path, members, mode="w"):
     """members: list of (name, kind, payload-or-target). kind in
     file/dir/sym/lnk/fifo."""
-    with tarfile.open(path, "w") as tf:
+    with tarfile.open(path, mode) as tf:
         for name, kind, arg in members:
             info = tarfile.TarInfo(name)
             if kind == "file":
@@ -126,7 +140,7 @@ class TestLoadFlatTar:
             ("etc/a", "file", b"hello"),
             ("etc/l", "sym", "a"),
         ])
-        fs = load_flat_tar(tar)
+        fs = inventory(load_flat_tar(tar))
         assert fs.origin == "flat-tar"
         assert fs.entries["/etc/a"].size == 5
         assert fs.entries["/etc/l"].link_target == "a"
@@ -134,12 +148,12 @@ class TestLoadFlatTar:
 
     def test_dot_slash_prefixes_normalize(self, tmp_path):
         tar = make_tar(tmp_path / "t.tar", [("./etc/a", "file", b"x")])
-        fs = load_flat_tar(tar)
+        fs = inventory(load_flat_tar(tar))
         assert "/etc/a" in fs.entries
 
     def test_implied_parents_added(self, tmp_path):
         tar = make_tar(tmp_path / "t.tar", [("deep/ly/nested", "file", b"x")])
-        fs = load_flat_tar(tar)
+        fs = inventory(load_flat_tar(tar))
         assert fs.entries["/deep"].kind == "directory"
         assert fs.entries["/deep/ly"].kind == "directory"
 
@@ -148,14 +162,14 @@ class TestLoadFlatTar:
             ("data", "file", b"x" * 7),
             ("alias", "lnk", "data"),
         ])
-        fs = load_flat_tar(tar)
+        fs = inventory(load_flat_tar(tar))
         assert fs.entries["/alias"].kind == "regular"
         assert fs.entries["/alias"].size == 7
         assert total_size(fs) == 14
 
     def test_fifo_becomes_other(self, tmp_path):
         tar = make_tar(tmp_path / "t.tar", [("pipe", "fifo", None)])
-        fs = load_flat_tar(tar)
+        fs = inventory(load_flat_tar(tar))
         assert fs.entries["/pipe"].kind == "other"
 
     def test_gzip_wrapped_tar(self, tmp_path):
@@ -164,7 +178,7 @@ class TestLoadFlatTar:
         tar = make_tar(tmp_path / "t.tar", [("a", "file", b"zz")])
         gz = tmp_path / "t.tar.gz"
         gz.write_bytes(gzip.compress((tmp_path / "t.tar").read_bytes()))
-        fs = load_flat_tar(gz)
+        fs = inventory(load_flat_tar(gz))
         assert fs.entries["/a"].size == 2
 
     def test_garbage_raises_ingest_error(self, tmp_path):
@@ -180,12 +194,12 @@ class TestLoadLayers:
             ("etc", "dir", None),
             ("etc/a", "file", b"one"),
         ])
-        assert load_layers([tar]) == load_flat_tar(tar)
+        assert inventory(load_layers([tar])) == inventory(load_flat_tar(tar))
 
     def test_whiteout_deletes_lower_entry(self, tmp_path):
         l1 = make_tar(tmp_path / "l1.tar", [("opt", "dir", None), ("opt/foo", "file", b"f")])
         l2 = make_tar(tmp_path / "l2.tar", [("opt/.wh.foo", "file", b"")])
-        fs = load_layers([l1, l2])
+        fs = inventory(load_layers([l1, l2]))
         assert "/opt/foo" not in fs.entries
         assert "/opt/.wh.foo" not in fs.entries
         assert "/opt" in fs.entries
@@ -196,7 +210,7 @@ class TestLoadLayers:
             ("opt/sub/x", "file", b"x"),
         ])
         l2 = make_tar(tmp_path / "l2.tar", [("opt/.wh.sub", "file", b"")])
-        fs = load_layers([l1, l2])
+        fs = inventory(load_layers([l1, l2]))
         assert "/opt/sub" not in fs.entries
         assert "/opt/sub/x" not in fs.entries
 
@@ -211,7 +225,7 @@ class TestLoadLayers:
             ("cfg/.wh..wh..opq", "file", b""),
             ("cfg/new", "file", b"new"),
         ])
-        fs = load_layers([l1, l2])
+        fs = inventory(load_layers([l1, l2]))
         assert "/cfg/old" not in fs.entries
         assert "/cfg/sub/deep" not in fs.entries
         assert fs.entries["/cfg/new"].size == 3
@@ -220,20 +234,28 @@ class TestLoadLayers:
     def test_later_layer_replaces_file(self, tmp_path):
         l1 = make_tar(tmp_path / "l1.tar", [("a", "file", b"1")])
         l2 = make_tar(tmp_path / "l2.tar", [("a", "file", b"22")])
-        fs = load_layers([l1, l2])
+        fs = inventory(load_layers([l1, l2]))
         assert fs.entries["/a"].size == 2
 
     def test_file_over_directory_drops_subtree(self, tmp_path):
         l1 = make_tar(tmp_path / "l1.tar", [("d", "dir", None), ("d/x", "file", b"x")])
         l2 = make_tar(tmp_path / "l2.tar", [("d", "file", b"now a file")])
-        fs = load_layers([l1, l2])
+        fs = inventory(load_layers([l1, l2]))
         assert fs.entries["/d"].kind == "regular"
         assert "/d/x" not in fs.entries
+
+    def test_dir_replaced_then_readded_in_one_layer(self, tmp_path):
+        l1 = make_tar(tmp_path / "l1.tar", [("d", "dir", None), ("d/old", "file", b"o")])
+        l2 = make_tar(tmp_path / "l2.tar", [("d", "file", b"f"), ("d", "dir", None),
+                                            ("d/new", "file", b"n")])
+        fs = inventory(load_layers([l1, l2]))
+        assert fileset_inventory(fs) == sequential_extract_union([l1, l2], tmp_path / "x")
+        assert "/d/new" in fs.entries and "/d/old" not in fs.entries
 
     def test_whiteout_then_readd_same_layer(self, tmp_path):
         l1 = make_tar(tmp_path / "l1.tar", [("a", "file", b"old!")])
         l2 = make_tar(tmp_path / "l2.tar", [(".wh.a", "file", b""), ("a", "file", b"n")])
-        fs = load_layers([l1, l2])
+        fs = inventory(load_layers([l1, l2]))
         assert fs.entries["/a"].size == 1
 
     def test_whiteout_idempotent(self, tmp_path):
@@ -242,8 +264,8 @@ class TestLoadLayers:
             ("drop", "file", b"d"),
         ])
         wh = make_tar(tmp_path / "wh.tar", [(".wh.drop", "file", b"")])
-        once = load_layers([l1, wh])
-        twice = load_layers([l1, wh, wh])
+        once = inventory(load_layers([l1, wh]))
+        twice = inventory(load_layers([l1, wh, wh]))
         assert once == twice
         assert "/drop" not in once.entries
 
@@ -347,3 +369,179 @@ class TestFileSetSemantics:
             fs.origin = "other"
         with pytest.raises(TypeError):
             fs.entries["/new"] = FileEntry("/new", "directory")
+
+
+class TestHardlinksResolveInTheirOwnTar:
+    def test_link_keeps_bytes_of_target_replaced_by_upper_layer(self, tmp_path):
+        l1 = make_tar(tmp_path / "l1.tar", [("data", "file", b"x" * 7),
+                                            ("alias", "lnk", "data")])
+        l2 = make_tar(tmp_path / "l2.tar", [("data", "file", b"yy")])
+        fs, src = load_layers([l1, l2])
+        with src:
+            assert fs.entries["/alias"].size == 7
+            assert src.read("/alias") == b"x" * 7
+            assert src.read("/data") == b"yy"
+            materialize(fs, src, tmp_path / "out.tar", fmt="tar")
+
+    def test_link_in_flat_tar_resolves_to_preceding_member(self, tmp_path):
+        tar = make_tar(tmp_path / "t.tar", [("a", "file", b"first"),
+                                            ("b", "lnk", "a"),
+                                            ("a", "file", b"second!")])
+        fs, src = load_flat_tar(tar)
+        with src:
+            assert fs.entries["/b"].size == 5
+            assert src.read("/b") == b"first"
+            assert src.read("/a") == b"second!"
+
+    def test_link_to_lower_layer_file(self, tmp_path):
+        l1 = make_tar(tmp_path / "l1.tar", [("data", "file", b"lower")])
+        l2 = make_tar(tmp_path / "l2.tar", [("alias", "lnk", "data")])
+        fs, src = load_layers([l1, l2])
+        with src:
+            assert fs.entries["/alias"].size == 5
+            assert src.read("/alias") == b"lower"
+
+    def test_link_under_directory_replaced_earlier_in_layer_dangles(self, tmp_path):
+        l1 = make_tar(tmp_path / "l1.tar", [("d", "dir", None), ("d/x", "file", b"gone")])
+        l2 = make_tar(tmp_path / "l2.tar", [("d", "file", b"f"), ("h", "lnk", "d/x")])
+        fs, src = load_layers([l1, l2])
+        with src:
+            assert "/d/x" not in fs.entries and fs.entries["/h"].size == 0
+            with pytest.raises(MaterializeError, match="dangling hardlink"):
+                src.read("/h")
+
+
+class TestCompressedLayers:
+    STACK = [
+        [("etc", "dir", None), ("etc/a", "file", b"alpha"), ("etc/l", "sym", "a"),
+         ("d", "dir", None), ("d/x", "file", b"x" * 300), ("hl", "lnk", "etc/a")],
+        [("etc/.wh.a", "file", b""), ("d", "file", b"now a file"),
+         ("etc/b", "file", b"beta" * 100)],
+        [("etc/.wh..wh..opq", "file", b""), ("etc/c", "file", b"gamma")],
+    ]
+    FORMATS = [(".tar", "w"), (".tar.gz", "w:gz"), (".tar.bz2", "w:bz2"), (".tar.xz", "w:xz")]
+
+    def test_every_compression_loads_the_same(self, tmp_path):
+        results = []
+        for suffix, mode in self.FORMATS:
+            d = tmp_path / mode.replace(":", "_")
+            d.mkdir()
+            fs, src = load_layers([make_tar(d / f"l{i}{suffix}", layer, mode)
+                                   for i, layer in enumerate(self.STACK)])
+            with src:
+                regular = sorted(p for p, e in fs.entries.items() if e.kind == "regular")
+                results.append((fs, {p: src.read(p) for p in regular},
+                                {p: src.mode(p) for p in fs.entries}))
+        assert regular == ["/d", "/etc/c", "/hl"]
+        assert results[0][1]["/hl"] == b"alpha"
+        for other in results[1:]:
+            assert other == results[0]
+
+    @pytest.mark.parametrize("suffix,mode", FORMATS[1:])
+    def test_truncated_compressed_layer_names_the_layer(self, tmp_path, suffix, mode):
+        good, bad = (make_tar(tmp_path / f"l{i}{suffix}", layer, mode)
+                     for i, layer in enumerate(self.STACK[:2]))
+        bad.write_bytes(bad.read_bytes()[:len(bad.read_bytes()) // 2])
+        with pytest.raises(IngestError, match=r"^layer 1: "):
+            load_layers([good, bad])
+
+    def test_plain_tar_starting_with_a_magic_number_loads(self, tmp_path):
+        tar = make_tar(tmp_path / "t.tar", [("BZh0", "file", b"not bzip2")])
+        assert tar.read_bytes().startswith(b"BZh")
+        fs, src = load_flat_tar(tar)
+        with src:
+            assert src.read("/BZh0") == b"not bzip2"
+
+    def test_legacy_lzma_alone_tar_loads(self, tmp_path):
+        plain = make_tar(tmp_path / "t.tar", self.STACK[0])
+        packed = tmp_path / "t.tar.lzma"
+        packed.write_bytes(lzma.compress(plain.read_bytes(), format=lzma.FORMAT_ALONE))
+        fs, src = load_flat_tar(packed)
+        with src:
+            assert fs == inventory(load_flat_tar(plain))
+            assert src.read("/hl") == b"alpha"
+
+    def test_full_temp_disk_is_reported_as_such(self, tmp_path, monkeypatch):
+        class Full(io.BytesIO):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        layer = make_tar(tmp_path / "l0.tar.gz", self.STACK[0], "w:gz")
+        monkeypatch.setattr(tempfile, "TemporaryFile", Full)
+        with pytest.raises(IngestError, match=r"^layer 0: cannot write .* temp file in "):
+            load_layers([layer])
+
+    def test_layer_with_nothing_in_the_union_is_closed_after_load(self, tmp_path, monkeypatch):
+        temps, real = [], tempfile.TemporaryFile
+
+        def recorded(*args, **kwargs):
+            temps.append(real(*args, **kwargs))
+            return temps[-1]
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+        l0 = make_tar(tmp_path / "l0.tar.gz", [("a", "file", b"lower")], "w:gz")
+        l1 = make_tar(tmp_path / "l1.tar.gz", [(".wh.a", "file", b""), ("b", "file", b"up")],
+                      "w:gz")
+        fs, src = load_layers([l0, l1])
+        with src:
+            assert [t.closed for t in temps] == [True, False]
+            assert src.read("/b") == b"up"
+        assert all(t.closed for t in temps)
+
+
+NAMES = ("a", "b", "c")
+LAYER_OPS = st.lists(st.tuples(
+    st.sampled_from(("file", "dir", "sym", "lnk", "wh", "opq")),
+    st.lists(st.sampled_from(NAMES), min_size=1, max_size=3).map("/".join),
+    st.binary(max_size=6),
+), max_size=8)
+
+
+def compile_layer(ops):
+    """make_tar members for one layer, valid the way container tools write
+    them: each path once, its ancestors first as directory members, and
+    hardlinks only to regular files earlier in the same tar."""
+    members, kinds = [], {}
+
+    def place(path, kind, arg):
+        parts = path.split("/")
+        ancestors = ["/".join(parts[:i]) for i in range(1, len(parts))]
+        if path in kinds or any(kinds.get(a, "dir") != "dir" for a in ancestors):
+            return
+        for a in ancestors:
+            if a not in kinds:
+                kinds[a] = "dir"
+                members.append((a, "dir", None))
+        kinds[path] = kind
+        members.append((path, kind, arg))
+
+    for op, path, data in ops:
+        head, _, base = path.rpartition("/")
+        prefix = head + "/" if head else ""
+        if op == "wh":
+            place(f"{prefix}.wh.{base}", "file", b"")
+        elif op == "opq":
+            place(f"{prefix}.wh..wh..opq", "file", b"")
+        elif op == "lnk":
+            files = [p for p, k in kinds.items() if k == "file" and ".wh." not in p]
+            if files:
+                place(path, "lnk", files[len(data) % len(files)])
+        else:
+            place(path, op, {"file": data, "dir": None, "sym": "x/" + base}[op])
+    return members
+
+
+class TestLayeredUnionOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(stack=st.lists(LAYER_OPS, min_size=1, max_size=4))
+    def test_union_and_reads_match_sequential_extraction(self, stack):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            layers = [make_tar(tmp / f"l{i}.tar", compile_layer(ops))
+                      for i, ops in enumerate(stack)]
+            fs, src = load_layers(layers)
+            with src:
+                oracle = sequential_extract_union(layers, tmp / "scratch")
+                assert fileset_inventory(fs) == oracle
+                regular = {p for p, e in fs.entries.items() if e.kind == "regular"}
+                assert {p: src.read(p) for p in regular} == file_bytes(tmp / "scratch")

@@ -1,5 +1,8 @@
+import gc
 import json
 import math
+import tarfile
+import warnings
 
 import pytest
 
@@ -126,6 +129,20 @@ class TestRunPipeline:
         with pytest.raises(InputError) as exc:
             run_pipeline(config)
         assert exc.value.flag == "--trace"
+
+    def test_gzip_layer_stack_is_closed(self, mini_rootfs, mini_trace_path, tmp_path):
+        base, upper = tmp_path / "base.tar", tmp_path / "upper.tar.gz"
+        with tarfile.open(base, "w") as tf:
+            tf.add(mini_rootfs, arcname=".")
+        with tarfile.open(upper, "w:gz") as tf:
+            tf.add(mini_rootfs / "app", arcname="app")
+        config = PipelineConfig(layers=(str(base), str(upper)), trace=str(mini_trace_path),
+                                out=str(tmp_path / "out"), emit_tar=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            run_pipeline(config)
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
     def test_both_image_inputs_rejected(self, mini_rootfs, mini_trace_path):
         config = PipelineConfig(rootfs=str(mini_rootfs), layers=("x.tar",),
