@@ -156,6 +156,13 @@ def materialize(retained: FileSet, source: ContentSource, out: str | os.PathLike
     return render_manifest(retained)
 
 
+def _read_exact(source: ContentSource, path: str, size: int) -> bytes:
+    data = source.read(path)
+    if len(data) != size:
+        raise MaterializeError(f"source size mismatch for {path}: expected {size}, got {len(data)}")
+    return data
+
+
 def _write_dir(retained: FileSet, source: ContentSource, out: str, paths: list[str]) -> None:
     os.makedirs(out, exist_ok=True)
     for path in paths:
@@ -167,11 +174,7 @@ def _write_dir(retained: FileSet, source: ContentSource, out: str, paths: list[s
             if mode is not None and path != "/":
                 os.chmod(target, mode)
         elif entry.kind == REGULAR:
-            data = source.read(path)
-            if len(data) != entry.size:
-                raise MaterializeError(
-                    f"source size mismatch for {path}: expected {entry.size}, got {len(data)}"
-                )
+            data = _read_exact(source, path, entry.size)
             with open(target, "wb") as f:
                 f.write(data)
             mode = source.mode(path)
@@ -200,11 +203,7 @@ def _write_tar(retained: FileSet, source: ContentSource, out: str, paths: list[s
                 info.mode = mode if mode is not None else 0o755
                 tf.addfile(info)
             elif entry.kind == REGULAR:
-                data = source.read(path)
-                if len(data) != entry.size:
-                    raise MaterializeError(
-                        f"source size mismatch for {path}: expected {entry.size}, got {len(data)}"
-                    )
+                data = _read_exact(source, path, entry.size)
                 info.type = tarfile.REGTYPE
                 info.size = len(data)
                 info.mode = mode if mode is not None else 0o644

@@ -27,6 +27,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .errors import MaterializeError
 from .imagefs import REGULAR, ContentSource, FileSet
 from .trace import normalize_path
 
@@ -174,7 +175,11 @@ def _detect_apt(fs: FileSet, source: ContentSource) -> list[PackageRecord]:
     if _DPKG_STATUS not in fs.entries:
         log.debug("no dpkg database found at %s", _DPKG_STATUS)
         return []
-    text = source.read(_DPKG_STATUS).decode("utf-8", errors="replace")
+    try:
+        text = source.read(_DPKG_STATUS).decode("utf-8", errors="replace")
+    except MaterializeError as exc:
+        log.warning("unreadable dpkg database, treated as missing: %s", exc)
+        return []
     records = []
     for stanza in _parse_deb_stanzas(text):
         name = stanza.get("Package")

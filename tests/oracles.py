@@ -150,3 +150,34 @@ def vuln_survival_oracle(match, bloat_paths: set[str], files_by_pkg: dict) -> bo
     if not files:
         return False
     return all(f in bloat_paths for f in files)
+
+
+def tarfile_contents(tar_path):
+    """What tarfile reads from a tar whose member paths are unique:
+    (path -> (kind, size, link_target), path -> mode, path -> bytes of each
+    regular file). Hardlinks read as regular files with their target's
+    bytes; implied parent directories are added with mode None."""
+    inventory, modes, data = {"/": ("directory", 0, None)}, {"/": None}, {}
+    with tarfile.open(tar_path, "r:*") as tf:
+        for m in tf.getmembers():
+            rel = posixpath.normpath(m.name).lstrip("/")
+            if rel == ".":
+                continue
+            path = "/" + rel
+            modes[path] = m.mode
+            if m.isdir():
+                inventory[path] = ("directory", 0, None)
+            elif m.issym():
+                inventory[path] = ("symlink", 0, m.linkname)
+            elif m.isfile() or m.islnk():
+                with tf.extractfile(m) as f:
+                    data[path] = f.read()
+                inventory[path] = ("regular", len(data[path]), None)
+            else:
+                inventory[path] = ("other", 0, None)
+    for path in list(inventory):
+        while path != "/":
+            path = posixpath.dirname(path)
+            modes.setdefault(path, None)
+            inventory.setdefault(path, ("directory", 0, None))
+    return inventory, modes, data

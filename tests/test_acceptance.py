@@ -17,6 +17,7 @@ import random
 import tarfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -342,7 +343,7 @@ def test_criterion_08_end_to_end_golden_fixture(tmp_path, monkeypatch):
         with open(GOLDEN_PATH, "wb") as f:
             f.write(produced)
         pytest.skip("golden file regenerated")
-    golden = open(GOLDEN_PATH, "rb").read()
+    golden = Path(GOLDEN_PATH).read_bytes()
     assert produced == golden
 
 

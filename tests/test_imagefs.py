@@ -3,6 +3,7 @@ import io
 import lzma
 import os
 import pathlib
+import struct
 import tarfile
 import tempfile
 
@@ -26,7 +27,13 @@ from bloatlens.imagefs import (
     total_size,
 )
 
-from oracles import file_bytes, fileset_inventory, sequential_extract_union, walk_inventory
+from oracles import (
+    file_bytes,
+    fileset_inventory,
+    sequential_extract_union,
+    tarfile_contents,
+    walk_inventory,
+)
 
 
 def inventory(loaded):
@@ -545,3 +552,210 @@ class TestLayeredUnionOracle:
                 assert fileset_inventory(fs) == oracle
                 regular = {p for p, e in fs.entries.items() if e.kind == "regular"}
                 assert {p: src.read(p) for p in regular} == file_bytes(tmp / "scratch")
+
+
+class TestFlatTarReplacesDirectory:
+    def test_file_over_directory_drops_subtree(self, tmp_path):
+        tar = make_tar(tmp_path / "t.tar", [("d", "dir", None), ("d/x", "file", b"x"),
+                                            ("d", "file", b"now a file")])
+        fs, src = load_flat_tar(tar)
+        with src:
+            assert fileset_inventory(fs) == sequential_extract_union([tar], tmp_path / "x")
+            assert check_parent_closure(fs) == []
+            materialize(fs, src, tmp_path / "out.tar", fmt="tar")
+
+
+class TestSymlinkReads:
+    MEMBERS = [("etc", "dir", None), ("etc/real", "file", b"bytes"),
+               ("etc/rel", "sym", "real"), ("etc/abs", "sym", "/etc/real"),
+               ("lib", "sym", "etc"), ("up", "sym", "lib/../etc/rel"),
+               ("gone", "sym", "etc/missing"), ("loop", "sym", "loop2"), ("loop2", "sym", "loop")]
+
+    def test_links_resolve_through_the_union(self, tmp_path):
+        fs, src = load_flat_tar(make_tar(tmp_path / "t.tar", self.MEMBERS))
+        with src:
+            for path in ("/etc/rel", "/etc/abs", "/lib/real", "/lib/rel", "/up"):
+                assert src.read(path) == b"bytes", path
+
+    def test_link_into_a_lower_layer(self, tmp_path):
+        l0 = make_tar(tmp_path / "l0.tar", self.MEMBERS[:2])
+        l1 = make_tar(tmp_path / "l1.tar", [("link", "sym", "etc/real")])
+        fs, src = load_layers([l0, l1])
+        with src:
+            assert src.read("/link") == b"bytes"
+
+    @pytest.mark.parametrize("path,reason", [("/gone", "dangling symlink"),
+                                             ("/loop", "symlink loop")])
+    def test_dangling_or_looping_link_raises(self, tmp_path, path, reason):
+        fs, src = load_flat_tar(make_tar(tmp_path / "t.tar", self.MEMBERS))
+        with src:
+            with pytest.raises(MaterializeError, match=reason):
+                src.read(path)
+
+
+SEGMENTS = st.sampled_from(["a", "b", "caf\u00e9", "\u65e5\u672c", "x" * 60, "\u00fc" * 40])
+MEMBER_OPS = st.lists(st.tuples(
+    st.lists(SEGMENTS, min_size=1, max_size=4).map("/".join),
+    st.sampled_from(("file", "dir", "sym", "lnk", "fifo")),
+    st.binary(max_size=40),
+    st.integers(0, 0o7777),
+), max_size=10)
+
+
+def write_tar(path, ops, fmt):
+    """Write ops with tarfile in one format: each path once, no member below
+    a non-directory, hardlinks to earlier regular files; members the format
+    cannot hold (long names in ustar) are left out."""
+    kinds = {}
+    with tarfile.open(path, "w", format=fmt) as tf:
+        for name, kind, data, mode in ops:
+            parts = name.split("/")
+            if name in kinds or any(kinds.get("/".join(parts[:i]), "dir") != "dir"
+                                    for i in range(1, len(parts))) \
+                    or (kind != "dir" and any(k.startswith(name + "/") for k in kinds)):
+                continue
+            info = tarfile.TarInfo(name)
+            info.mode = mode
+            info.type = {"file": tarfile.REGTYPE, "dir": tarfile.DIRTYPE, "sym": tarfile.SYMTYPE,
+                         "lnk": tarfile.LNKTYPE, "fifo": tarfile.FIFOTYPE}[kind]
+            if kind == "sym":
+                info.linkname = "caf\u00e9/" * (3 * len(data)) + "t"
+            elif kind == "lnk":
+                files = [k for k, v in kinds.items() if v == "file"]
+                if not files:
+                    continue
+                info.linkname = files[len(data) % len(files)]
+            elif kind == "file":
+                info.size = len(data)
+            try:
+                tf.addfile(info, io.BytesIO(data) if kind == "file" else None)
+            except ValueError:  # a name or link name ustar cannot store
+                continue
+            kinds[name] = kind
+    return path
+
+
+class TestHeaderReaderAgainstTarfile:
+    @settings(max_examples=80, deadline=None)
+    @given(ops=MEMBER_OPS,
+           fmt=st.sampled_from((tarfile.USTAR_FORMAT, tarfile.GNU_FORMAT, tarfile.PAX_FORMAT)))
+    def test_inventory_modes_and_bytes_match(self, ops, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            tar = write_tar(pathlib.Path(tmp) / "t.tar", ops, fmt)
+            inventory, modes, data = tarfile_contents(tar)
+            fs, src = load_flat_tar(tar)
+            with src:
+                assert fileset_inventory(fs) == inventory
+                assert {p: src.mode(p) for p in fs.entries} == modes
+                assert {p: src.read(p) for p in data} == data
+
+
+# Byte ranges of the ustar header fields the hand-made cases change.
+FIELDS = {"size_field": (124, 12), "type": (156, 1), "prefix": (345, 155)}
+
+
+def header(name, size=0, signed=False, **fields):
+    """A ustar header block for a regular member, with raw field overrides
+    and its checksum recomputed (as a signed-char sum if signed)."""
+    info = tarfile.TarInfo(name)
+    info.size = size
+    buf = bytearray(info.tobuf(tarfile.USTAR_FORMAT))
+    for field, value in fields.items():
+        start, length = FIELDS[field]
+        buf[start:start + length] = value.ljust(length, b"\0")
+    buf[148:156] = b" " * 8
+    buf[148:156] = b"%06o\0 " % sum(struct.unpack("512b" if signed else "512B", buf))
+    return bytes(buf)
+
+
+def data_blocks(data):
+    return data + b"\0" * (-len(data) % 512)
+
+
+def write_blocks(path, *blocks):
+    path.write_bytes(b"".join(blocks) + b"\0" * 1024)
+    return path
+
+
+class TestHandMadeHeaders:
+    def test_base256_size(self, tmp_path):
+        tar = write_blocks(tmp_path / "t.tar",
+                           header("big", 5, size_field=b"\x80" + (5).to_bytes(11, "big")),
+                           data_blocks(b"hello"))
+        fs, src = load_flat_tar(tar)
+        with src:
+            assert fs.entries["/big"].size == 5 and src.read("/big") == b"hello"
+
+    def test_signed_sum_checksum(self, tmp_path):
+        block = header("caf\u00e9", 2, signed=True)
+        assert sum(block[:148] + block[156:]) + 256 != int(block[148:154], 8)
+        fs, src = load_flat_tar(write_blocks(tmp_path / "t.tar", block, data_blocks(b"ok")))
+        with src:
+            assert src.read("/caf\u00e9") == b"ok"
+
+    def test_v7_directory_with_trailing_slash(self, tmp_path):
+        tar = write_blocks(tmp_path / "t.tar", header("old/", 0, type=b"\0"),
+                           header("old/f", 1), data_blocks(b"f"))
+        fs = inventory(load_flat_tar(tar))
+        assert fs.entries["/old"].kind == "directory" and fs.entries["/old/f"].size == 1
+
+    def test_ustar_prefix_joins_the_name(self, tmp_path):
+        tar = write_blocks(tmp_path / "t.tar", header("leaf", 1, prefix=b"some/prefix"),
+                           data_blocks(b"1"))
+        fs, src = load_flat_tar(tar)
+        with src:
+            assert src.read("/some/prefix/leaf") == b"1"
+
+    def test_directory_with_nonzero_size_has_no_data(self, tmp_path):
+        tar = write_blocks(tmp_path / "t.tar", header("d", 1024, type=b"5"),
+                           header("after", 3), data_blocks(b"abc"))
+        fs, src = load_flat_tar(tar)
+        with src:
+            assert fs.entries["/d"].kind == "directory" and src.read("/after") == b"abc"
+
+    def test_truncated_data_names_its_header(self, tmp_path):
+        tar = tmp_path / "t.tar"
+        tar.write_bytes(header("ok", 1) + data_blocks(b"1") + header("cut", 1000) + b"x" * 512)
+        with pytest.raises(IngestError, match=r"^flat tar: .* offset 1024: unexpected end of data"):
+            load_flat_tar(tar)
+
+    def test_malformed_pax_record_names_its_header(self, tmp_path):
+        tar = write_blocks(tmp_path / "t.tar", header("ok", 1), data_blocks(b"1"),
+                           header("pax", 10, type=b"x"), data_blocks(b"99 path=x\n"),
+                           header("f", 0))
+        with pytest.raises(IngestError, match=r"offset 1024: .*malformed pax record"):
+            load_flat_tar(tar)
+
+    @pytest.mark.parametrize("tail", [b"\0" * 512 + b"junk", b"junk"],
+                             ids=["after-end-block", "instead-of-end-block"])
+    def test_data_after_the_end_of_archive(self, tmp_path, tail):
+        tar = tmp_path / "t.tar"
+        tar.write_bytes(header("ok", 1) + data_blocks(b"1") + tail)
+        with pytest.raises(IngestError, match=r"offset 1024: data after the end-of-archive"):
+            load_flat_tar(tar)
+
+    def test_global_pax_records_apply_to_every_member(self, tmp_path):
+        info = [tarfile.TarInfo(name) for name in ("l1", "l2")]
+        for i in info:
+            i.type, i.linkname = tarfile.SYMTYPE, "short"
+        with tarfile.open(tmp_path / "t.tar", "w", format=tarfile.PAX_FORMAT,
+                          pax_headers={"linkpath": "shared/" + "t" * 120}) as tf:
+            for i in info:
+                tf.addfile(i)
+        fs = inventory(load_flat_tar(tmp_path / "t.tar"))
+        assert fileset_inventory(fs) == tarfile_contents(tmp_path / "t.tar")[0]
+        assert fs.entries["/l2"].link_target == "shared/" + "t" * 120
+
+    def test_gnu_sparse_member_is_rejected(self, tmp_path):
+        tar = write_blocks(tmp_path / "t.tar", header("ok", 0), header("holes", 0, type=b"S"))
+        with pytest.raises(IngestError, match=r"^flat tar: sparse member 'holes' at byte offset 512"):
+            load_flat_tar(tar)
+
+    def test_pax_sparse_member_is_rejected(self, tmp_path):
+        info = tarfile.TarInfo("GNUSparseFile.0/holes")
+        info.pax_headers = {"GNU.sparse.major": "1", "GNU.sparse.minor": "0",
+                            "GNU.sparse.name": "holes", "GNU.sparse.realsize": "4096"}
+        with tarfile.open(tmp_path / "t.tar", "w", format=tarfile.PAX_FORMAT) as tf:
+            tf.addfile(info, io.BytesIO())
+        with pytest.raises(IngestError, match=r"^flat tar: sparse member 'holes' at byte offset 0"):
+            load_flat_tar(tmp_path / "t.tar")

@@ -1,7 +1,10 @@
+import logging
+import tarfile
+
 import numpy as np
 import pytest
 
-from bloatlens.imagefs import FileEntry, FileSet, RootfsSource, load_rootfs
+from bloatlens.imagefs import FileEntry, FileSet, RootfsSource, load_flat_tar, load_rootfs
 from bloatlens.packages import (
     APT,
     CONDA,
@@ -91,6 +94,27 @@ class TestDetectPackages:
         fs = load_rootfs(tmp_path)
         catalog = detect_packages(fs, RootfsSource(tmp_path))
         assert [r.name for r in catalog] == ["fine"]
+
+    @pytest.mark.parametrize("target,names", [("status.real", ["fine"]), ("gone", [])])
+    def test_symlinked_status_reads_alike_from_dir_and_tar(self, tmp_path, caplog, target, names):
+        root = tmp_path / "rootfs"
+        dbdir = root / "var" / "lib" / "dpkg"
+        dbdir.mkdir(parents=True)
+        (dbdir / "status.real").write_text("Package: fine\nStatus: install ok installed\n"
+                                           "Version: 1\n")
+        (dbdir / "status").symlink_to(target)
+        with tarfile.open(tmp_path / "image.tar", "w") as tf:
+            tf.add(root, arcname=".")
+        caplog.set_level(logging.WARNING, logger="bloatlens.packages")
+        from_dir = detect_packages(load_rootfs(root), RootfsSource(root))
+        fs, source = load_flat_tar(tmp_path / "image.tar")
+        with source:
+            assert detect_packages(fs, source) == from_dir
+            if names:
+                assert source.read("/var/lib/dpkg/status") == \
+                    RootfsSource(root).read("/var/lib/dpkg/status")
+        assert [r.name for r in from_dir] == names
+        assert ("unreadable dpkg database" in caplog.text) == (not names)
 
     def test_dpkg_fixture_two_packages(self, tmp_path):
         dbdir = tmp_path / "var" / "lib" / "dpkg"
