@@ -14,11 +14,14 @@ import logging
 import statistics
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Iterable, Mapping, Sequence
 
 from .packages import APT, CONDA, PIP, PackageRecord, canonical_pip_name
 
 log = logging.getLogger(__name__)
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -43,11 +46,18 @@ class PackageAttrGraph:
         self.edges = frozenset(edges)
         self.excluded = tuple(excluded)
         self.dangling_deps = dangling_deps
-        self._succ: dict[str, set[str]] = {k: set() for k in self.nodes}
-        self._pred: dict[str, set[str]] = {k: set() for k in self.nodes}
+        self._keys = sorted(self.nodes)
+        self._index = {k: i for i, k in enumerate(self._keys)}
+        self._d_p = [self.nodes[k].d_p for k in self._keys]
+        self._vulns = [self.nodes[k].vuln_count for k in self._keys]
+        succ: list[list[int]] = [[] for _ in self._keys]
+        pred: list[list[int]] = [[] for _ in self._keys]
         for a, b in self.edges:
-            self._succ[a].add(b)
-            self._pred[b].add(a)
+            succ[self._index[a]].append(self._index[b])
+            pred[self._index[b]].append(self._index[a])
+        # Per node, int bitsets over the sorted keys of the nodes it reaches
+        # (PD) and is reached from (PR); _bits drops the node's own bit.
+        self._pd_bits, self._pr_bits = _closure(succ), _closure(pred)
 
     def __contains__(self, key: str) -> bool:
         return key in self.nodes
@@ -150,31 +160,73 @@ def build_graph(catalog: Sequence[PackageRecord],
     return PackageAttrGraph(nodes, edges, excluded, dangling)
 
 
-def _reach(adj: Mapping[str, set[str]], start: str) -> set[str]:
-    seen: set[str] = set()
-    queue = deque(adj[start])
-    while queue:
-        cur = queue.popleft()
-        if cur in seen:
+def _closure(adj: list[list[int]]) -> list[int]:
+    """Per node, the bitset of the nodes it reaches over one or more edges.
+
+    Tarjan's algorithm (iterative) emits the strongly connected components
+    sinks first, so each component ORs the final (closure | bit) of its
+    members' edge targets; edges inside it add its members when it has a cycle.
+    """
+    n = len(adj)
+    order = [0] * n  # discovery number from 1; n + 1 once the component is emitted
+    low = [0] * n
+    reach = [0] * n
+    stack: list[int] = []
+    numbers = count(1)
+    for root in range(n):
+        if order[root]:
             continue
-        seen.add(cur)
-        queue.extend(adj[cur] - seen)
-    seen.discard(start)
-    return seen
+        order[root] = low[root] = next(numbers)
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, targets = work[-1]
+            for w in targets:
+                if not order[w]:
+                    order[w] = low[w] = next(numbers)
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == order[v]:
+                    members = [stack.pop()]
+                    while members[-1] != v:
+                        members.append(stack.pop())
+                    bits = 0
+                    for m in members:
+                        order[m] = n + 1
+                        for w in adj[m]:
+                            bits |= reach[w] | 1 << w
+                    for m in members:
+                        reach[m] = bits
+    return reach
+
+
+def _bits(g: PackageAttrGraph, closure: list[int], key: str) -> int:
+    """The bitset of ``closure`` for ``key``, without ``key`` itself."""
+    i = g._index.get(key)
+    if i is None:
+        raise KeyError(f"unknown package key {key!r}")
+    return closure[i] & ~(1 << i)
+
+
+def _flags(bits: int) -> bytes:
+    """One 0/1 byte per bit, lowest first, in time linear in the bit width."""
+    return bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
 
 
 def pd_set(g: PackageAttrGraph, key: str) -> set[str]:
     """Packages ``key`` depends on, directly or transitively."""
-    if key not in g.nodes:
-        raise KeyError(f"unknown package key {key!r}")
-    return _reach(g._succ, key)
+    return set(compress(g._keys, _flags(_bits(g, g._pd_bits, key))))
 
 
 def pr_set(g: PackageAttrGraph, key: str) -> set[str]:
     """Packages that depend on ``key``, directly or transitively."""
-    if key not in g.nodes:
-        raise KeyError(f"unknown package key {key!r}")
-    return _reach(g._pred, key)
+    return set(compress(g._keys, _flags(_bits(g, g._pr_bits, key))))
 
 
 def pd_aggregate(g: PackageAttrGraph, key: str) -> tuple[float | None, int]:
@@ -182,11 +234,12 @@ def pd_aggregate(g: PackageAttrGraph, key: str) -> tuple[float | None, int]:
 
     The average is None when the package depends on nothing.
     """
-    pd = pd_set(g, key)
-    if not pd:
+    bits = _bits(g, g._pd_bits, key)
+    if not bits:
         return None, 0
-    return (statistics.fmean(g.nodes[k].d_p for k in pd),
-            sum(g.nodes[k].vuln_count for k in pd))
+    flags = _flags(bits)
+    return (statistics.fmean(list(compress(g._d_p, flags))),
+            sum(compress(g._vulns, flags)))
 
 
 def depth_correlations(g: PackageAttrGraph,
@@ -200,8 +253,8 @@ def depth_correlations(g: PackageAttrGraph,
     if len(keys) < 2:
         return None, None
     depths = [float(g.nodes[k].depth) for k in keys]
-    pd_sizes = [float(len(pd_set(g, k))) for k in keys]
-    pr_sizes = [float(len(pr_set(g, k))) for k in keys]
+    pd_sizes = [float(_bits(g, g._pd_bits, k).bit_count()) for k in keys]
+    pr_sizes = [float(_bits(g, g._pr_bits, k).bit_count()) for k in keys]
 
     def cor(xs, ys):
         try:

@@ -14,8 +14,9 @@ takes disk space equal to the uncompressed tar until the source is closed
 union is built). The walk reads ustar headers (either checksum sum, octal
 and base-256 numbers, the name prefix, v7 ``name/`` directories), GNU long
 names and link names, and pax extended and global records (path, linkpath,
-size); it rejects sparse members. tarfile only writes tars here. Reading
-a symlink from a tar source follows it through the union.
+size); it rejects sparse members. tarfile only writes tars here. Every
+source follows symlinks inside the image: through the union of a tar
+source, and under the root of a rootfs directory, never out of it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import tempfile
 import zlib
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import IngestError, MaterializeError
 
@@ -249,6 +250,26 @@ def _tar_member_path(name: str) -> str | None:
     return "/" + "/".join(parts)
 
 
+def _resolve(path: str, link: Callable[[str], str | None]) -> str:
+    """path with each of its symlinks followed inside the image (at most 40),
+    where link(p) is the target of the symlink at p or None: relative targets
+    from the link's directory, absolute ones from the image root, '..'
+    stopping at '/'."""
+    todo, cur, hops = path.split("/")[::-1], "/", 0
+    while todo:
+        name = todo.pop()
+        cur = parent_of(cur) if name == ".." else cur if name in ("", ".") else \
+            f"{cur.rstrip('/')}/{name}"
+        target = link(cur)
+        if target is not None:
+            hops += 1
+            if hops > 40:
+                raise MaterializeError(f"cannot read {path}: symlink loop")
+            todo.extend(target.split("/")[::-1])
+            cur = "/" if target.startswith("/") else parent_of(cur)
+    return cur
+
+
 class ContentSource:
     """Reads file bytes and modes back out of the image a FileSet came from."""
 
@@ -269,23 +290,43 @@ class ContentSource:
 
 
 class RootfsSource(ContentSource):
+    """Content of a rootfs directory; no path read leaves the directory."""
+
     def __init__(self, root: str | os.PathLike):
         self.root = os.fspath(root)
+        self._links: dict[str, str | None] = {}  # path -> symlink target, as read
 
     def _full(self, path: str) -> str:
         return os.path.join(self.root, path.lstrip("/"))
 
+    def _link(self, path: str) -> str | None:
+        if path not in self._links:
+            try:
+                self._links[path] = os.readlink(self._full(path))
+            except OSError:  # not a symlink, or not there
+                self._links[path] = None
+        return self._links[path]
+
+    def _unfollowed(self, path: str) -> str:
+        """The host path of path with the symlinks in its directory followed."""
+        directory = _resolve(parent_of(path), self._link)
+        return self._full(f"{directory.rstrip('/')}/{path.rsplit('/', 1)[1]}")
+
     def read(self, path: str) -> bytes:
+        resolved = _resolve(path, self._link)
         try:
-            with open(self._full(path), "rb") as f:
+            with open(os.open(self._full(resolved), os.O_RDONLY | os.O_NOFOLLOW), "rb") as f:
                 return f.read()
         except OSError as exc:
-            raise MaterializeError(f"cannot read {path}: {exc}") from exc
+            dangling = isinstance(exc, FileNotFoundError) and \
+                os.path.islink(self._unfollowed(path))
+            raise MaterializeError(
+                f"cannot read {path}: {'dangling symlink' if dangling else exc}") from exc
 
     def mode(self, path: str) -> int | None:
         try:
-            return stat.S_IMODE(os.lstat(self._full(path)).st_mode)
-        except OSError:
+            return stat.S_IMODE(os.lstat(self._unfollowed(path)).st_mode)
+        except (OSError, MaterializeError):
             return None
 
 
@@ -493,26 +534,14 @@ class _TarSource(ContentSource):
     def _fileset(self, origin: str) -> FileSet:
         return _with_parents((entry for entry, *_ in self._union.values()), origin)
 
-    def _resolve(self, path: str) -> str:
-        """path with each of its symlinks followed through the union (at most 40)."""
-        todo, cur, hops = path.split("/")[::-1], "/", 0
-        while todo:
-            name = todo.pop()
-            cur = parent_of(cur) if name == ".." else cur if name in ("", ".") else \
-                f"{cur.rstrip('/')}/{name}"
-            entry = self._union.get(cur, (None,))[0]
-            if entry is not None and entry.kind == SYMLINK:
-                hops += 1
-                if hops > 40:
-                    raise MaterializeError(f"cannot read {path}: symlink loop")
-                todo.extend(entry.link_target.split("/")[::-1])
-                cur = "/" if entry.link_target.startswith("/") else parent_of(cur)
-        return cur
+    def _link(self, path: str) -> str | None:
+        hit = self._union.get(path)
+        return hit[0].link_target if hit else None  # None unless a symlink
 
     def read(self, path: str) -> bytes:
         hit = self._union.get(path)
         if hit is None or hit[0].kind == SYMLINK:
-            resolved = self._union.get(self._resolve(path))
+            resolved = self._union.get(_resolve(path, self._link))
             if resolved is None:
                 raise MaterializeError(f"cannot read {path}: " + (
                     "dangling symlink" if hit else "not present in source tar"))

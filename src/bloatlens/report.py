@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import os
+import statistics
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -55,6 +56,7 @@ from .packages import (
     ML,
     PIP,
     PackageRecord,
+    _files_size,
     build_owner_index,
     category_breakdown,
     detect_packages,
@@ -169,6 +171,7 @@ class AnalysisBundle:
     d_p: dict[str, float]
     vuln: VulnDiff | None
     graph: PackageAttrGraph
+    node_link: dict  # graph.json; the document's graph section extends it
     document: dict
     partial_errors: list[str] = field(default_factory=list)
 
@@ -259,11 +262,12 @@ def run_pipeline(config: PipelineConfig) -> AnalysisBundle:
                 partial_errors.append(msg)
 
         graph = build_graph(catalog, dp_map, vuln_counts)
-        document = _build_document(config, container_id, fs, result, catalog,
-                                   dp_pairs, dp_map, vuln_diff, graph, partial_errors)
+        node_link = to_node_link(graph)
+        document = _build_document(config, container_id, fs, result, catalog, dp_pairs,
+                                   vuln_diff, graph, node_link, partial_errors)
         bundle = AnalysisBundle(
-            container_id=container_id, debloat=result, catalog=catalog,
-            d_p=dp_map, vuln=vuln_diff, graph=graph, document=document,
+            container_id=container_id, debloat=result, catalog=catalog, d_p=dp_map,
+            vuln=vuln_diff, graph=graph, node_link=node_link, document=document,
             partial_errors=partial_errors,
         )
         if config.out:
@@ -311,22 +315,22 @@ def _provenance(config: PipelineConfig, fs: FileSet) -> dict:
 def _build_document(config: PipelineConfig, container_id: str, fs: FileSet,
                     result: DebloatResult, catalog: list[PackageRecord],
                     dp_pairs: list[tuple[PackageRecord, float]],
-                    dp_map: dict[str, float], vuln_diff: VulnDiff | None,
-                    graph: PackageAttrGraph,
-                    partial_errors: list[str]) -> dict:
+                    vuln_diff: VulnDiff | None, graph: PackageAttrGraph,
+                    node_link: dict, partial_errors: list[str]) -> dict:
     index = build_owner_index(catalog, fs)
     container_breakdown = category_breakdown(fs, index)
     bloat_breakdown = category_breakdown(result.bloat, index)
 
+    rows = [(rec, dp, _files_size(rec.files, result.bloat)) for rec, dp in dp_pairs]
     catalog_rows = []
-    for rec, dp in dp_pairs:
+    for rec, dp, bloat_bytes in rows:
         catalog_rows.append({
             "manager": rec.manager,
             "name": rec.name,
             "version": rec.version,
             "functionality": rec.functionality,
             "size": rec.size,
-            "bloat_bytes": _bloat_bytes(rec, result.bloat),
+            "bloat_bytes": bloat_bytes,
             "files": len(rec.files),
             "d_p": _r6(dp),
         })
@@ -339,28 +343,25 @@ def _build_document(config: PipelineConfig, container_id: str, fs: FileSet,
             quartiles[manager] = {"count": q.count, "mean": q.mean,
                                   "q1": q.q1, "q2": q.q2, "q3": q.q3}
 
-    reductions = {}
+    reductions, violin = {}, {}
     for label, functionality in (("ml", ML), ("generic", GENERIC)):
-        subset = [(rec, dp) for rec, dp in dp_pairs if rec.functionality == functionality]
-        r = size_reduction_R(subset) if subset else None
+        group = [row for row in rows if row[0].functionality == functionality]
+        r = size_reduction_R([(rec, dp) for rec, dp, _ in group]) if group else None
         reductions[label] = _r6(r) if r is not None else None
-    r_all = size_reduction_R(dp_pairs) if dp_pairs else None
-    reductions["all"] = _r6(r_all) if r_all is not None else None
-
-    dp_values = [dp for _, dp in dp_pairs]
-    violin = {}
-    for label, functionality in (("ml", ML), ("generic", GENERIC)):
-        rows = [(rec, dp) for rec, dp in dp_pairs if rec.functionality == functionality]
         violin[label] = {
-            "sizes": sorted(rec.size for rec, _ in rows),
-            "d_p": sorted(_r6(dp) for _, dp in rows),
-            "bloat_sizes": sorted(_bloat_bytes(rec, result.bloat) for rec, _ in rows),
+            "sizes": sorted(rec.size for rec, _, _ in group),
+            "d_p": sorted(_r6(dp) for _, dp, _ in group),
+            "bloat_sizes": sorted(bloat_bytes for _, _, bloat_bytes in group),
         }
         for series in ("sizes", "d_p", "bloat_sizes"):
             data = violin[label][series]
-            violin[label][f"{series}_summary"] = _series_summary(data)
+            violin[label][f"{series}_summary"] = {
+                "min": data[0], "median": _r6(float(statistics.median(data))), "max": data[-1],
+            } if data else dict.fromkeys(("min", "median", "max"))
+    r_all = size_reduction_R(dp_pairs) if dp_pairs else None
+    reductions["all"] = _r6(r_all) if r_all is not None else None
+    dp_values = [dp for _, dp in dp_pairs]
 
-    graph_doc = to_node_link(graph)
     per_node = []
     for key in sorted(graph.nodes):
         avg_dp, pd_vulns = pd_aggregate(graph, key)
@@ -421,7 +422,7 @@ def _build_document(config: PipelineConfig, container_id: str, fs: FileSet,
         },
         "vuln": vuln_doc,
         "graph": {
-            **graph_doc,
+            **node_link,
             "per_node": per_node,
             "correlations": correlations,
             "cdfs": cdfs,
@@ -433,19 +434,6 @@ def _build_document(config: PipelineConfig, container_id: str, fs: FileSet,
         },
         "partial_errors": list(partial_errors),
     }
-
-
-def _bloat_bytes(rec: PackageRecord, bloat: FileSet) -> int:
-    return sum(e.size for p in rec.files
-               if (e := bloat.entries.get(p)) is not None and e.kind == REGULAR)
-
-
-def _series_summary(data: list) -> dict:
-    if not data:
-        return {"min": None, "median": None, "max": None}
-    mid = data[len(data) // 2] if len(data) % 2 else (
-        (data[len(data) // 2 - 1] + data[len(data) // 2]) / 2)
-    return {"min": data[0], "median": _r6(float(mid)), "max": data[-1]}
 
 
 def _match_row(m) -> dict:
@@ -478,12 +466,8 @@ def _cdf_section(per_node: list[dict], graph: PackageAttrGraph) -> dict:
         rows = [r for r in per_node if graph.nodes[r["key"]].manager == manager]
         if not rows:
             continue
-        section = {
-            "pd": [[v, _r6(p)] for v, p in cdf_points([r["pd"] for r in rows])],
-            "pr": [[v, _r6(p)] for v, p in cdf_points([r["pr"] for r in rows])],
-            "pd_total_vulns": [[v, _r6(p)] for v, p in
-                               cdf_points([r["pd_total_vulns"] for r in rows])],
-        }
+        section = {name: [[v, _r6(p)] for v, p in cdf_points([r[name] for r in rows])]
+                   for name in ("pd", "pr", "pd_total_vulns")}
         avg_values = [r["pd_avg_d_p"] for r in rows if r["pd_avg_d_p"] is not None]
         if avg_values:
             section["pd_avg_d_p"] = [[_r6(v), _r6(p)] for v, p in cdf_points(avg_values)]
@@ -599,7 +583,7 @@ def write_outputs(bundle: AnalysisBundle, config: PipelineConfig,
     os.makedirs(out, exist_ok=True)
     _write_text(os.path.join(out, "bundle.json"), _dump_json(bundle.document))
     _write_text(os.path.join(out, "manifest.tsv"), render_manifest(bundle.debloat.retained))
-    _write_text(os.path.join(out, "graph.json"), _dump_json(to_node_link(bundle.graph)))
+    _write_text(os.path.join(out, "graph.json"), _dump_json(bundle.node_link))
     _write_text(os.path.join(out, "graph.dot"), to_dot(bundle.graph))
     write_report_files(bundle.document, out)
     if config.emit_tar:

@@ -1,10 +1,14 @@
 import random
+import statistics
+import time
 
 import networkx as nx
 import pytest
 from scipy import stats
 
 from bloatlens.depgraph import (
+    GraphNode,
+    PackageAttrGraph,
     build_graph,
     depth_correlations,
     pd_aggregate,
@@ -46,6 +50,25 @@ def random_dag(rng: random.Random, n: int):
         d_p[f"pip:{names[0]}"] = 0.5  # guarantee a nonempty start set
     vulns = {f"pip:{name}": rng.randint(0, 5) for name in names}
     return catalog, d_p, vulns
+
+
+def random_digraph(rng: random.Random, n: int) -> PackageAttrGraph:
+    """A directly built graph with cycles: sparse random edges (back edges
+    and self-loops included), plus a ring over a random span and a smaller
+    ring nested inside it, so that multi-node SCCs always occur."""
+    keys = [f"{rng.choice([PIP, APT])}:p{i:03d}" for i in range(n)]
+    edges = {(a, b) for a in keys for b in keys if rng.random() < 1.2 / n}
+    edges.add((keys[0], keys[0]))
+    lo, hi = sorted(rng.sample(range(n + 1), 2))
+    inner_lo, inner_hi = sorted(rng.sample(range(lo, hi + 1), 2))
+    for start, stop in ((lo, hi), (inner_lo, inner_hi)):
+        ring = keys[start:stop]
+        edges.update(zip(ring, ring[1:] + ring[:1]))
+    nodes = {k: GraphNode(key=k, manager=k.split(":")[0], name=k, version="1",
+                          d_p=rng.choice([0.0, 0.1, 0.3, 0.7, 1.0]),
+                          vuln_count=rng.randint(0, 5), depth=rng.randint(1, 6))
+             for k in keys}
+    return PackageAttrGraph(nodes, edges)
 
 
 class TestBuildGraph:
@@ -266,6 +289,62 @@ class TestDepthCorrelations:
         cor_pd, cor_pr = depth_correlations(g, PIP)
         assert cor_pd == pytest.approx(stats.pearsonr(depths, pd_sizes)[0], abs=1e-9)
         assert cor_pr == pytest.approx(stats.pearsonr(depths, pr_sizes)[0], abs=1e-9)
+
+
+class TestCycles:
+    def test_random_digraphs_match_the_oracles(self):
+        rng = random.Random(6061)
+        largest_scc = 0
+        for _ in range(60):
+            g = random_digraph(rng, rng.randint(2, 70))
+            keys = sorted(g.nodes)
+            forward = reachability_oracle(keys, set(g.edges))
+            backward = reachability_oracle(keys, {(b, a) for a, b in g.edges})
+            nxg = nx.DiGraph(list(g.edges))
+            largest_scc = max(largest_scc, *map(len, nx.strongly_connected_components(nxg)))
+            for k in keys:
+                assert pd_set(g, k) == forward[k], k
+                assert pr_set(g, k) == backward[k], k
+                avg, total = pd_aggregate(g, k)
+                if forward[k]:
+                    assert avg == statistics.fmean(g.nodes[d].d_p for d in forward[k])
+                    assert total == sum(g.nodes[d].vuln_count for d in forward[k])
+                else:
+                    assert (avg, total) == (None, 0)
+            for manager in (PIP, APT):
+                mine = [k for k in keys if g.nodes[k].manager == manager]
+                depths = [float(g.nodes[k].depth) for k in mine]
+                expected = []
+                for closure in (forward, backward):
+                    try:
+                        expected.append(statistics.correlation(
+                            depths, [float(len(closure[k])) for k in mine]))
+                    except statistics.StatisticsError:
+                        expected.append(None)
+                assert depth_correlations(g, manager) == tuple(expected)
+        assert largest_scc > 10
+
+    def test_self_loop_is_not_its_own_dependency(self):
+        node = GraphNode(key="pip:a", manager=PIP, name="a", version="1",
+                         d_p=0.5, vuln_count=2, depth=1)
+        g = PackageAttrGraph({"pip:a": node}, [("pip:a", "pip:a")])
+        assert pd_set(g, "pip:a") == pr_set(g, "pip:a") == set()
+        assert pd_aggregate(g, "pip:a") == (None, 0)
+
+    def test_long_chain_closing_a_cycle_is_fast(self):
+        # p0 -> p1 -> ... -> p2999 -> p1500: the second half is one SCC. The
+        # bound covers the graph's construction, where the closures are built.
+        n, half = 3000, 1500
+        catalog = [pip_pkg(f"p{i}", [f"p{i + 1}" if i + 1 < n else f"p{half}"])
+                   for i in range(n)]
+        start = time.perf_counter()
+        cor_pd, cor_pr = depth_correlations(build_graph(catalog, {"pip:p0": 0.0}), PIP)
+        assert time.perf_counter() - start < 0.5
+        depths = [float(i + 1) for i in range(n)]
+        pd_sizes = [float(n - 1 - i if i < half else n - half - 1) for i in range(n)]
+        pr_sizes = [float(i if i < half else n - 1) for i in range(n)]
+        assert cor_pd == pytest.approx(statistics.correlation(depths, pd_sizes), abs=1e-12)
+        assert cor_pr == pytest.approx(statistics.correlation(depths, pr_sizes), abs=1e-12)
 
 
 class TestExports:

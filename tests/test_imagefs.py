@@ -568,14 +568,50 @@ class TestFlatTarReplacesDirectory:
 class TestSymlinkReads:
     MEMBERS = [("etc", "dir", None), ("etc/real", "file", b"bytes"),
                ("etc/rel", "sym", "real"), ("etc/abs", "sym", "/etc/real"),
-               ("lib", "sym", "etc"), ("up", "sym", "lib/../etc/rel"),
+               ("lib", "sym", "etc"), ("up", "sym", "lib/../etc/rel"), ("abslib", "sym", "/etc"),
+               ("etc/os-release", "file", b"image-os\n"), ("etc/link", "sym", "/etc/os-release"),
+               ("etc/deep", "sym", "../../../../../../../../../../etc/os-release"),
                ("gone", "sym", "etc/missing"), ("loop", "sym", "loop2"), ("loop2", "sym", "loop")]
+    # An absolute link, or a '..' chain longer than the path, names the
+    # image's file and never the host's.
+    READABLE = {"/etc/rel": b"bytes", "/etc/abs": b"bytes", "/lib/real": b"bytes",
+                "/lib/rel": b"bytes", "/up": b"bytes", "/abslib/abs": b"bytes",
+                "/etc/link": b"image-os\n", "/lib/deep": b"image-os\n"}
+
+    def rootfs(self, tmp_path):
+        root = tmp_path / "root"
+        root.mkdir()
+        for name, kind, arg in self.MEMBERS:
+            if kind == "dir":
+                (root / name).mkdir()
+            elif kind == "file":
+                (root / name).write_bytes(arg)
+            else:
+                os.symlink(arg, root / name)
+        return RootfsSource(root)
 
     def test_links_resolve_through_the_union(self, tmp_path):
         fs, src = load_flat_tar(make_tar(tmp_path / "t.tar", self.MEMBERS))
         with src:
-            for path in ("/etc/rel", "/etc/abs", "/lib/real", "/lib/rel", "/up"):
-                assert src.read(path) == b"bytes", path
+            for path, data in self.READABLE.items():
+                assert src.read(path) == data, path
+
+    def test_rootfs_links_resolve_inside_the_root(self, tmp_path):
+        src = self.rootfs(tmp_path)
+        for path, data in self.READABLE.items():
+            assert src.read(path) == data, path
+
+    def test_rootfs_and_flat_tar_of_one_tree_read_the_same(self, tmp_path):
+        def outcome(source, path):
+            try:
+                return source.read(path)
+            except MaterializeError:
+                return MaterializeError
+
+        rootfs = self.rootfs(tmp_path)
+        with load_flat_tar(make_tar(tmp_path / "t.tar", self.MEMBERS))[1] as tar:
+            for path in ["/", *("/" + name for name, _, _ in self.MEMBERS), *self.READABLE]:
+                assert outcome(rootfs, path) == outcome(tar, path), path
 
     def test_link_into_a_lower_layer(self, tmp_path):
         l0 = make_tar(tmp_path / "l0.tar", self.MEMBERS[:2])
@@ -591,6 +627,19 @@ class TestSymlinkReads:
         with src:
             with pytest.raises(MaterializeError, match=reason):
                 src.read(path)
+
+    @pytest.mark.parametrize("path,reason", [("/gone", "dangling symlink"),
+                                             ("/loop", "symlink loop")])
+    def test_rootfs_dangling_or_looping_link_raises_as_a_tar_does(self, tmp_path, path, reason):
+        with pytest.raises(MaterializeError, match=f"^cannot read {path}: {reason}$"):
+            self.rootfs(tmp_path).read(path)
+
+    def test_rootfs_mode_follows_directory_links_inside_the_root(self, tmp_path):
+        src = self.rootfs(tmp_path)
+        os.chmod(tmp_path / "root" / "etc" / "real", 0o640)
+        assert src.mode("/abslib/real") == 0o640
+        assert src.mode("/abslib/rel") == src.mode("/etc/rel") != 0o640  # the link's own
+        assert src.mode("/loop/real") is None
 
 
 SEGMENTS = st.sampled_from(["a", "b", "caf\u00e9", "\u65e5\u672c", "x" * 60, "\u00fc" * 40])
