@@ -12,34 +12,35 @@ ERROR).
 from __future__ import annotations
 
 import argparse
-import contextlib
+import dataclasses
 import json
 import logging
 import os
 import sys
 
 from ._version import __version__
-from .debloat import debloat, materialize, render_manifest
-from .depgraph import build_graph, to_dot, to_node_link
-from .errors import (
-    BloatlensError,
-    ContractViolation,
-    IngestError,
-    InputError,
-    MaterializeError,
-    VulnReportError,
-)
-from .packages import detect_packages, load_rules, package_bloat_degree
+from .debloat import debloat, materialize
+from .depgraph import to_node_link
+from .errors import BloatlensError, ContractViolation, InputError
+from .packages import detect_packages, load_rules
 from .report import (
     PipelineConfig,
-    _dump_json,
-    _load_image,
+    debloat_section,
+    dump_json,
     load_any_report,
+    open_inputs,
+    package_graph,
+    package_rows,
     run_pipeline,
+    severity_csv,
+    vuln_matches,
+    vuln_section,
+    write_debloated,
+    write_graph,
     write_report_files,
+    write_text,
 )
-from .trace import parse_trace
-from .vuln import severity_table, surviving_cves, vuln_counts_by_package
+from .vuln import surviving_cves
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -52,6 +53,7 @@ def _add_image_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--layers", nargs="+", default=[],
                    help="layer tars in base-first manifest order (a single "
                         "tar is treated as a flat image)")
+    p.add_argument("--out", help="output directory")
 
 
 def _add_trace_args(p: argparse.ArgumentParser) -> None:
@@ -80,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--container-id", help="label used in reports")
     p.add_argument("--emit-tar", action="store_true",
                    help="also write the debloated filesystem as debloated.tar")
-    p.add_argument("--out", required=False, help="output directory")
 
     p = sub.add_parser("debloat", help="compute the retained set and materialize it")
     _add_image_args(p)
@@ -88,25 +89,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-tar", action="store_true")
     p.add_argument("--emit-rootfs", action="store_true",
                    help="materialize the debloated image as a rootfs directory")
-    p.add_argument("--out", required=False)
 
     p = sub.add_parser("packages", help="detect installed packages")
     _add_image_args(p)
     p.add_argument("--rules", help="functionality classification rule file")
-    p.add_argument("--out", required=False)
 
     p = sub.add_parser("vulns", help="compute CVE survival after debloating")
     _add_image_args(p)
     _add_trace_args(p)
     p.add_argument("--vuln-report", help="scanner report JSON")
-    p.add_argument("--out", required=False)
 
     p = sub.add_parser("graph", help="build the package attribute graph")
     _add_image_args(p)
     _add_trace_args(p)
     p.add_argument("--vuln-report", help="scanner report JSON")
     p.add_argument("--rules", help="functionality classification rule file")
-    p.add_argument("--out", required=False)
 
     p = sub.add_parser("report", help="regenerate tables and plots from a bundle")
     p.add_argument("--bundle", required=True, help="bundle.json from a previous run")
@@ -114,104 +111,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_out(args) -> str:
+def _config_from(args) -> PipelineConfig:
+    """An image subcommand's config; fields without a flag there keep defaults."""
     if not args.out:
         raise InputError("an output directory is required", flag="--out")
-    return args.out
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)
+              if hasattr(args, f.name)}
+    values["layers"] = tuple(args.layers)
+    values["keep"] = tuple(values.get("keep", ()))
+    return PipelineConfig(**values)
 
 
-def _config_from(args, **extra) -> PipelineConfig:
-    return PipelineConfig(
-        rootfs=getattr(args, "rootfs", None),
-        layers=tuple(getattr(args, "layers", []) or []),
-        trace=getattr(args, "trace", None),
-        keep=tuple(getattr(args, "keep", []) or []),
-        include_failed=getattr(args, "include_failed", False),
-        root_prefix=getattr(args, "root_prefix", "/"),
-        **extra,
-    )
-
-
-@contextlib.contextmanager
-def _stage_inputs(args, need_trace: bool = True):
-    """(config, fs, source, access) for a stage command; closes the source."""
+# Each command returns the diagnostics of its partial success, if any.
+def _cmd_analyze(args) -> list[str]:
     config = _config_from(args)
-    fs, source = _load_image(config)
-    with source:
-        access = None
-        if need_trace:
-            if not config.trace:
-                raise InputError("a trace log is required", flag="--trace")
-            if not os.path.isfile(config.trace):
-                raise InputError(f"trace log not found: {config.trace}", flag="--trace")
-            access = parse_trace(config.trace, root_prefix=config.root_prefix,
-                                 include_failed=config.include_failed)
-        yield config, fs, source, access
-
-
-def _write(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
-
-
-def _load_vuln_matches(path: str):
-    if not path:
-        raise InputError("a vulnerability report is required", flag="--vuln-report")
-    if not os.path.isfile(path):
-        raise InputError(f"vulnerability report not found: {path}", flag="--vuln-report")
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise VulnReportError(f"invalid JSON in {path}: {exc}") from exc
-    return load_any_report(doc)
-
-
-def _cmd_analyze(args) -> int:
-    config = _config_from(
-        args,
-        vuln_report=args.vuln_report,
-        rules=args.rules,
-        container_id=args.container_id,
-        emit_tar=args.emit_tar,
-        out=_require_out(args),
-    )
     bundle = run_pipeline(config)
     print(f"wrote {os.path.join(config.out, 'bundle.json')} "
           f"(d_c={bundle.debloat.d_c:.2f}, {len(bundle.catalog)} packages)")
-    if bundle.partial_errors:
-        print(json.dumps({"diagnostics": bundle.partial_errors}), file=sys.stderr)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return bundle.partial_errors
 
 
-def _cmd_debloat(args) -> int:
-    out = _require_out(args)
-    with _stage_inputs(args) as (config, fs, source, access):
+def _cmd_debloat(args) -> list[str]:
+    config = _config_from(args)
+    with open_inputs(config) as (fs, source, access):
         result = debloat(fs, access, keep=config.keep)
-        os.makedirs(out, exist_ok=True)
-        _write(os.path.join(out, "manifest.tsv"), render_manifest(result.retained))
-        _write(os.path.join(out, "debloat.json"), _dump_json({
-            "s_c": result.s_c,
-            "s_c_prime": result.s_c_prime,
-            "d_c": round(result.d_c, 6),
-            "files_original": len(fs.entries),
-            "files_retained": len(result.retained.entries),
-            "files_bloat": len(result.bloat.entries),
-        }))
+        write_debloated(config.out, result.retained, source, config.emit_tar)
+        write_text(config.out, "debloat.json", dump_json(debloat_section(fs, result)))
         if args.emit_rootfs:
-            materialize(result.retained, source, os.path.join(out, "rootfs"), fmt="dir")
-        if args.emit_tar:
-            materialize(result.retained, source, os.path.join(out, "debloated.tar"), fmt="tar")
-        print(f"d_c={result.d_c:.2f} ({result.s_c} -> {result.s_c_prime} bytes)")
-        return EXIT_OK
+            materialize(result.retained, source, os.path.join(config.out, "rootfs"),
+                        fmt="dir")
+    print(f"d_c={result.d_c:.2f} ({result.s_c} -> {result.s_c_prime} bytes)")
+    return []
 
 
-def _cmd_packages(args) -> int:
-    out = _require_out(args)
-    with _stage_inputs(args, need_trace=False) as (config, fs, source, _):
-        catalog = detect_packages(fs, source, load_rules(args.rules))
+def _cmd_packages(args) -> list[str]:
+    config = _config_from(args)
+    with open_inputs(config, need_trace=False) as (fs, source, _):
+        catalog = detect_packages(fs, source, load_rules(config.rules))
     doc = [
         {
             "manager": r.manager,
@@ -225,69 +161,46 @@ def _cmd_packages(args) -> int:
         }
         for r in catalog
     ]
-    _write(os.path.join(out, "catalog.json"), _dump_json(doc))
+    write_text(config.out, "catalog.json", dump_json(doc))
     print(f"detected {len(catalog)} packages")
-    return EXIT_OK
+    return []
 
 
-def _cmd_vulns(args) -> int:
-    out = _require_out(args)
-    with _stage_inputs(args) as (config, fs, source, access):
-        matches = _load_vuln_matches(args.vuln_report)
+def _cmd_vulns(args) -> list[str]:
+    config = _config_from(args)
+    with open_inputs(config, need_report=True) as (fs, source, access):
         result = debloat(fs, access, keep=config.keep)
         catalog = detect_packages(fs, source)
-    diff = surviving_cves(matches, result.bloat, catalog)
-    table = severity_table(diff)
-    doc = {
-        "removed": len(diff.removed),
-        "retained": len(diff.retained),
-        "reduction": round(diff.reduction, 6) if diff.reduction is not None else None,
-        "severity_table": {
-            "rows": [{"severity": s, "before": b, "after": a} for s, b, a in table.rows],
-            "total_before": table.total_before,
-            "total_after": table.total_after,
-            "reduction_percent": table.reduction_percent,
-        },
-    }
-    _write(os.path.join(out, "vulndiff.json"), _dump_json(doc))
-    rows = ["severity,before,after"]
-    rows += [f"{s},{b},{a}" for s, b, a in table.rows]
-    rows.append(f"Total,{table.total_before},{table.total_after}")
-    pct = "" if table.reduction_percent is None else f"{table.reduction_percent}%"
-    rows.append(f"Reduction,,{pct}")
-    _write(os.path.join(out, "severity_table.csv"), "\n".join(rows) + "\n")
-    print(f"{len(diff.removed)} of {len(diff.removed) + len(diff.retained)} CVEs removed")
-    return EXIT_OK
+    diff = surviving_cves(load_any_report(config.vuln_report), result.bloat, catalog)
+    doc = vuln_section(diff, partition=len)
+    write_text(config.out, "vulndiff.json", dump_json(doc))
+    write_text(config.out, "severity_table.csv", severity_csv(doc["severity_table"]))
+    print(f"{doc['removed']} of {doc['removed'] + doc['retained']} CVEs removed")
+    return []
 
 
-def _cmd_graph(args) -> int:
-    out = _require_out(args)
-    with _stage_inputs(args) as (config, fs, source, access):
+def _cmd_graph(args) -> list[str]:
+    config = _config_from(args)
+    partial_errors: list[str] = []
+    with open_inputs(config) as (fs, source, access):
         result = debloat(fs, access, keep=config.keep)
-        catalog = detect_packages(fs, source, load_rules(args.rules))
-    dp_map = {}
-    for rec in catalog:
-        dp_map.setdefault(rec.graph_key, package_bloat_degree(rec, result.bloat, fs))
-    vuln_counts = {}
-    if args.vuln_report:
-        matches = _load_vuln_matches(args.vuln_report)
-        vuln_counts = vuln_counts_by_package(matches, catalog)
-    graph = build_graph(catalog, dp_map, vuln_counts)
-    _write(os.path.join(out, "graph.json"), _dump_json(to_node_link(graph)))
-    _write(os.path.join(out, "graph.dot"), to_dot(graph))
+        catalog = detect_packages(fs, source, load_rules(config.rules))
+    matches = vuln_matches(config, partial_errors)
+    graph, _ = package_graph(catalog, package_rows(catalog, result.bloat, fs), matches)
+    write_graph(config.out, graph, to_node_link(graph))
     print(f"graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges, "
           f"{len(graph.excluded)} unreachable packages excluded")
-    return EXIT_OK
+    return partial_errors
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> list[str]:
     if not os.path.isfile(args.bundle):
         raise InputError(f"bundle not found: {args.bundle}", flag="--bundle")
     with open(args.bundle, "r", encoding="utf-8") as f:
         doc = json.load(f)
     write_report_files(doc, args.out)
     print(f"regenerated tables and plots under {args.out}")
-    return EXIT_OK
+    return []
 
 
 _COMMANDS = {
@@ -315,16 +228,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except InputError as exc:
-        print(_error_record(exc, EXIT_INPUT), file=sys.stderr)
-        return EXIT_INPUT
+        partial_errors = _COMMANDS[args.command](args)
     except ContractViolation as exc:
         print(_error_record(exc, EXIT_CONTRACT), file=sys.stderr)
         return EXIT_CONTRACT
-    except (IngestError, MaterializeError, VulnReportError, BloatlensError) as exc:
+    except BloatlensError as exc:  # input, ingest, materialize and report errors
         print(_error_record(exc, EXIT_INPUT), file=sys.stderr)
         return EXIT_INPUT
+    if partial_errors:
+        print(json.dumps({"diagnostics": partial_errors}), file=sys.stderr)
+        return EXIT_PARTIAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -18,7 +18,9 @@ class MaterializeError(BloatlensError):
 
 
 class VulnReportError(BloatlensError):
-    """A vulnerability report does not match the documented schema."""
+    """A vulnerability report is not JSON or does not match the documented schema."""
+
+    flag = "--vuln-report"
 
 
 class InputError(BloatlensError):

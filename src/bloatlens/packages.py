@@ -379,14 +379,21 @@ def package_bloat_degree(p: PackageRecord, bloat: FileSet,
     Passing the original ``fs`` lets the count fallback ignore declared
     files that do not exist in the container.
     """
+    return package_bloat(p, bloat, fs)[1]
+
+
+def package_bloat(p: PackageRecord, bloat: FileSet,
+                  fs: FileSet | None = None) -> tuple[int, float]:
+    """(size(F_p intersect B_c), d_p): a package's bloat bytes and its
+    :func:`package_bloat_degree`, from one sum over its files."""
+    bloat_bytes = _files_size(p.files, bloat)
     if p.size > 0:
-        bloat_bytes = _files_size(p.files, bloat)
-        return min(1.0, bloat_bytes / p.size)
+        return bloat_bytes, min(1.0, bloat_bytes / p.size)
     present = [f for f in p.files if fs is None or f in fs.entries]
     if not present:
-        return 1.0
+        return bloat_bytes, 1.0
     in_bloat = sum(1 for f in present if f in bloat.entries)
-    return in_bloat / len(present)
+    return bloat_bytes, in_bloat / len(present)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ inputs; the provenance timestamp honors ``SOURCE_DATE_EPOCH``.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import hashlib
 import io
@@ -56,18 +57,19 @@ from .packages import (
     ML,
     PIP,
     PackageRecord,
-    _files_size,
     build_owner_index,
     category_breakdown,
     detect_packages,
     load_rules,
-    package_bloat_degree,
+    package_bloat,
+    package_bloat_degree,  # noqa: F401  bench/spans.py wraps this name
     quartile_summary,
     size_reduction_R,
 )
 from .trace import parse_trace
 from .vuln import (
     VulnDiff,
+    VulnMatch,
     load_report,
     load_trivy_report,
     severity_table,
@@ -190,28 +192,87 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _load_image(config: PipelineConfig) -> tuple[FileSet, ContentSource]:
+@contextlib.contextmanager
+def open_inputs(config: PipelineConfig, need_trace: bool = True,
+                need_report: bool = False):
+    """Check every input the config names, then load the image and parse
+    the trace (if named); yields (fs, source, access) and closes the source.
+    Input files are checked here and nowhere else, before any ingest, so a
+    bad or absent required input is an InputError naming its flag."""
+    for path, needed, what, flag in (
+            (config.trace, need_trace, "trace log", "--trace"),
+            (config.vuln_report, need_report, "vulnerability report", "--vuln-report"),
+            (config.rules, False, "rules file", "--rules")):
+        if needed and not path:
+            raise InputError(f"a {what} is required", flag=flag)
+        if path and not os.path.isfile(path):
+            raise InputError(f"{what} not found: {path}", flag=flag)
     if bool(config.rootfs) == bool(config.layers):
         raise InputError("exactly one of --rootfs or --layers is required",
                          flag="--rootfs")
-    if config.rootfs:
-        if not os.path.isdir(config.rootfs):
-            raise InputError(f"rootfs directory not found: {config.rootfs}",
-                             flag="--rootfs")
-        return load_rootfs(config.rootfs), RootfsSource(config.rootfs)
+    if config.rootfs and not os.path.isdir(config.rootfs):
+        raise InputError(f"rootfs directory not found: {config.rootfs}", flag="--rootfs")
     for layer in config.layers:
         if not os.path.isfile(layer):
             raise InputError(f"layer tar not found: {layer}", flag="--layers")
-    if len(config.layers) == 1:
-        return load_flat_tar(config.layers[0])
-    return load_layers(config.layers)
+
+    if config.rootfs:
+        fs, source = load_rootfs(config.rootfs), RootfsSource(config.rootfs)
+    elif len(config.layers) == 1:
+        fs, source = load_flat_tar(config.layers[0])
+    else:
+        fs, source = load_layers(config.layers)
+    with source:
+        access = None
+        if config.trace:
+            access = parse_trace(config.trace, root_prefix=config.root_prefix,
+                                 include_failed=config.include_failed)
+        yield fs, source, access
 
 
-def load_any_report(doc):
-    """Accept either the Grype matches[] layout or Trivy's Results[]."""
+def load_any_report(path: str) -> list[VulnMatch]:
+    """Read a scanner report file in the Grype matches[] layout or Trivy's
+    Results[]. Unreadable JSON is a VulnReportError, as a schema error is."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise VulnReportError(str(exc)) from exc
     if isinstance(doc, dict) and "Results" in doc and "matches" not in doc:
         return load_trivy_report(doc)
     return load_report(doc)
+
+
+def vuln_matches(config: PipelineConfig, partial_errors: list[str]) -> list[VulnMatch] | None:
+    """The config's report as an optional input: None without one, and an
+    unreadable one is recorded in ``partial_errors`` and yields None."""
+    if not config.vuln_report:
+        return None
+    try:
+        return load_any_report(config.vuln_report)
+    except VulnReportError as exc:
+        msg = f"vulnerability report ignored: {exc}"
+        log.error("%s", msg)
+        partial_errors.append(msg)
+        return None
+
+
+# (record, bloat bytes, d_p) of one catalog package
+PackageRow = tuple[PackageRecord, int, float]
+
+
+def package_rows(catalog: list[PackageRecord], bloat: FileSet, fs: FileSet) -> list[PackageRow]:
+    return [(rec, *package_bloat(rec, bloat, fs)) for rec in catalog]
+
+
+def package_graph(catalog: list[PackageRecord], rows: list[PackageRow],
+                  matches: list[VulnMatch] | None) -> tuple[PackageAttrGraph, dict[str, float]]:
+    """The attribute graph, and the d_p per graph key it was built from."""
+    dp_map: dict[str, float] = {}
+    for rec, _, dp in rows:
+        dp_map.setdefault(rec.graph_key, dp)
+    vuln_counts = vuln_counts_by_package(matches, catalog) if matches is not None else {}
+    return build_graph(catalog, dp_map, vuln_counts), dp_map
 
 
 def run_pipeline(config: PipelineConfig) -> AnalysisBundle:
@@ -222,48 +283,17 @@ def run_pipeline(config: PipelineConfig) -> AnalysisBundle:
     present but unreadable is recorded in ``partial_errors`` instead of
     aborting the run.
     """
-    if not config.trace:
-        raise InputError("a trace log is required", flag="--trace")
-    if not os.path.isfile(config.trace):
-        raise InputError(f"trace log not found: {config.trace}", flag="--trace")
-    if config.vuln_report and not os.path.isfile(config.vuln_report):
-        raise InputError(f"vulnerability report not found: {config.vuln_report}",
-                         flag="--vuln-report")
-    if config.rules and not os.path.isfile(config.rules):
-        raise InputError(f"rules file not found: {config.rules}", flag="--rules")
-
-    fs, source = _load_image(config)
-    with source:
+    with open_inputs(config) as (fs, source, access):
         partial_errors: list[str] = []
         container_id = config.container_id or _default_container_id(config)
-        rules = load_rules(config.rules)
-
-        access = parse_trace(config.trace, root_prefix=config.root_prefix,
-                             include_failed=config.include_failed)
         result = debloat(fs, access, keep=config.keep)
-        catalog = detect_packages(fs, source, rules)
-        dp_pairs = [(rec, package_bloat_degree(rec, result.bloat, fs)) for rec in catalog]
-        dp_map: dict[str, float] = {}
-        for rec, dp in dp_pairs:
-            dp_map.setdefault(rec.graph_key, dp)
-
-        vuln_diff = None
-        vuln_counts: dict[str, int] = {}
-        if config.vuln_report:
-            try:
-                with open(config.vuln_report, "r", encoding="utf-8") as f:
-                    doc = json.load(f)
-                matches = load_any_report(doc)
-                vuln_diff = surviving_cves(matches, result.bloat, catalog)
-                vuln_counts = vuln_counts_by_package(matches, catalog)
-            except (VulnReportError, json.JSONDecodeError) as exc:
-                msg = f"vulnerability report ignored: {exc}"
-                log.error("%s", msg)
-                partial_errors.append(msg)
-
-        graph = build_graph(catalog, dp_map, vuln_counts)
+        catalog = detect_packages(fs, source, load_rules(config.rules))
+        rows = package_rows(catalog, result.bloat, fs)
+        matches = vuln_matches(config, partial_errors)
+        vuln_diff = surviving_cves(matches, result.bloat, catalog) if matches is not None else None
+        graph, dp_map = package_graph(catalog, rows, matches)
         node_link = to_node_link(graph)
-        document = _build_document(config, container_id, fs, result, catalog, dp_pairs,
+        document = _build_document(config, container_id, fs, result, catalog, rows,
                                    vuln_diff, graph, node_link, partial_errors)
         bundle = AnalysisBundle(
             container_id=container_id, debloat=result, catalog=catalog, d_p=dp_map,
@@ -290,9 +320,7 @@ def _provenance(config: PipelineConfig, fs: FileSet) -> dict:
     if config.layers:
         inputs["layers"] = list(config.layers)
         digests["layers"] = [_sha256_file(p) for p in config.layers]
-    inputs["trace"] = config.trace
-    digests["trace"] = _sha256_file(config.trace)
-    for field_name in ("vuln_report", "rules"):
+    for field_name in ("trace", "vuln_report", "rules"):
         value = getattr(config, field_name)
         if value:
             inputs[field_name] = value
@@ -314,16 +342,16 @@ def _provenance(config: PipelineConfig, fs: FileSet) -> dict:
 
 def _build_document(config: PipelineConfig, container_id: str, fs: FileSet,
                     result: DebloatResult, catalog: list[PackageRecord],
-                    dp_pairs: list[tuple[PackageRecord, float]],
+                    rows: list[PackageRow],
                     vuln_diff: VulnDiff | None, graph: PackageAttrGraph,
                     node_link: dict, partial_errors: list[str]) -> dict:
     index = build_owner_index(catalog, fs)
     container_breakdown = category_breakdown(fs, index)
     bloat_breakdown = category_breakdown(result.bloat, index)
 
-    rows = [(rec, dp, _files_size(rec.files, result.bloat)) for rec, dp in dp_pairs]
+    dp_pairs = [(rec, dp) for rec, _, dp in rows]
     catalog_rows = []
-    for rec, dp, bloat_bytes in rows:
+    for rec, bloat_bytes, dp in rows:
         catalog_rows.append({
             "manager": rec.manager,
             "name": rec.name,
@@ -346,12 +374,12 @@ def _build_document(config: PipelineConfig, container_id: str, fs: FileSet,
     reductions, violin = {}, {}
     for label, functionality in (("ml", ML), ("generic", GENERIC)):
         group = [row for row in rows if row[0].functionality == functionality]
-        r = size_reduction_R([(rec, dp) for rec, dp, _ in group]) if group else None
+        r = size_reduction_R([(rec, dp) for rec, _, dp in group]) if group else None
         reductions[label] = _r6(r) if r is not None else None
         violin[label] = {
             "sizes": sorted(rec.size for rec, _, _ in group),
-            "d_p": sorted(_r6(dp) for _, dp, _ in group),
-            "bloat_sizes": sorted(bloat_bytes for _, _, bloat_bytes in group),
+            "d_p": sorted(_r6(dp) for _, _, dp in group),
+            "bloat_sizes": sorted(bloat_bytes for _, bloat_bytes, _ in group),
         }
         for series in ("sizes", "d_p", "bloat_sizes"):
             data = violin[label][series]
@@ -382,33 +410,10 @@ def _build_document(config: PipelineConfig, container_id: str, fs: FileSet,
         }
     cdfs = _cdf_section(per_node, graph)
 
-    vuln_doc = None
-    if vuln_diff is not None:
-        table = severity_table(vuln_diff)
-        vuln_doc = {
-            "removed": [_match_row(m) for m in vuln_diff.removed],
-            "retained": [_match_row(m) for m in vuln_diff.retained],
-            "reduction": _r6(vuln_diff.reduction) if vuln_diff.reduction is not None else None,
-            "severity_table": {
-                "rows": [{"severity": s, "before": b, "after": a}
-                         for s, b, a in table.rows],
-                "total_before": table.total_before,
-                "total_after": table.total_after,
-                "reduction_percent": table.reduction_percent,
-            },
-        }
-
     return {
         "container_id": container_id,
         "provenance": _provenance(config, fs),
-        "debloat": {
-            "s_c": result.s_c,
-            "s_c_prime": result.s_c_prime,
-            "d_c": _r6(result.d_c),
-            "files_original": len(fs.entries),
-            "files_retained": len(result.retained.entries),
-            "files_bloat": len(result.bloat.entries),
-        },
+        "debloat": debloat_section(fs, result),
         "packages": {
             "catalog": catalog_rows,
             "quartiles_by_manager": quartiles,
@@ -420,7 +425,7 @@ def _build_document(config: PipelineConfig, container_id: str, fs: FileSet,
             },
             "violin": violin,
         },
-        "vuln": vuln_doc,
+        "vuln": vuln_section(vuln_diff) if vuln_diff is not None else None,
         "graph": {
             **node_link,
             "per_node": per_node,
@@ -436,13 +441,42 @@ def _build_document(config: PipelineConfig, container_id: str, fs: FileSet,
     }
 
 
-def _match_row(m) -> dict:
+def debloat_section(fs: FileSet, result: DebloatResult) -> dict:
+    """bundle.json's debloat section; the debloat command writes it as debloat.json."""
     return {
+        "s_c": result.s_c,
+        "s_c_prime": result.s_c_prime,
+        "d_c": _r6(result.d_c),
+        "files_original": len(fs.entries),
+        "files_retained": len(result.retained.entries),
+        "files_bloat": len(result.bloat.entries),
+    }
+
+
+def _match_rows(matches) -> list[dict]:
+    return [{
         "cve_id": m.cve_id,
         "severity": m.severity,
         "pkg_name": m.pkg_name,
         "pkg_version": m.pkg_version,
         "locations": sorted(m.locations),
+    } for m in matches]
+
+
+def vuln_section(diff: VulnDiff, partition=_match_rows) -> dict:
+    """bundle.json's vuln section. ``partition`` renders the removed and the
+    retained matches; the vulns command passes ``len`` for vulndiff.json."""
+    table = severity_table(diff)
+    return {
+        "removed": partition(diff.removed),
+        "retained": partition(diff.retained),
+        "reduction": _r6(diff.reduction) if diff.reduction is not None else None,
+        "severity_table": {
+            "rows": [{"severity": s, "before": b, "after": a} for s, b, a in table.rows],
+            "total_before": table.total_before,
+            "total_after": table.total_after,
+            "reduction_percent": table.reduction_percent,
+        },
     }
 
 
@@ -478,13 +512,14 @@ def _cdf_section(per_node: list[dict], graph: PackageAttrGraph) -> dict:
 # -- Output writing -------------------------------------------------------
 
 
-def _dump_json(obj) -> str:
+def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_text(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as f:
+def write_text(out: str, name: str, text: str) -> None:
+    """Write ``text`` as ``out/name``, creating ``out`` as needed."""
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as f:
         f.write(text)
 
 
@@ -544,48 +579,59 @@ def tables_from_document(doc: dict) -> dict[str, str]:
          for m, c in sorted(doc["graph"]["correlations"].items())],
     )
     if doc.get("vuln"):
-        table = doc["vuln"]["severity_table"]
-        rows = [[r["severity"], r["before"], r["after"]] for r in table["rows"]]
-        rows.append(["Total", table["total_before"], table["total_after"]])
-        reduction = table["reduction_percent"]
-        rows.append(["Reduction", "", "" if reduction is None else f"{reduction}%"])
-        tables["severity_table.csv"] = _csv_text(["severity", "before", "after"], rows)
+        tables["severity_table.csv"] = severity_csv(doc["vuln"]["severity_table"])
     return tables
+
+
+def severity_csv(table: dict) -> str:
+    """severity_table.csv from the severity table section of a vuln section."""
+    rows = [[r["severity"], r["before"], r["after"]] for r in table["rows"]]
+    rows.append(["Total", table["total_before"], table["total_after"]])
+    reduction = table["reduction_percent"]
+    rows.append(["Reduction", "", "" if reduction is None else f"{reduction}%"])
+    return _csv_text(["severity", "before", "after"], rows)
 
 
 def plots_from_document(doc: dict) -> dict[str, str]:
     """Render every plot-data JSON file from the bundle document alone."""
     plots = {
-        "pareto_original.json": _dump_json(doc["pareto"]["original"]),
-        "pareto_retained.json": _dump_json(doc["pareto"]["retained"]),
-        "bloat_degree_histogram.json": _dump_json({
+        "pareto_original.json": dump_json(doc["pareto"]["original"]),
+        "pareto_retained.json": dump_json(doc["pareto"]["retained"]),
+        "bloat_degree_histogram.json": dump_json({
             "bin_width": 0.1,
             "counts": doc["packages"]["histogram_d_p"],
         }),
-        "cdf_pd_pr.json": _dump_json(doc["graph"]["cdfs"]),
-        "violin_packages.json": _dump_json(doc["packages"]["violin"]),
+        "cdf_pd_pr.json": dump_json(doc["graph"]["cdfs"]),
+        "violin_packages.json": dump_json(doc["packages"]["violin"]),
     }
     if doc.get("vuln"):
-        plots["severity_table.json"] = _dump_json(doc["vuln"]["severity_table"])
+        plots["severity_table.json"] = dump_json(doc["vuln"]["severity_table"])
     return plots
 
 
 def write_report_files(doc: dict, out: str) -> None:
     for name, text in tables_from_document(doc).items():
-        _write_text(os.path.join(out, "tables", name), text)
+        write_text(os.path.join(out, "tables"), name, text)
     for name, text in plots_from_document(doc).items():
-        _write_text(os.path.join(out, "plots", name), text)
+        write_text(os.path.join(out, "plots"), name, text)
+
+
+def write_graph(out: str, graph: PackageAttrGraph, node_link: dict) -> None:
+    write_text(out, "graph.json", dump_json(node_link))
+    write_text(out, "graph.dot", to_dot(graph))
+
+
+def write_debloated(out: str, retained: FileSet, source: ContentSource,
+                    emit_tar: bool) -> None:
+    """manifest.tsv, and with ``emit_tar`` the retained files as debloated.tar."""
+    write_text(out, "manifest.tsv", render_manifest(retained))
+    if emit_tar:
+        materialize(retained, source, os.path.join(out, "debloated.tar"), fmt="tar")
 
 
 def write_outputs(bundle: AnalysisBundle, config: PipelineConfig,
                   source: ContentSource) -> None:
-    out = config.out
-    os.makedirs(out, exist_ok=True)
-    _write_text(os.path.join(out, "bundle.json"), _dump_json(bundle.document))
-    _write_text(os.path.join(out, "manifest.tsv"), render_manifest(bundle.debloat.retained))
-    _write_text(os.path.join(out, "graph.json"), _dump_json(bundle.node_link))
-    _write_text(os.path.join(out, "graph.dot"), to_dot(bundle.graph))
-    write_report_files(bundle.document, out)
-    if config.emit_tar:
-        materialize(bundle.debloat.retained, source,
-                    os.path.join(out, "debloated.tar"), fmt="tar")
+    write_text(config.out, "bundle.json", dump_json(bundle.document))
+    write_graph(config.out, bundle.graph, bundle.node_link)
+    write_report_files(bundle.document, config.out)
+    write_debloated(config.out, bundle.debloat.retained, source, config.emit_tar)

@@ -147,13 +147,18 @@ def load_trivy_report(doc: Any) -> list[VulnMatch]:
     return load_report(grype_like)
 
 
-def _catalog_lookup(catalog: Sequence[PackageRecord]):
+def _catalog_finder(catalog: Sequence[PackageRecord]):
+    """match -> catalog package by exact (name, version), else by PEP 503 name."""
     exact: dict[tuple[str, str], PackageRecord] = {}
     normalized: dict[tuple[str, str], PackageRecord] = {}
     for rec in catalog:
         exact.setdefault((rec.name, rec.version), rec)
         normalized.setdefault((canonical_pip_name(rec.name), rec.version), rec)
-    return exact, normalized
+
+    def find(match: VulnMatch) -> PackageRecord | None:
+        return exact.get((match.pkg_name, match.pkg_version)) or \
+            normalized.get((canonical_pip_name(match.pkg_name), match.pkg_version))
+    return find
 
 
 def surviving_cves(matches: Iterable[VulnMatch], bloat: FileSet,
@@ -165,14 +170,13 @@ def surviving_cves(matches: Iterable[VulnMatch], bloat: FileSet,
     every one of them lies in the bloat set. Matches that resolve to no
     catalog package and carry no locations are retained conservatively.
     """
-    exact, normalized = _catalog_lookup(catalog)
+    find = _catalog_finder(catalog)
     removed, retained = [], []
     for match in matches:
         if match.locations:
             gone = all(loc in bloat.entries for loc in match.locations)
         else:
-            rec = exact.get((match.pkg_name, match.pkg_version)) or \
-                normalized.get((canonical_pip_name(match.pkg_name), match.pkg_version))
+            rec = find(match)
             if rec is None:
                 log.debug("no catalog package for %s %s; retaining %s conservatively",
                           match.pkg_name, match.pkg_version, match.cve_id)
@@ -225,11 +229,10 @@ def severity_table(diff: VulnDiff) -> SeverityTable:
 def vuln_counts_by_package(matches: Iterable[VulnMatch],
                            catalog: Sequence[PackageRecord]) -> dict[str, int]:
     """Number of distinct CVE findings per catalog package graph key."""
-    exact, normalized = _catalog_lookup(catalog)
+    find = _catalog_finder(catalog)
     counts: dict[str, int] = {}
     for match in matches:
-        rec = exact.get((match.pkg_name, match.pkg_version)) or \
-            normalized.get((canonical_pip_name(match.pkg_name), match.pkg_version))
+        rec = find(match)
         if rec is not None:
             counts[rec.graph_key] = counts.get(rec.graph_key, 0) + 1
     return counts

@@ -352,3 +352,128 @@ class TestLogging:
                 "--out", str(tmp_path / "out"),
             )
         assert code == 0
+
+
+BAD_REPORTS = {
+    "schema": ('{"matches": [{"vulnerability": {}}]}',
+               "vulnerability report ignored: missing required field at "
+               "$.matches[0].artifact"),
+    "json": ('{"matches": [',
+             "vulnerability report ignored: Expecting value: line 1 column 14 (char 13)"),
+}
+
+
+class TestInputPolicy:
+    @pytest.mark.parametrize("command, flag", [
+        ("analyze", "--rules"),
+        ("packages", "--rules"),
+        ("graph", "--rules"),
+        ("vulns", "--vuln-report"),
+    ])
+    def test_input_errors_before_ingest(self, command, flag, mini_rootfs, mini_trace_path,
+                                        tmp_path, capsys, monkeypatch):
+        from bloatlens import report
+
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("the image was loaded before the inputs were checked")
+
+        for loader in ("load_rootfs", "load_flat_tar", "load_layers"):
+            monkeypatch.setattr(report, loader, no_ingest)
+        args = [] if command == "packages" else ["--trace", str(mini_trace_path)]
+        if flag == "--rules":  # a missing file; vulns is run without its report
+            args += ["--rules", str(tmp_path / "missing-rules.txt")]
+        code, _, stderr = run_cli(capsys, command, "--rootfs", str(mini_rootfs), *args,
+                                  "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert json.loads(stderr)["error"]["flag"] == flag
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", sorted(BAD_REPORTS))
+    def test_analyze_records_bad_report_without_its_path(self, kind, mini_rootfs,
+                                                        mini_trace_path, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(BAD_REPORTS[kind][0])
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(capsys, "analyze", "--rootfs", str(mini_rootfs),
+                                  "--trace", str(mini_trace_path),
+                                  "--vuln-report", str(bad), "--out", str(out))
+        assert code == 4
+        expected = [BAD_REPORTS[kind][1]]
+        assert json.loads(stderr) == {"diagnostics": expected}
+        assert json.loads((out / "bundle.json").read_text())["partial_errors"] == expected
+
+    @pytest.mark.parametrize("kind", sorted(BAD_REPORTS))
+    def test_graph_treats_bad_report_as_optional(self, kind, mini_rootfs, mini_trace_path,
+                                                 tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(BAD_REPORTS[kind][0])
+        common = ["--rootfs", str(mini_rootfs), "--trace", str(mini_trace_path)]
+        code, _, _ = run_cli(capsys, "graph", *common, "--out", str(tmp_path / "plain"))
+        assert code == 0
+        code, stdout, stderr = run_cli(capsys, "graph", *common, "--vuln-report", str(bad),
+                                       "--out", str(tmp_path / "bad"))
+        assert code == 4
+        assert "4 nodes" in stdout
+        assert json.loads(stderr) == {"diagnostics": [BAD_REPORTS[kind][1]]}
+        doc = json.loads((tmp_path / "bad" / "graph.json").read_text())
+        assert [n["vulns"] for n in doc["nodes"]] == [0] * len(doc["nodes"])
+        for name in ("graph.json", "graph.dot"):
+            assert ((tmp_path / "bad" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes())
+
+    @pytest.mark.parametrize("kind", sorted(BAD_REPORTS))
+    def test_vulns_requires_a_readable_report(self, kind, mini_rootfs, mini_trace_path,
+                                              tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(BAD_REPORTS[kind][0])
+        code, _, stderr = run_cli(capsys, "vulns", "--rootfs", str(mini_rootfs),
+                                  "--trace", str(mini_trace_path),
+                                  "--vuln-report", str(bad), "--out", str(tmp_path / "out"))
+        assert code == 2
+        error = json.loads(stderr)["error"]
+        assert error["flag"] == "--vuln-report"
+        assert error["message"] == BAD_REPORTS[kind][1].removeprefix(
+            "vulnerability report ignored: ")
+        assert not (tmp_path / "out" / "vulndiff.json").exists()
+
+
+class TestStagesMatchAnalyze:
+    """Each stage subcommand writes the same bytes analyze writes for the
+    same inputs."""
+
+    @pytest.fixture
+    def outputs(self, mini_rootfs, mini_trace_path, mini_vuln_path, tmp_path, capsys):
+        image = ["--rootfs", str(mini_rootfs), "--trace", str(mini_trace_path)]
+        report = ["--vuln-report", str(mini_vuln_path)]
+        runs = {
+            "analyze": ["analyze", *image, *report, "--emit-tar"],
+            "debloat": ["debloat", *image, "--emit-tar"],
+            "vulns": ["vulns", *image, *report],
+            "graph": ["graph", *image, *report],
+        }
+        for name, argv in runs.items():
+            code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / name))
+            assert code == 0, name
+        return tmp_path
+
+    def test_debloat_json_is_bundle_section(self, outputs):
+        bundle = json.loads((outputs / "analyze" / "bundle.json").read_text())
+        debloat = json.loads((outputs / "debloat" / "debloat.json").read_text())
+        assert debloat == bundle["debloat"]
+
+    @pytest.mark.parametrize("command, name, analyze_name", [
+        ("debloat", "manifest.tsv", "manifest.tsv"),
+        ("debloat", "debloated.tar", "debloated.tar"),
+        ("graph", "graph.json", "graph.json"),
+        ("graph", "graph.dot", "graph.dot"),
+        ("vulns", "severity_table.csv", "tables/severity_table.csv"),
+    ])
+    def test_same_bytes(self, outputs, command, name, analyze_name):
+        assert ((outputs / command / name).read_bytes()
+                == (outputs / "analyze" / analyze_name).read_bytes())
+
+    def test_vulndiff_counts_match_bundle(self, outputs):
+        vuln = json.loads((outputs / "analyze" / "bundle.json").read_text())["vuln"]
+        diff = json.loads((outputs / "vulns" / "vulndiff.json").read_text())
+        assert diff == {**vuln, "removed": len(vuln["removed"]),
+                        "retained": len(vuln["retained"])}

@@ -18,6 +18,7 @@ from bloatlens.packages import (
     classify_functionality,
     detect_packages,
     load_rules,
+    package_bloat,
     package_bloat_degree,
     quartile_summary,
     size_reduction_R,
@@ -253,6 +254,20 @@ class TestPackageBloatDegree:
         small = fs_from([FileEntry("/a", "regular", 10)])
         big = fs_from([FileEntry("/a", "regular", 10), FileEntry("/b", "regular", 20)])
         assert package_bloat_degree(p, small) <= package_bloat_degree(p, big)
+
+    def test_package_bloat_pairs_bytes_with_degree(self):
+        # Hand values: 10 of 30 bytes in the bloat set; a zero-size package
+        # with one of its two present files (and one absent file) in bloat.
+        fs = fs_from([FileEntry("/", "directory"), FileEntry("/a", "regular", 10),
+                      FileEntry("/b", "regular", 20), FileEntry("/y", "regular", 0),
+                      FileEntry("/z", "regular", 0)])
+        bloat = fs_from([FileEntry("/a", "regular", 10), FileEntry("/z", "regular", 0)])
+        sized = pkg(files={"/a", "/b"}, size=30)
+        assert package_bloat(sized, bloat, fs) == (10, 1 / 3)
+        empty = pkg(files={"/y", "/z", "/gone"}, size=0)
+        assert package_bloat(empty, bloat, fs) == (0, 0.5)
+        for p in (sized, empty):
+            assert package_bloat(p, bloat, fs)[1] == package_bloat_degree(p, bloat, fs)
 
 
 class TestCategoryBreakdown:
