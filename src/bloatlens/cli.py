@@ -196,9 +196,12 @@ def _cmd_graph(args) -> list[str]:
 def _cmd_report(args) -> list[str]:
     if not os.path.isfile(args.bundle):
         raise InputError(f"bundle not found: {args.bundle}", flag="--bundle")
-    with open(args.bundle, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    write_report_files(doc, args.out)
+    try:  # the renderers read every section, so a missing or malformed one raises
+        with open(args.bundle, "r", encoding="utf-8") as f:
+            write_report_files(json.load(f), args.out)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InputError(f"not a bloatlens bundle ({type(exc).__name__}: {exc})",
+                         flag="--bundle") from None
     print(f"regenerated tables and plots under {args.out}")
     return []
 

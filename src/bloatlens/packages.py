@@ -27,7 +27,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import MaterializeError
+from .errors import InputError, MaterializeError
 from .imagefs import REGULAR, ContentSource, FileSet
 from .trace import normalize_path
 
@@ -321,8 +321,11 @@ def load_rules(source: str | None = None) -> tuple[str, ...]:
         text = importlib.resources.files("bloatlens").joinpath(
             "data/ml-rules.txt").read_text("utf-8")
     else:
-        with open(source, "r", encoding="utf-8") as f:
-            text = f.read()
+        try:
+            with open(source, "r", encoding="utf-8") as f:
+                text = f.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"rules file is not UTF-8: {exc}", flag="--rules") from None
     rules = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()

