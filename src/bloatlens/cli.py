@@ -22,7 +22,7 @@ from ._version import __version__
 from .debloat import debloat, materialize
 from .depgraph import to_node_link
 from .errors import BloatlensError, ContractViolation, InputError
-from .packages import detect_packages, load_rules
+from .packages import detect_packages
 from .report import (
     PipelineConfig,
     debloat_section,
@@ -133,7 +133,7 @@ def _cmd_analyze(args) -> list[str]:
 
 def _cmd_debloat(args) -> list[str]:
     config = _config_from(args)
-    with open_inputs(config) as (fs, source, access):
+    with open_inputs(config) as (fs, source, access, _):
         result = debloat(fs, access, keep=config.keep)
         write_debloated(config.out, result.retained, source, config.emit_tar)
         write_text(config.out, "debloat.json", dump_json(debloat_section(fs, result)))
@@ -146,8 +146,8 @@ def _cmd_debloat(args) -> list[str]:
 
 def _cmd_packages(args) -> list[str]:
     config = _config_from(args)
-    with open_inputs(config, need_trace=False) as (fs, source, _):
-        catalog = detect_packages(fs, source, load_rules(config.rules))
+    with open_inputs(config, need_trace=False) as (fs, source, _, rules):
+        catalog = detect_packages(fs, source, rules)
     doc = [
         {
             "manager": r.manager,
@@ -168,9 +168,9 @@ def _cmd_packages(args) -> list[str]:
 
 def _cmd_vulns(args) -> list[str]:
     config = _config_from(args)
-    with open_inputs(config, need_report=True) as (fs, source, access):
+    with open_inputs(config, need_report=True) as (fs, source, access, rules):
         result = debloat(fs, access, keep=config.keep)
-        catalog = detect_packages(fs, source)
+        catalog = detect_packages(fs, source, rules)
     diff = surviving_cves(load_any_report(config.vuln_report), result.bloat, catalog)
     doc = vuln_section(diff, partition=len)
     write_text(config.out, "vulndiff.json", dump_json(doc))
@@ -182,9 +182,9 @@ def _cmd_vulns(args) -> list[str]:
 def _cmd_graph(args) -> list[str]:
     config = _config_from(args)
     partial_errors: list[str] = []
-    with open_inputs(config) as (fs, source, access):
+    with open_inputs(config) as (fs, source, access, rules):
         result = debloat(fs, access, keep=config.keep)
-        catalog = detect_packages(fs, source, load_rules(config.rules))
+        catalog = detect_packages(fs, source, rules)
     matches = vuln_matches(config, partial_errors)
     graph, _ = package_graph(catalog, package_rows(catalog, result.bloat, fs), matches)
     write_graph(config.out, graph, to_node_link(graph))

@@ -195,10 +195,10 @@ def _sha256_file(path: str) -> str:
 @contextlib.contextmanager
 def open_inputs(config: PipelineConfig, need_trace: bool = True,
                 need_report: bool = False):
-    """Check every input the config names, then load the image and parse
-    the trace (if named); yields (fs, source, access) and closes the source.
-    Input files are checked here and nowhere else, before any ingest, so a
-    bad or absent required input is an InputError naming its flag."""
+    """Check every input the config names and read the rules, then load the
+    image and parse the trace (if named); yields (fs, source, access, rules)
+    and closes the source. Inputs are checked here alone, before any ingest:
+    a bad or absent required input is an InputError naming its flag."""
     for path, needed, what, flag in (
             (config.trace, need_trace, "trace log", "--trace"),
             (config.vuln_report, need_report, "vulnerability report", "--vuln-report"),
@@ -215,6 +215,7 @@ def open_inputs(config: PipelineConfig, need_trace: bool = True,
     for layer in config.layers:
         if not os.path.isfile(layer):
             raise InputError(f"layer tar not found: {layer}", flag="--layers")
+    rules = load_rules(config.rules)
 
     if config.rootfs:
         fs, source = load_rootfs(config.rootfs), RootfsSource(config.rootfs)
@@ -227,7 +228,7 @@ def open_inputs(config: PipelineConfig, need_trace: bool = True,
         if config.trace:
             access = parse_trace(config.trace, root_prefix=config.root_prefix,
                                  include_failed=config.include_failed)
-        yield fs, source, access
+        yield fs, source, access, rules
 
 
 def load_any_report(path: str) -> list[VulnMatch]:
@@ -283,11 +284,11 @@ def run_pipeline(config: PipelineConfig) -> AnalysisBundle:
     present but unreadable is recorded in ``partial_errors`` instead of
     aborting the run.
     """
-    with open_inputs(config) as (fs, source, access):
+    with open_inputs(config) as (fs, source, access, rules):
         partial_errors: list[str] = []
         container_id = config.container_id or _default_container_id(config)
         result = debloat(fs, access, keep=config.keep)
-        catalog = detect_packages(fs, source, load_rules(config.rules))
+        catalog = detect_packages(fs, source, rules)
         rows = package_rows(catalog, result.bloat, fs)
         matches = vuln_matches(config, partial_errors)
         vuln_diff = surviving_cves(matches, result.bloat, catalog) if matches is not None else None

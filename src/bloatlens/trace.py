@@ -14,6 +14,7 @@ import codecs
 import logging
 import re
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from os import PathLike, fspath
 from typing import IO, Iterable
@@ -43,30 +44,46 @@ EMITTING_SYSCALLS = {
     "readlinkat": 1,
 }
 
-# Calls tracked for state only; they never emit an accessed path themselves.
-STATE_SYSCALLS = {"chdir", "fchdir", "fork", "vfork", "clone", "clone3", "close"}
+# What the parser does with each tracked syscall. An emitting call maps to
+# the index of its path argument, plus _OPENS when its successful return
+# value is a descriptor worth remembering (fchdir and dirfd resolution look
+# these up later); the other kinds update per-PID state only. chdir reads
+# its path at index 0 (_CHDIR & 1) like the emitting calls.
+_OPENS = 2
+_CHDIR, _FORK, _FCHDIR, _CLOSE = 4, 5, 6, 7
+_KINDS = {
+    **EMITTING_SYSCALLS,
+    **{name: EMITTING_SYSCALLS[name] + _OPENS for name in ("open", "openat", "openat2", "creat")},
+    **dict.fromkeys(("fork", "vfork", "clone", "clone3"), _FORK),
+    "chdir": _CHDIR, "fchdir": _FCHDIR, "close": _CLOSE,
+}
 
-# Open-family calls whose successful return value is a descriptor worth
-# remembering (fchdir and dirfd resolution look these up later).
-FD_RETURNING = {"open", "openat", "openat2", "creat"}
-
-_TRACKED = EMITTING_SYSCALLS.keys() | STATE_SYSCALLS
-
-_LINE_RE = re.compile(r"\s*(\d+)\s+(.*)")
+_NAME = r"([a-zA-Z0-9_]+)"
 # Greedy: the argument list runs to the last ") = " on the line. The return
 # token stops at "<": tracers run with fd annotation print "3</opt/app>".
-_CALL_RE = re.compile(r"([a-zA-Z0-9_]+)\((.*)\) = \s*([^\s<]*)", re.DOTALL)
-_NOISE_RE = re.compile(r"^(---\s.*---|\+\+\+\s.*\+\+\+)$")
-_UNFINISHED_RE = re.compile(r"^(?P<name>[a-zA-Z0-9_]+)\((?P<args>.*)<unfinished \.\.\.>$")
-_RESUMED_RE = re.compile(r"^<\.\.\. (?P<name>[a-zA-Z0-9_]+) resumed>(?P<rest>.*)$", re.DOTALL)
+_ARGS_RET = r"(.*)\) = \s*([^\s<]*)"
+# A whole line: the pid, then the first event form that matches all the
+# rest. A call name (group 2) opens an unfinished call (args in group 3,
+# which keeps the marker: a group that ends right before a literal makes
+# the regex engine backtrack slowly over the whole line) or a finished one
+# (args and return token in groups 4-5); then come a resumed half (name
+# and rest in groups 6-7) and signal or exit noise.
+_EVENT_RE = re.compile(
+    r"\s*(\d+)\s+(?:" + _NAME + r"\((?:(.*<unfinished \.\.\.>)|" + _ARGS_RET + r".*)"
+    r"|<\.\.\. " + _NAME + r" resumed>(.*)"
+    r"|---\s.*---|\+\+\+\s.*\+\+\+)")
+_UNFINISHED_LEN = len("<unfinished ...>")
+_CALL_RE = re.compile(_NAME + r"\(" + _ARGS_RET)  # an unfinished call spliced with its resumed half
 # A descriptor as the first argument, bare or annotated ("5</opt/app>").
 _DIRFD_RE = re.compile(r"\s*(?P<fd>\d+)(<(?P<path>[^>]*)>)?\s*(?:,|$)")
 # The path argument, indexed by its position: a C-quoted string first, or
-# after the dirfd of the *at family. Groups: dirfd (empty at position 0),
-# string body, and a trailing "..." that marks a string the tracer truncated.
+# after the dirfd of the *at family (an annotated dirfd may hold commas).
+# Groups: dirfd (empty at position 0), string body, and a trailing "..."
+# that marks a string the tracer truncated.
 _QUOTED = r'"([^"\\]*(?:\\.[^"\\]*)*)"(\.\.\.)?'
 _PATH_ARG_RE = (re.compile(r"\s*()" + _QUOTED),
-                re.compile(r"\s*([^,]*?)\s*,\s*" + _QUOTED))
+                re.compile(r"\s*(\d+<[^>]*>|[^,]*?)\s*,\s*" + _QUOTED))
+_CWD = -1  # a relative path's base when it resolves against the working directory
 
 
 @dataclass
@@ -154,37 +171,39 @@ def _decode(quoted: str) -> str | None:
     return raw.decode("utf-8", "surrogateescape")
 
 
-def _path_arg(args: str, idx: int) -> tuple[str | None, str | None]:
+def _path_arg(args: str, idx: int) -> tuple[int | None, str | None]:
     """Read the path argument at position ``idx`` (0 or 1) of ``args``.
 
-    Returns (dirfd, path); the dirfd is None for idx 0, and the path is None
-    when the argument is not a complete, decodable string.
+    Returns (base, path). An absolute path, or one under an annotated
+    dirfd, comes back resolved and normalized with base None; a relative
+    path comes back as is with base _CWD or the descriptor it is relative
+    to. The path is None when the argument is not a complete, decodable
+    string or its dirfd cannot resolve it.
     """
     m = _PATH_ARG_RE[idx].match(args)
-    if m is None or m[3]:
+    path = None if m is None or m[3] else _decode(m[2])
+    if path is None:
         return None, None
-    return (m[1] if idx else None), _decode(m[2])
+    if path.startswith("/"):
+        return None, _normalize("/", path)[0]
+    if idx == 0 or m[1] == "AT_FDCWD":
+        return _CWD, path
+    dm = _DIRFD_RE.match(m[1])
+    if dm is None:
+        return None, None
+    if not dm["path"]:
+        return int(dm["fd"]), path
+    if not dm["path"].startswith("/"):
+        return None, None
+    return None, _normalize(dm["path"], path)[0]
 
 
 class _PidState:
     __slots__ = ("cwd", "fds")
 
-    def __init__(self, cwd: str | None):
+    def __init__(self, cwd: str | None, fds: dict[int, str] | None = None):
         self.cwd = cwd
-        self.fds: dict[int, str] = {}
-
-    def clone(self) -> "_PidState":
-        child = _PidState(self.cwd)
-        child.fds = dict(self.fds)
-        return child
-
-
-def _iter_lines(log_input) -> Iterable[str]:
-    if isinstance(log_input, (str, PathLike)):
-        with open(fspath(log_input), "r", encoding="utf-8", errors="surrogateescape") as f:
-            yield from f
-    else:
-        yield from log_input
+        self.fds = dict(fds or ())
 
 
 def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
@@ -198,145 +217,125 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
     Unparseable lines are counted and skipped, never fatal.
     """
     root = "/" + root_prefix.strip("/") if root_prefix.strip("/") else "/"
-    stats = TraceStats()
+    under_root, cut = root + "/", len(root)
     paths: set[str] = set()
     states: dict[int, _PidState] = {}
     pending: dict[int, tuple[str, str]] = {}
+    # PID with an unfinished fork-family call -> PIDs first seen meanwhile
+    forks: dict[int, list[int]] = {}
+    # Per path index: argument text -> (base, path) from _path_arg. It holds
+    # one entry per distinct argument text and is dropped on return.
+    memos: tuple[dict, dict] = ({}, {})
+    lines = unparsed = matched = failed_excluded = unresolvable = outside_root = 0
+    event, kinds = _EVENT_RE.fullmatch, _KINDS.get
 
-    def state_for(pid: int) -> _PidState:
-        if pid not in states:
-            # Root process of the trace: assume it starts at the container
-            # root, the common case for container entrypoints.
-            states[pid] = _PidState(root)
-        return states[pid]
-
-    def resolve(pid: int, raw: str, dirfd: str | None) -> str | None:
-        """Resolve a path argument to an absolute trace-namespace path."""
-        if raw.startswith("/"):
-            return _normalize("/", raw)[0]
-        st = state_for(pid)
-        base: str | None
-        if dirfd is None or dirfd == "AT_FDCWD":
-            base = st.cwd
-        else:
-            m = _DIRFD_RE.match(dirfd)
-            if not m:
-                return None
-            if m.group("path"):
-                base = m.group("path")
-            else:
-                base = st.fds.get(int(m.group("fd")))
-        if base is None or not base.startswith("/"):
-            return None
-        return _normalize(base, raw)[0]
-
-    def rebase(path: str) -> str | None:
-        if root == "/":
-            return path
-        if path == root:
-            return "/"
-        if path.startswith(root + "/"):
-            return path[len(root):]
-        return None
-
-    for line in _iter_lines(log_input):
-        line = line.rstrip()
-        if not line:
-            continue
-        stats.lines += 1
-        m = _LINE_RE.fullmatch(line)
-        if not m:
-            stats.unparsed += 1
-            continue
-        pid = int(m[1])
-        rest = m[2]
-
-        if rest.endswith("<unfinished ...>") and (um := _UNFINISHED_RE.match(rest)):
-            pending[pid] = (um.group("name"), um.group("args"))
-            stats.parsed += 1
-            continue
-        cm = _CALL_RE.match(rest)
-        if cm is None:
-            # Signals, exits and resumed halves never start like a call.
-            if _NOISE_RE.match(rest):
-                stats.parsed += 1
+    with (open(fspath(log_input), "r", encoding="utf-8", errors="surrogateescape")
+          if isinstance(log_input, (str, PathLike)) else nullcontext(log_input)) as log_lines:
+        for line in log_lines:
+            line = line.rstrip()
+            if not line:
                 continue
-            rm = _RESUMED_RE.match(rest)
-            prev = rm and pending.pop(pid, None)
-            if prev and prev[0] == rm.group("name"):
-                cm = _CALL_RE.match(f"{prev[0]}({prev[1]}{rm.group('rest').lstrip()}")
-            if cm is None:
-                stats.unparsed += 1
+            lines += 1
+            m = event(line)
+            if m is None:
+                unparsed += 1
                 continue
-        stats.parsed += 1
-        name = cm[1]
-        if name not in _TRACKED:
-            continue  # recognized grammar, uninteresting syscall
-        try:
-            retval = int(cm[3])
-        except ValueError:
-            retval = None  # "?" or garbage; treat as failure
-        failed = retval is None or retval < 0
-        args = cm[2]
-
-        if name in ("fork", "vfork", "clone", "clone3"):
-            if not failed and retval > 0:
-                states[retval] = state_for(pid).clone()
-            continue
-
-        if name == "chdir":
-            if failed:
+            pid_text, name, unfinished_args, args, ret, resumed, rest = m.groups()
+            pid = int(pid_text)
+            st = states.get(pid)
+            if st is None:
+                # The child of the one unfinished fork runs in its parent's
+                # directory with its descriptors; any other new PID starts
+                # at the container root.
+                if len(forks) == 1:
+                    caller, = forks
+                    st = states[pid] = _PidState(states[caller].cwd, states[caller].fds)
+                else:
+                    st = states[pid] = _PidState(root)
+                for born in forks.values():
+                    born.append(pid)
+            born = ()
+            if unfinished_args is not None:
+                pending[pid] = (name, unfinished_args[:-_UNFINISHED_LEN])
+                if kinds(name) == _FORK:
+                    forks[pid] = []
+                else:
+                    forks.pop(pid, None)
                 continue
-            target = _path_arg(args, 0)[1]
-            st = state_for(pid)
-            if target is None:
-                st.cwd = None
-                stats.unresolvable += 1
-            elif target.startswith("/"):
-                st.cwd = _normalize("/", target)[0]
-            elif st.cwd is None:
-                stats.unresolvable += 1
-            else:
-                st.cwd = _normalize(st.cwd, target)[0]
-            continue
+            if name is None:
+                if resumed is None:
+                    continue  # signal or exit noise
+                prev = pending.pop(pid, None)
+                born = forks.pop(pid, ())
+                cm = None
+                if prev and prev[0] == resumed:
+                    cm = _CALL_RE.match(f"{resumed}({prev[1]}{rest.lstrip()}")
+                if cm is None:
+                    unparsed += 1
+                    continue
+                name, args, ret = cm.groups()
+            kind = kinds(name)
+            if kind is None:
+                continue  # recognized grammar, uninteresting syscall
+            try:
+                retval = int(ret)
+            except ValueError:
+                retval = -1  # "?" or garbage; treat as failure
 
-        if name == "fchdir":
-            if failed:
+            if kind < _CHDIR:
+                matched += 1
+                if retval < 0 and not include_failed:
+                    failed_excluded += 1
+                    continue
+            elif retval < 0:
                 continue
-            st = state_for(pid)
-            dm = _DIRFD_RE.match(args)
-            fd_path = dm and (dm.group("path") or st.fds.get(int(dm.group("fd"))))
-            if fd_path and fd_path.startswith("/"):
-                st.cwd = fd_path
-            else:
-                st.cwd = None
-                stats.unresolvable += 1
-            continue
-
-        if name == "close":
-            if not failed and (dm := _DIRFD_RE.match(args)):
-                state_for(pid).fds.pop(int(dm.group("fd")), None)
-            continue
-
-        stats.matched += 1
-        if failed and not include_failed:
-            stats.failed_excluded += 1
-            continue
-        dirfd, raw = _path_arg(args, EMITTING_SYSCALLS[name])
-        resolved = None if raw is None else resolve(pid, raw, dirfd)
-        if resolved is None:
-            stats.unresolvable += 1
-            continue
-        if name in FD_RETURNING and not failed:
-            state_for(pid).fds[retval] = resolved
-        container_path = rebase(resolved)
-        if container_path is None:
-            stats.outside_root += 1
-            log.debug("dropping path outside container root: %s", resolved)
-            continue
-        paths.add(container_path)
+            if kind <= _CHDIR:
+                memo = memos[kind & 1]
+                hit = memo.get(args)
+                if hit is None:
+                    hit = memo[args] = _path_arg(args, kind & 1)
+                base, path = hit
+                if base is not None:
+                    base = st.cwd if base == _CWD else st.fds.get(base)
+                    path = None if base is None else _normalize(base, path)[0]
+                if kind == _CHDIR:
+                    st.cwd = path
+                if path is None:
+                    unresolvable += 1
+                    continue
+                if kind == _CHDIR:
+                    continue
+                if kind & _OPENS and retval >= 0:
+                    st.fds[retval] = path
+                if cut > 1:
+                    if path == root:
+                        path = "/"
+                    elif path.startswith(under_root):
+                        path = path[cut:]
+                    else:
+                        outside_root += 1
+                        log.debug("dropping path outside container root: %s", path)
+                        continue
+                paths.add(path)
+            elif kind == _CLOSE:
+                if args.isdecimal():
+                    st.fds.pop(int(args), None)
+                elif dm := _DIRFD_RE.match(args):
+                    st.fds.pop(int(dm["fd"]), None)
+            elif kind == _FORK:
+                if retval > 0 and retval not in born:
+                    states[retval] = _PidState(st.cwd, st.fds)
+            else:  # fchdir
+                dm = _DIRFD_RE.match(args)
+                fd_path = dm and (dm["path"] or st.fds.get(int(dm["fd"])))
+                if fd_path and fd_path.startswith("/"):
+                    st.cwd = fd_path
+                else:
+                    st.cwd = None
+                    unresolvable += 1
 
     # An unfinished call that never resumed is unparsed, not parsed.
-    stats.parsed -= len(pending)
-    stats.unparsed += len(pending)
+    unparsed += len(pending)
+    stats = TraceStats(lines, lines - unparsed, unparsed, matched, failed_excluded,
+                       unresolvable, outside_root)
     return AccessSet(frozenset(paths), stats)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import pathlib
 import posixpath
+import re
 import shutil
 import tarfile
 
@@ -54,6 +55,197 @@ def normalize_oracle(cwd: str, raw: str) -> str:
         norm = norm[1:]
     parts = [p for p in norm.split("/") if p not in ("", ".", "..")]
     return "/" + "/".join(parts)
+
+
+# The trace parser as it was before it matched each line with one grammar
+# regex: five regexes tried in turn and paths decoded at every use, here
+# with normalization by posixpath and the unfinished forks read off the
+# pending table. It carries the two later fixes: an annotated dirfd may hold
+# commas, and a PID that first shows up while exactly one fork-family call
+# is unfinished inherits that caller's state, which the call's return does
+# not replace.
+_O_EMITTING = {
+    "open": 0, "creat": 0, "execve": 0, "stat": 0, "lstat": 0, "stat64": 0,
+    "lstat64": 0, "access": 0, "readlink": 0, "openat": 1, "openat2": 1,
+    "execveat": 1, "newfstatat": 1, "fstatat64": 1, "statx": 1,
+    "faccessat": 1, "faccessat2": 1, "readlinkat": 1,
+}
+_O_FORKS = {"fork", "vfork", "clone", "clone3"}
+_O_TRACKED = _O_EMITTING.keys() | _O_FORKS | {"chdir", "fchdir", "close"}
+_O_FD_RETURNING = {"open", "openat", "openat2", "creat"}
+_O_LINE_RE = re.compile(r"\s*(\d+)\s+(.*)")
+_O_CALL_RE = re.compile(r"([a-zA-Z0-9_]+)\((.*)\) = \s*([^\s<]*)", re.DOTALL)
+_O_NOISE_RE = re.compile(r"^(---\s.*---|\+\+\+\s.*\+\+\+)$")
+_O_UNFINISHED_RE = re.compile(r"^(?P<name>[a-zA-Z0-9_]+)\((?P<args>.*)<unfinished \.\.\.>$")
+_O_RESUMED_RE = re.compile(r"^<\.\.\. (?P<name>[a-zA-Z0-9_]+) resumed>(?P<rest>.*)$", re.DOTALL)
+_O_DIRFD_RE = re.compile(r"\s*(?P<fd>\d+)(<(?P<path>[^>]*)>)?\s*(?:,|$)")
+_O_QUOTED = r'"([^"\\]*(?:\\.[^"\\]*)*)"(\.\.\.)?'
+_O_PATH_ARG_RE = (re.compile(r"\s*()" + _O_QUOTED),
+                  re.compile(r"\s*(\d+<[^>]*>|[^,]*?)\s*,\s*" + _O_QUOTED))
+
+
+class _OracleState:
+    def __init__(self, cwd, fds=None):
+        self.cwd = cwd
+        self.fds = dict(fds or {})
+
+
+def parse_trace_oracle(lines, root_prefix: str = "/", include_failed: bool = False):
+    """Reference trace parser over an iterable of lines; returns an AccessSet."""
+    from bloatlens.trace import AccessSet, TraceStats, _decode
+
+    root = "/" + root_prefix.strip("/") if root_prefix.strip("/") else "/"
+    stats = TraceStats()
+    paths: set[str] = set()
+    states: dict[int, _OracleState] = {}
+    pending: dict[int, tuple[str, str]] = {}
+    born: dict[int, set[int]] = {}  # caller -> PIDs first seen during its pending call
+
+    def seen(pid):
+        if pid in states:
+            return
+        callers = [p for p, (name, _) in pending.items() if name in _O_FORKS]
+        if len(callers) == 1:
+            parent = states[callers[0]]
+            states[pid] = _OracleState(parent.cwd, parent.fds)
+        else:
+            states[pid] = _OracleState(root)
+        for caller in callers:
+            born[caller].add(pid)
+
+    def path_arg(args, idx):
+        m = _O_PATH_ARG_RE[idx].match(args)
+        if m is None or m[3]:
+            return None, None
+        return (m[1] if idx else None), _decode(m[2])
+
+    def resolve(pid, raw, dirfd):
+        if raw.startswith("/"):
+            return normalize_oracle("/", raw)
+        st = states[pid]
+        if dirfd is None or dirfd == "AT_FDCWD":
+            base = st.cwd
+        else:
+            m = _O_DIRFD_RE.match(dirfd)
+            if not m:
+                return None
+            base = m.group("path") or st.fds.get(int(m.group("fd")))
+        if base is None or not base.startswith("/"):
+            return None
+        return normalize_oracle(base, raw)
+
+    def rebase(path):
+        if root == "/":
+            return path
+        if path == root:
+            return "/"
+        if path.startswith(root + "/"):
+            return path[len(root):]
+        return None
+
+    for line in lines:
+        line = line.rstrip()
+        if not line:
+            continue
+        stats.lines += 1
+        m = _O_LINE_RE.fullmatch(line)
+        if not m:
+            stats.unparsed += 1
+            continue
+        pid = int(m[1])
+        rest = m[2]
+        children = set()
+        if rest.endswith("<unfinished ...>") and (um := _O_UNFINISHED_RE.match(rest)):
+            seen(pid)
+            pending[pid] = (um.group("name"), um.group("args"))
+            born[pid] = set()
+            stats.parsed += 1
+            continue
+        cm = _O_CALL_RE.match(rest)
+        if cm is None:
+            if _O_NOISE_RE.match(rest):
+                seen(pid)
+                stats.parsed += 1
+                continue
+            rm = _O_RESUMED_RE.match(rest)
+            if rm:
+                seen(pid)
+            prev = rm and pending.pop(pid, None)
+            if prev:
+                children = born.pop(pid)
+            if prev and prev[0] == rm.group("name"):
+                cm = _O_CALL_RE.match(f"{prev[0]}({prev[1]}{rm.group('rest').lstrip()}")
+            if cm is None:
+                stats.unparsed += 1
+                continue
+        else:
+            seen(pid)
+        stats.parsed += 1
+        name = cm[1]
+        if name not in _O_TRACKED:
+            continue
+        try:
+            retval = int(cm[3])
+        except ValueError:
+            retval = None
+        failed = retval is None or retval < 0
+        args = cm[2]
+        st = states[pid]
+
+        if name in _O_FORKS:
+            if not failed and retval > 0 and retval not in children:
+                states[retval] = _OracleState(st.cwd, st.fds)
+            continue
+        if name == "chdir":
+            if failed:
+                continue
+            target = path_arg(args, 0)[1]
+            if target is None:
+                st.cwd = None
+                stats.unresolvable += 1
+            elif target.startswith("/"):
+                st.cwd = normalize_oracle("/", target)
+            elif st.cwd is None:
+                stats.unresolvable += 1
+            else:
+                st.cwd = normalize_oracle(st.cwd, target)
+            continue
+        if name == "fchdir":
+            if failed:
+                continue
+            dm = _O_DIRFD_RE.match(args)
+            fd_path = dm and (dm.group("path") or st.fds.get(int(dm.group("fd"))))
+            if fd_path and fd_path.startswith("/"):
+                st.cwd = fd_path
+            else:
+                st.cwd = None
+                stats.unresolvable += 1
+            continue
+        if name == "close":
+            if not failed and (dm := _O_DIRFD_RE.match(args)):
+                st.fds.pop(int(dm.group("fd")), None)
+            continue
+
+        stats.matched += 1
+        if failed and not include_failed:
+            stats.failed_excluded += 1
+            continue
+        dirfd, raw = path_arg(args, _O_EMITTING[name])
+        resolved = None if raw is None else resolve(pid, raw, dirfd)
+        if resolved is None:
+            stats.unresolvable += 1
+            continue
+        if name in _O_FD_RETURNING and not failed:
+            st.fds[retval] = resolved
+        container_path = rebase(resolved)
+        if container_path is None:
+            stats.outside_root += 1
+            continue
+        paths.add(container_path)
+
+    stats.parsed -= len(pending)
+    stats.unparsed += len(pending)
+    return AccessSet(frozenset(paths), stats)
 
 
 def naive_retained_closure(fs, access_paths, keep_paths=()) -> set[str]:

@@ -450,6 +450,25 @@ class TestInputPolicy:
         assert error["flag"] == "--rules"
         assert "not UTF-8" in error["message"]
 
+    @pytest.mark.parametrize("command", ["analyze", "packages", "graph"])
+    def test_rules_not_utf8_fails_before_ingest(self, command, mini_rootfs, mini_trace_path,
+                                                tmp_path, capsys, monkeypatch):
+        from bloatlens import report
+
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("the image or trace was read before the rules")
+
+        for loader in ("load_rootfs", "load_flat_tar", "load_layers", "parse_trace"):
+            monkeypatch.setattr(report, loader, no_ingest)
+        rules = tmp_path / "rules.txt"
+        rules.write_bytes(bytes(range(0x80, 0xC0)))
+        args = [] if command == "packages" else ["--trace", str(mini_trace_path)]
+        code, _, stderr = run_cli(capsys, command, "--rootfs", str(mini_rootfs), *args,
+                                  "--rules", str(rules), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert json.loads(stderr)["error"]["flag"] == "--rules"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"x":', b"[1, 2]", b"{}"],
                              ids=["not-utf8", "not-json", "not-object", "no-sections"])
     def test_report_rejects_a_bad_bundle(self, content, tmp_path, capsys):

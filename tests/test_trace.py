@@ -1,5 +1,9 @@
 import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +13,9 @@ from bloatlens.debloat import compute_retained
 from bloatlens.imagefs import RootfsSource, load_rootfs
 from bloatlens.trace import AccessSet, TraceStats, normalize_path, parse_trace
 
-from oracles import normalize_oracle
+from oracles import normalize_oracle, parse_trace_oracle
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse(lines, **kw):
@@ -41,6 +47,67 @@ _TRACE_FRAGMENTS = st.sampled_from([
     "/", "..", ", ", ") = ", "3", "-1 ENOENT", "?", "...", "{", "}",
     " <unfinished ...>", "<... open resumed>", "--- ", " ---", "+++ ",
 ])
+
+
+# Grammar pieces the differential property builds whole traces from:
+# separators include Unicode whitespace and line breaks, pids non-ASCII
+# digits, paths ") = ", commas, bad escapes and truncation, and dirfds
+# annotations with commas.
+_SPACE = st.sampled_from([" ", " ", "  ", "\t", "\x0c", "\x85", "\u3000", "\n"])
+_PID = st.sampled_from(["1", "2", "3", "7", "07", "\u0663"])
+_AT_NAME = st.sampled_from(["openat", "newfstatat"])
+_PATH_NAME = st.sampled_from(["open", "stat", "creat", "chdir"])
+_FD_NAME = st.sampled_from(["fchdir", "close"])
+_OTHER_NAME = st.sampled_from(["clone", "fork", "vfork", "clone3", "read", "getpid"])
+_NAME = _AT_NAME | _PATH_NAME | _FD_NAME | _OTHER_NAME
+_SEGMENT = st.sampled_from(["a", "b", "srv", "..", ".", "", "x) = 3", 'q\\"', "a,b",
+                            "caf\\303\\251", "\\x4", "\\q", "\\n", " "])
+_QUOTED_PATH = st.builds(
+    lambda lead, segs, cut: '"' + lead + "/".join(segs) + '"' + cut,
+    st.sampled_from(["", "", "/", "/srv/"]), st.lists(_SEGMENT, min_size=1, max_size=3),
+    st.sampled_from(["", "", "..."]))
+_DIRFD = st.sampled_from(["AT_FDCWD", "AT_FDCWD", "3", "5", "5</srv>", "4</srv/a,b>",
+                          "6<rel>", "", "x", "\u0665"])
+_MORE_ARGS = st.sampled_from(["", ", O_RDONLY", ", O_RDONLY", ", {st_mode=S_IFDIR, ...}, 0",
+                              ', "b") = 9', " "])
+_RET = st.sampled_from(["0", "3", "4", "5", "2", "3", "7", "-1 ENOENT (No such file)", "?",
+                        "3</srv/x>", "\u0663", "0x1"])
+
+
+@st.composite
+def _traces(draw):
+    """Lines over a pool of at most three path arguments, so that one path
+    recurs under other dirfds, names and pids."""
+    quoted = st.sampled_from(draw(st.lists(_QUOTED_PATH, min_size=1, max_size=3)))
+    path_args = st.builds(lambda p, more: p + more, quoted, _MORE_ARGS)
+    at_args = st.builds(lambda d, p, more: f"{d}, {p}{more}", _DIRFD, quoted, _MORE_ARGS)
+    args = path_args | at_args | _DIRFD
+
+    def call(names, args):
+        return st.builds(lambda n, a, r, after: f"{n}({a}) = {r}{after}", names, args, _RET,
+                         st.sampled_from(["", "", " ) = 9", " <unfinished ...>",
+                                          " <unfinished ...>x"]))
+
+    event = st.one_of(
+        call(_AT_NAME, at_args), call(_PATH_NAME, path_args), call(_FD_NAME, _DIRFD),
+        call(_NAME, args),
+        st.builds(lambda n, a: f"{n}({a} <unfinished ...>", _NAME, args),
+        st.builds(lambda n, more, r: f"<... {n} resumed>{more}) = {r}", _NAME,
+                  st.sampled_from(["", " ", ", O_RDONLY", ' "/srv/y", 0']), _RET),
+        st.sampled_from(["--- SIGCHLD {si_signo=SIGCHLD} ---", "+++ exited with 0 +++",
+                         "---x---", "+++ killed +++ x"]),
+        st.lists(_TRACE_FRAGMENTS | st.text(max_size=4), max_size=8).map("".join),
+    )
+    line = st.builds(lambda lead, pid, sep, e, end: f"{lead}{pid}{sep}{e}{end}",
+                     st.sampled_from(["", "", " ", "\x0c"]), _PID, _SPACE, event,
+                     st.sampled_from(["", "", " ", "\x85"]))
+    return draw(st.lists(line, max_size=30))
+
+
+def assert_same_as_oracle(lines, **kw):
+    got, ref = parse_trace(lines, **kw), parse_trace_oracle(lines, **kw)
+    assert got.paths == ref.paths
+    assert got.stats == ref.stats
 
 
 class TestNormalizePath:
@@ -303,6 +370,83 @@ class TestParseTrace:
         acc = parse([f"{pid} {text}" for pid, text in lines])
         assert acc.stats.lines == len(lines)
         assert acc.stats.lines == acc.stats.parsed + acc.stats.unparsed
+
+    @settings(max_examples=300, deadline=None)
+    @given(_traces())
+    def test_property_matches_oracle(self, lines):
+        for root_prefix in ("/", "/srv"):
+            for include_failed in (False, True):
+                assert_same_as_oracle(lines, root_prefix=root_prefix,
+                                      include_failed=include_failed)
+
+    def test_matches_oracle_on_a_bench_trace(self, tmp_path):
+        subprocess.run([sys.executable, str(ROOT / "bench" / "gen.py"), "--workload",
+                        "trace-heavy", "--seed", "5", "--out", str(tmp_path / "w")],
+                       check=True, capture_output=True, timeout=600)
+        with open(tmp_path / "w" / "trace.log", encoding="utf-8",
+                  errors="surrogateescape") as f:
+            lines = f.readlines()
+        assert len(lines) >= 40_000
+        assert_same_as_oracle(lines)
+        assert_same_as_oracle(lines, root_prefix="/usr", include_failed=True)
+
+    def test_parse_by_path_streams(self, tmp_path):
+        # 100k distinct lines over 50 paths: neither the file nor a per-line
+        # table may be held in memory.
+        trace = tmp_path / "trace.log"
+        with open(trace, "w", encoding="utf-8") as f:
+            for i in range(50_000):
+                fd = 3 + i
+                f.write(f'7 openat(AT_FDCWD, "/opt/app/d{i % 5}/f{i % 50}.dat", '
+                        f'O_RDONLY) = {fd}\n7 close({fd}) = 0\n')
+        tracemalloc.start()
+        try:
+            acc = parse_trace(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (acc.stats.lines, len(acc.paths)) == (100_000, 50)
+        assert peak < 1 << 20, f"peak {peak} bytes"
+
+    def test_annotated_dirfd_with_comma(self):
+        acc = parse(
+            '1 openat(3</opt/a,b>, "x", O_RDONLY) = 4\n'
+            '1 newfstatat(5</srv/c,d>, "y", {st_mode=S_IFREG|0644, ...}, 0) = 0'
+        )
+        assert acc.paths == {"/opt/a,b/x", "/srv/c,d/y"}
+        assert acc.stats.unresolvable == 0
+
+    def test_child_seen_before_its_clone_returns(self):
+        acc = parse(
+            '1 chdir("/opt/app") = 0\n'
+            '1 clone(child_stack=NULL, flags=SIGCHLD <unfinished ...>\n'
+            '2 openat(AT_FDCWD, "data.bin", O_RDONLY) = 3\n'
+            '2 chdir("sub") = 0\n'
+            '1 <... clone resumed>) = 2\n'
+            '2 openat(AT_FDCWD, "x", O_RDONLY) = 4'
+        )
+        assert acc.paths == {"/opt/app/data.bin", "/opt/app/sub/x"}
+
+    def test_child_inherits_descriptors_of_unfinished_fork(self):
+        acc = parse(
+            '1 openat(AT_FDCWD, "/srv", O_RDONLY|O_DIRECTORY) = 5\n'
+            '1 vfork( <unfinished ...>\n'
+            '2 openat(5, "f", O_RDONLY) = 3\n'
+            '1 <... vfork resumed>) = 2'
+        )
+        assert acc.paths == {"/srv", "/srv/f"}
+
+    def test_child_during_two_unfinished_forks_starts_at_root(self):
+        acc = parse(
+            '1 chdir("/a") = 0\n'
+            '3 chdir("/b") = 0\n'
+            '1 clone(flags=SIGCHLD <unfinished ...>\n'
+            '3 fork( <unfinished ...>\n'
+            '2 openat(AT_FDCWD, "f", O_RDONLY) = 3\n'
+            '1 <... clone resumed>) = 2\n'
+            '2 openat(AT_FDCWD, "g", O_RDONLY) = 4'
+        )
+        assert acc.paths == {"/f", "/g"}
 
     def test_truncated_path_unresolvable(self):
         acc = parse('7 open("/very/long/pa"..., O_RDONLY) = 3')
