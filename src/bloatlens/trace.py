@@ -44,18 +44,18 @@ EMITTING_SYSCALLS = {
     "readlinkat": 1,
 }
 
-# What the parser does with each tracked syscall. An emitting call maps to
-# the index of its path argument, plus _OPENS when its successful return
-# value is a descriptor worth remembering (fchdir and dirfd resolution look
-# these up later); the other kinds update per-PID state only. chdir reads
-# its path at index 0 (_CHDIR & 1) like the emitting calls.
-_OPENS = 2
-_CHDIR, _FORK, _FCHDIR, _CLOSE = 4, 5, 6, 7
+# What the parser does with each tracked syscall: its kind, the index of its
+# path argument (None for calls without one), and whether its successful
+# return value is a descriptor worth remembering (fchdir and dirfd
+# resolution look these up later).
+_ACCESS, _CHDIR, _FCHDIR, _CLOSE, _FORK = range(5)
+_FORKS = frozenset(("fork", "vfork", "clone", "clone3"))
 _KINDS = {
-    **EMITTING_SYSCALLS,
-    **{name: EMITTING_SYSCALLS[name] + _OPENS for name in ("open", "openat", "openat2", "creat")},
-    **dict.fromkeys(("fork", "vfork", "clone", "clone3"), _FORK),
-    "chdir": _CHDIR, "fchdir": _FCHDIR, "close": _CLOSE,
+    **{name: (_ACCESS, idx, name in ("open", "openat", "openat2", "creat"))
+       for name, idx in EMITTING_SYSCALLS.items()},
+    **dict.fromkeys(_FORKS, (_FORK, None, False)),
+    "chdir": (_CHDIR, 0, False),
+    "fchdir": (_FCHDIR, None, False), "close": (_CLOSE, None, False),
 }
 
 _NAME = r"([a-zA-Z0-9_]+)"
@@ -221,7 +221,7 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
     paths: set[str] = set()
     states: dict[int, _PidState] = {}
     pending: dict[int, tuple[str, str]] = {}
-    # PID with an unfinished fork-family call -> PIDs first seen meanwhile
+    # PID with an unfinished fork-family call -> new PIDs that took its state
     forks: dict[int, list[int]] = {}
     # Per path index: argument text -> (base, path) from _path_arg. It holds
     # one entry per distinct argument text and is dropped on return.
@@ -244,20 +244,19 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
             pid = int(pid_text)
             st = states.get(pid)
             if st is None:
-                # The child of the one unfinished fork runs in its parent's
-                # directory with its descriptors; any other new PID starts
-                # at the container root.
+                # The child of the one unfinished fork takes its state, and
+                # that fork's return leaves it alone; any other new PID starts
+                # at the container root until a fork return names it.
                 if len(forks) == 1:
-                    caller, = forks
+                    (caller, children), = forks.items()
                     st = states[pid] = _PidState(states[caller].cwd, states[caller].fds)
+                    children.append(pid)
                 else:
                     st = states[pid] = _PidState(root)
-                for born in forks.values():
-                    born.append(pid)
             born = ()
             if unfinished_args is not None:
                 pending[pid] = (name, unfinished_args[:-_UNFINISHED_LEN])
-                if kinds(name) == _FORK:
+                if name in _FORKS:
                     forks[pid] = []
                 else:
                     forks.pop(pid, None)
@@ -274,26 +273,27 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
                     unparsed += 1
                     continue
                 name, args, ret = cm.groups()
-            kind = kinds(name)
-            if kind is None:
+            spec = kinds(name)
+            if spec is None:
                 continue  # recognized grammar, uninteresting syscall
+            kind, idx, opens = spec
             try:
                 retval = int(ret)
             except ValueError:
                 retval = -1  # "?" or garbage; treat as failure
 
-            if kind < _CHDIR:
+            if kind == _ACCESS:
                 matched += 1
                 if retval < 0 and not include_failed:
                     failed_excluded += 1
                     continue
             elif retval < 0:
                 continue
-            if kind <= _CHDIR:
-                memo = memos[kind & 1]
+            if idx is not None:  # an access or chdir: resolve its path
+                memo = memos[idx]
                 hit = memo.get(args)
                 if hit is None:
-                    hit = memo[args] = _path_arg(args, kind & 1)
+                    hit = memo[args] = _path_arg(args, idx)
                 base, path = hit
                 if base is not None:
                     base = st.cwd if base == _CWD else st.fds.get(base)
@@ -305,7 +305,7 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
                     continue
                 if kind == _CHDIR:
                     continue
-                if kind & _OPENS and retval >= 0:
+                if opens and retval >= 0:
                     st.fds[retval] = path
                 if cut > 1:
                     if path == root:

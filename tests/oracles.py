@@ -108,10 +108,9 @@ def parse_trace_oracle(lines, root_prefix: str = "/", include_failed: bool = Fal
         if len(callers) == 1:
             parent = states[callers[0]]
             states[pid] = _OracleState(parent.cwd, parent.fds)
+            born[callers[0]].add(pid)
         else:
             states[pid] = _OracleState(root)
-        for caller in callers:
-            born[caller].add(pid)
 
     def path_arg(args, idx):
         m = _O_PATH_ARG_RE[idx].match(args)

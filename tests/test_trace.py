@@ -446,7 +446,7 @@ class TestParseTrace:
             '1 <... clone resumed>) = 2\n'
             '2 openat(AT_FDCWD, "g", O_RDONLY) = 4'
         )
-        assert acc.paths == {"/f", "/g"}
+        assert acc.paths == {"/f", "/a/g"}
 
     def test_truncated_path_unresolvable(self):
         acc = parse('7 open("/very/long/pa"..., O_RDONLY) = 3')
