@@ -186,7 +186,7 @@ def _cmd_graph(args) -> list[str]:
         result = debloat(fs, access, keep=config.keep)
         catalog = detect_packages(fs, source, rules)
     matches = vuln_matches(config, partial_errors)
-    graph, _ = package_graph(catalog, package_rows(catalog, result.bloat, fs), matches)
+    graph = package_graph(catalog, package_rows(catalog, result.bloat, fs), matches)
     write_graph(config.out, graph, to_node_link(graph))
     print(f"graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges, "
           f"{len(graph.excluded)} unreachable packages excluded")

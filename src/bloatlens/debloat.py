@@ -95,7 +95,7 @@ def compute_retained(fs: FileSet, access: AccessSet,
                     work.append(target)
             else:
                 log.debug("symlink %s -> %s dangles outside the filesystem", path, target)
-    return FileSet({p: fs.entries[p] for p in retained}, fs.origin)
+    return FileSet({p: fs.entries[p] for p in retained})
 
 
 def compute_bloat(fs: FileSet, retained: FileSet) -> FileSet:
@@ -104,7 +104,7 @@ def compute_bloat(fs: FileSet, retained: FileSet) -> FileSet:
         if p not in fs.entries:
             raise ContractViolation(f"retained path not present in filesystem: {p}")
     entries = {p: e for p, e in fs.entries.items() if p not in retained.entries}
-    return FileSet(entries, fs.origin)
+    return FileSet(entries)
 
 
 def debloat(fs: FileSet, access: AccessSet,

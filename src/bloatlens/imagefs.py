@@ -6,17 +6,19 @@ stack of image layer tars with OCI whiteout handling. The inventory records
 paths, kinds and apparent sizes only; file content stays in the source and
 is read back through a :class:`ContentSource` when needed.
 
-``load_flat_tar`` and ``load_layers`` return (FileSet, ContentSource) from
-one header walk over each tar; the caller closes the source. A gzip, bzip2,
-xz or lzma tar is decompressed once into an anonymous temp file, which
-takes disk space equal to the uncompressed tar until the source is closed
-(or, for a layer none of whose members is left in the union, until the
-union is built). The walk reads ustar headers (either checksum sum, octal
-and base-256 numbers, the name prefix, v7 ``name/`` directories), GNU long
-names and link names, and pax extended and global records (path, linkpath,
-size); it rejects sparse members. tarfile only writes tars here. Every
-source follows symlinks inside the image: through the union of a tar
-source, and under the root of a rootfs directory, never out of it.
+Every loader returns (FileSet, ContentSource) from one pass over its input,
+and the caller closes the source. The pass records each entry with its mode
+and where its bytes are, so links, modes and reads resolve through the
+inventory alike for every kind: only the fetch of a regular file's bytes
+differs (an ``O_NOFOLLOW`` open under the rootfs, a seek into a plain tar).
+A gzip, bzip2, xz or lzma tar is decompressed once into an anonymous temp
+file, which takes disk space equal to the uncompressed tar until the source
+is closed (or, for a layer none of whose members is left in the union,
+until the union is built). The tar walk reads ustar headers (either checksum
+sum, octal and base-256 numbers, the name prefix, v7 ``name/`` directories),
+GNU long names and link names, and pax extended and global records (path,
+linkpath, size); it rejects sparse members. tarfile only writes tars here.
+Every source follows symlinks inside the image, and never out of it.
 """
 
 from __future__ import annotations
@@ -47,11 +49,6 @@ SYMLINK = "symlink"
 OTHER = "other"
 
 KINDS = (REGULAR, DIRECTORY, SYMLINK, OTHER)
-
-# Origin labels for FileSet provenance.
-ORIGIN_ROOTFS = "rootfs-dir"
-ORIGIN_FLAT_TAR = "flat-tar"
-ORIGIN_LAYERED = "layered"
 
 WHITEOUT_PREFIX = ".wh."
 OPAQUE_MARKER = ".wh..wh..opq"
@@ -115,17 +112,17 @@ class FileEntry:
 
 
 class FileSet:
-    """Immutable map of path -> FileEntry with a provenance label.
+    """Immutable map of path -> FileEntry.
 
-    Equality compares entries only (paths, kinds, sizes, link targets);
-    origin is metadata. Loaders guarantee that every non-root entry's parent
-    is present as a directory; derived sets such as the bloat complement do
-    not (see :func:`check_parent_closure`).
+    Equality compares entries (paths, kinds, sizes, link targets). Loaders
+    guarantee that every non-root entry's parent is present as a directory;
+    derived sets such as the bloat complement do not (see
+    :func:`check_parent_closure`).
     """
 
-    __slots__ = ("entries", "origin")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries: Mapping[str, FileEntry] | Iterable[FileEntry], origin: str):
+    def __init__(self, entries: Mapping[str, FileEntry] | Iterable[FileEntry]):
         if isinstance(entries, Mapping):
             items = dict(entries)
         else:
@@ -138,7 +135,6 @@ class FileSet:
             if path != entry.path:
                 raise ValueError(f"key {path!r} does not match entry path {entry.path!r}")
         object.__setattr__(self, "entries", MappingProxyType(items))
-        object.__setattr__(self, "origin", origin)
 
     def __setattr__(self, name, value):
         raise AttributeError("FileSet is immutable")
@@ -161,7 +157,7 @@ class FileSet:
         return dict(self.entries) == dict(other.entries)
 
     def __repr__(self) -> str:
-        return f"FileSet({len(self.entries)} entries, origin={self.origin!r})"
+        return f"FileSet({len(self.entries)} entries)"
 
 
 def check_parent_closure(fs: FileSet) -> list[str]:
@@ -182,7 +178,7 @@ def _ancestors(path: str) -> Iterator[str]:
         yield path
 
 
-def _with_parents(entries: Iterable[FileEntry], origin: str) -> FileSet:
+def _with_parents(entries: Iterable[FileEntry]) -> FileSet:
     """A FileSet of entries (later ones win) and the parent directories they imply."""
     items = {"/": FileEntry("/", DIRECTORY)}
     for entry in entries:
@@ -193,53 +189,7 @@ def _with_parents(entries: Iterable[FileEntry], origin: str) -> FileSet:
         items.update((p, FileEntry(p, DIRECTORY)) for p in reversed(missing))
         if entry.path != "/":
             items[entry.path] = entry
-    return FileSet(items, origin)
-
-
-def load_rootfs(dir_path: str | os.PathLike) -> FileSet:
-    """Inventory a rootfs directory, rebasing it onto '/'.
-
-    Symlinks are recorded, never followed. Objects that cannot be
-    classified or statted degrade to kind=other with a warning instead of
-    aborting; real images contain sockets and device nodes.
-    """
-    root = os.fspath(dir_path)
-    if not os.path.isdir(root):
-        raise IngestError(f"rootfs is not a readable directory: {root}")
-    entries: list[FileEntry] = []
-
-    def rebase(full: str) -> str:
-        rel = os.path.relpath(full, root)
-        return "/" if rel == "." else "/" + rel.replace(os.sep, "/")
-
-    def walk(dirfull: str) -> None:
-        try:
-            with os.scandir(dirfull) as it:
-                children = sorted(it, key=lambda d: d.name)
-        except OSError as exc:
-            if dirfull == root:
-                raise IngestError(f"cannot read rootfs root: {exc}") from exc
-            log.warning("unreadable directory %s: %s", dirfull, exc)
-            return
-        for child in children:
-            path = rebase(child.path)
-            try:
-                st = child.stat(follow_symlinks=False)
-                if stat.S_ISLNK(st.st_mode):
-                    entries.append(FileEntry(path, SYMLINK, 0, os.readlink(child.path)))
-                elif stat.S_ISDIR(st.st_mode):
-                    entries.append(FileEntry(path, DIRECTORY))
-                    walk(child.path)
-                elif stat.S_ISREG(st.st_mode):
-                    entries.append(FileEntry(path, REGULAR, st.st_size))
-                else:
-                    entries.append(FileEntry(path, OTHER))
-            except OSError as exc:
-                log.warning("unreadable entry %s: %s", child.path, exc)
-                entries.append(FileEntry(path, OTHER))
-
-    walk(root)
-    return _with_parents(entries, ORIGIN_ROOTFS)
+    return FileSet(items)
 
 
 def _tar_member_path(name: str) -> str | None:
@@ -271,13 +221,44 @@ def _resolve(path: str, link: Callable[[str], str | None]) -> str:
 
 
 class ContentSource:
-    """Reads file bytes and modes back out of the image a FileSet came from."""
+    """Reads file bytes and modes back out of the image a FileSet came from.
+
+    ``_union`` maps each inventory path to (entry, mode, where the bytes of
+    a regular entry are); subclasses fill it at ingest and fetch those bytes
+    in ``_bytes(path, where)``. Links, modes and reads resolve through it.
+    """
+
+    def _fileset(self) -> FileSet:
+        return _with_parents(entry for entry, _, _ in self._union.values())
+
+    def _link(self, path: str) -> str | None:
+        hit = self._union.get(path)
+        return hit[0].link_target if hit else None  # None unless a symlink
 
     def read(self, path: str) -> bytes:
-        raise NotImplementedError
+        hit = self._union.get(path)
+        if hit is None or hit[0].kind == SYMLINK:
+            resolved = self._union.get(_resolve(path, self._link))
+            if resolved is None:
+                raise MaterializeError(f"cannot read {path}: " + (
+                    "dangling symlink" if hit else "not present in the image"))
+            hit = resolved
+        entry, _, where = hit
+        if entry.kind != REGULAR:
+            raise MaterializeError(f"cannot read {path}: not a regular file")
+        return self._bytes(path, where)
 
     def mode(self, path: str) -> int | None:
-        raise NotImplementedError
+        """The entry's own mode; for a path not in the inventory, that of the
+        entry it names once the links in its directory are followed."""
+        hit = self._union.get(path)
+        if hit is None:
+            try:
+                directory = _resolve(parent_of(path), self._link)
+            except MaterializeError:
+                return None
+            hit = self._union.get(f"{directory.rstrip('/')}/{path.rsplit('/', 1)[1]}")
+        return hit[1] if hit else None
 
     def close(self) -> None:
         pass
@@ -290,44 +271,55 @@ class ContentSource:
 
 
 class RootfsSource(ContentSource):
-    """Content of a rootfs directory; no path read leaves the directory."""
+    """Inventory and content of a rootfs directory, walked once. Symlinks
+    are recorded, never followed, and no read leaves the directory. Objects
+    that cannot be classified or statted degrade to kind=other with a
+    warning instead of aborting; real images contain sockets and device
+    nodes."""
 
     def __init__(self, root: str | os.PathLike):
-        self.root = os.fspath(root)
-        self._links: dict[str, str | None] = {}  # path -> symlink target, as read
+        root = os.fspath(root)
+        if not os.path.isdir(root):
+            raise IngestError(f"rootfs is not a readable directory: {root}")
+        self._union = {"/": (FileEntry("/", DIRECTORY), stat.S_IMODE(os.stat(root).st_mode), None)}
+        self._walk(root, "")
 
-    def _full(self, path: str) -> str:
-        return os.path.join(self.root, path.lstrip("/"))
-
-    def _link(self, path: str) -> str | None:
-        if path not in self._links:
-            try:
-                self._links[path] = os.readlink(self._full(path))
-            except OSError:  # not a symlink, or not there
-                self._links[path] = None
-        return self._links[path]
-
-    def _unfollowed(self, path: str) -> str:
-        """The host path of path with the symlinks in its directory followed."""
-        directory = _resolve(parent_of(path), self._link)
-        return self._full(f"{directory.rstrip('/')}/{path.rsplit('/', 1)[1]}")
-
-    def read(self, path: str) -> bytes:
-        resolved = _resolve(path, self._link)
+    def _walk(self, directory: str, prefix: str) -> None:
+        """Record the entries under host directory, whose image path is prefix or '/'."""
         try:
-            with open(os.open(self._full(resolved), os.O_RDONLY | os.O_NOFOLLOW), "rb") as f:
+            with os.scandir(directory) as it:
+                children = sorted(it, key=lambda d: d.name)
+        except OSError as exc:
+            if not prefix:
+                raise IngestError(f"cannot read rootfs root: {exc}") from exc
+            log.warning("unreadable directory %s: %s", directory, exc)
+            return
+        for child in children:
+            path, mode, where = f"{prefix}/{child.name}", None, None
+            try:
+                st = child.stat(follow_symlinks=False)
+                mode = stat.S_IMODE(st.st_mode)
+                if stat.S_ISLNK(st.st_mode):
+                    entry = FileEntry(path, SYMLINK, 0, os.readlink(child.path))
+                elif stat.S_ISDIR(st.st_mode):
+                    entry = FileEntry(path, DIRECTORY)
+                elif stat.S_ISREG(st.st_mode):
+                    entry, where = FileEntry(path, REGULAR, st.st_size), child.path
+                else:
+                    entry = FileEntry(path, OTHER)
+            except OSError as exc:
+                log.warning("unreadable entry %s: %s", child.path, exc)
+                entry = FileEntry(path, OTHER)
+            self._union[path] = (entry, mode, where)
+            if entry.kind == DIRECTORY:
+                self._walk(child.path, path)
+
+    def _bytes(self, path: str, where: str) -> bytes:
+        try:
+            with open(os.open(where, os.O_RDONLY | os.O_NOFOLLOW), "rb") as f:
                 return f.read()
         except OSError as exc:
-            dangling = isinstance(exc, FileNotFoundError) and \
-                os.path.islink(self._unfollowed(path))
-            raise MaterializeError(
-                f"cannot read {path}: {'dangling symlink' if dangling else exc}") from exc
-
-    def mode(self, path: str) -> int | None:
-        try:
-            return stat.S_IMODE(os.lstat(self._unfollowed(path)).st_mode)
-        except (OSError, MaterializeError):
-            return None
+            raise MaterializeError(f"cannot read {path}: {exc}") from exc
 
 
 def _decompressed(raw: IO[bytes], label: str, files: contextlib.ExitStack) -> IO[bytes]:
@@ -467,23 +459,23 @@ def _tar_members(plain: IO[bytes], label: str) -> list[tuple[str, _Member]]:
 class _TarSource(ContentSource):
     """Inventory and content of tars that are each read in one pass.
 
-    ``_union`` maps each inventory path to (entry, mode, plain tar stream,
-    member whose data a read returns: for a hardlink, the member its target
-    had then). Subclasses merge each tar in ``_add_tar``; a tar with no
-    member left in the union is then closed.
+    A path's bytes are at (plain tar stream, member whose data a read
+    returns: for a hardlink, the member its target had then). Subclasses
+    merge each tar in ``_add_tar``; a tar with no member left in the union
+    is then closed.
     """
 
     def __init__(self, tars: list[tuple[str | os.PathLike | IO[bytes], str]]):
         self._stack = contextlib.ExitStack()
         self._files: dict[IO[bytes], contextlib.ExitStack] = {}
-        self._union: dict[str, tuple] = {}
+        self._union = {}
         try:
             for source, label in tars:
                 self._add_tar(source, label)
         except BaseException:
             self.close()
             raise
-        used = {plain for _, _, plain, _ in self._union.values()}
+        used = {plain for _, _, (plain, _) in self._union.values()}
         for plain, files in self._files.items():
             if plain not in used:
                 files.close()
@@ -511,7 +503,7 @@ class _TarSource(ContentSource):
         if old is not None and old[0].kind == DIRECTORY and member.type != _DIRTYPE:
             for p in [p for p in union if p.startswith(path + "/")]:
                 del union[p]
-        content = member
+        where = (plain, member)
         if member.type == _DIRTYPE:
             entry = FileEntry(path, DIRECTORY)
         elif member.type == _SYMTYPE:
@@ -521,40 +513,22 @@ class _TarSource(ContentSource):
             target = union.get(_tar_member_path(member.linkname))
             if target is None:
                 log.warning("hardlink %s points outside archive (%s)", path, member.linkname)
-                entry, content = FileEntry(path, REGULAR, 0), None
+                entry, where = FileEntry(path, REGULAR, 0), (plain, None)
             else:
-                entry = FileEntry(path, REGULAR, target[0].size)
-                _, _, plain, content = target
+                entry, where = FileEntry(path, REGULAR, target[0].size), target[2]
         elif member.type in _REGULAR_TYPES:
             entry = FileEntry(path, REGULAR, member.size)
         else:
             entry = FileEntry(path, OTHER)
-        union[path] = (entry, member.mode, plain, content)
+        union[path] = (entry, member.mode, where)
 
-    def _fileset(self, origin: str) -> FileSet:
-        return _with_parents((entry for entry, *_ in self._union.values()), origin)
-
-    def _link(self, path: str) -> str | None:
-        hit = self._union.get(path)
-        return hit[0].link_target if hit else None  # None unless a symlink
-
-    def read(self, path: str) -> bytes:
-        hit = self._union.get(path)
-        if hit is None or hit[0].kind == SYMLINK:
-            resolved = self._union.get(_resolve(path, self._link))
-            if resolved is None:
-                raise MaterializeError(f"cannot read {path}: " + (
-                    "dangling symlink" if hit else "not present in source tar"))
-            hit = resolved
-        _, _, plain, member = hit
+    def _bytes(self, path: str, where: tuple[IO[bytes], _Member | None]) -> bytes:
+        plain, member = where
         if member is None or member.type not in _REGULAR_TYPES:
             raise MaterializeError(f"cannot read {path}: " + (
                 "dangling hardlink" if member is None else "not a regular member"))
         plain.seek(member.offset)
         return plain.read(member.size)
-
-    def mode(self, path: str) -> int | None:
-        return self._union.get(path, (None, None))[1]
 
     def close(self) -> None:
         self._stack.close()
@@ -610,7 +584,7 @@ def load_flat_tar(source: str | os.PathLike | IO[bytes]) -> tuple[FileSet, FlatT
     the returned source.
     """
     content = FlatTarSource(source)
-    return content._fileset(ORIGIN_FLAT_TAR), content
+    return content._fileset(), content
 
 
 def load_layers(layer_tars: Iterable[str | os.PathLike | IO[bytes]]
@@ -626,4 +600,11 @@ def load_layers(layer_tars: Iterable[str | os.PathLike | IO[bytes]]
     replacing a directory with a non-directory drops the old subtree.
     """
     content = LayeredSource(layer_tars)
-    return content._fileset(ORIGIN_LAYERED), content
+    return content._fileset(), content
+
+
+def load_rootfs(dir_path: str | os.PathLike) -> tuple[FileSet, RootfsSource]:
+    """Inventory a rootfs directory, rebased onto '/', and open it for reads,
+    in one walk (see :class:`RootfsSource`)."""
+    content = RootfsSource(dir_path)
+    return content._fileset(), content

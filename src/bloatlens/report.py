@@ -45,7 +45,7 @@ from .imagefs import (
     FileSet,
     FlatTarSource,  # noqa: F401  bench/spans.py wraps these names
     LayeredSource,  # noqa: F401
-    RootfsSource,
+    RootfsSource,  # noqa: F401
     load_flat_tar,
     load_layers,
     load_rootfs,
@@ -170,7 +170,6 @@ class AnalysisBundle:
     container_id: str
     debloat: DebloatResult
     catalog: list[PackageRecord]
-    d_p: dict[str, float]
     vuln: VulnDiff | None
     graph: PackageAttrGraph
     node_link: dict  # graph.json; the document's graph section extends it
@@ -218,7 +217,7 @@ def open_inputs(config: PipelineConfig, need_trace: bool = True,
     rules = load_rules(config.rules)
 
     if config.rootfs:
-        fs, source = load_rootfs(config.rootfs), RootfsSource(config.rootfs)
+        fs, source = load_rootfs(config.rootfs)
     elif len(config.layers) == 1:
         fs, source = load_flat_tar(config.layers[0])
     else:
@@ -267,13 +266,13 @@ def package_rows(catalog: list[PackageRecord], bloat: FileSet, fs: FileSet) -> l
 
 
 def package_graph(catalog: list[PackageRecord], rows: list[PackageRow],
-                  matches: list[VulnMatch] | None) -> tuple[PackageAttrGraph, dict[str, float]]:
-    """The attribute graph, and the d_p per graph key it was built from."""
+                  matches: list[VulnMatch] | None) -> PackageAttrGraph:
+    """The attribute graph over the catalog, built from each graph key's d_p."""
     dp_map: dict[str, float] = {}
     for rec, _, dp in rows:
         dp_map.setdefault(rec.graph_key, dp)
     vuln_counts = vuln_counts_by_package(matches, catalog) if matches is not None else {}
-    return build_graph(catalog, dp_map, vuln_counts), dp_map
+    return build_graph(catalog, dp_map, vuln_counts)
 
 
 def run_pipeline(config: PipelineConfig) -> AnalysisBundle:
@@ -292,14 +291,13 @@ def run_pipeline(config: PipelineConfig) -> AnalysisBundle:
         rows = package_rows(catalog, result.bloat, fs)
         matches = vuln_matches(config, partial_errors)
         vuln_diff = surviving_cves(matches, result.bloat, catalog) if matches is not None else None
-        graph, dp_map = package_graph(catalog, rows, matches)
+        graph = package_graph(catalog, rows, matches)
         node_link = to_node_link(graph)
         document = _build_document(config, container_id, fs, result, catalog, rows,
                                    vuln_diff, graph, node_link, partial_errors)
         bundle = AnalysisBundle(
-            container_id=container_id, debloat=result, catalog=catalog, d_p=dp_map,
-            vuln=vuln_diff, graph=graph, node_link=node_link, document=document,
-            partial_errors=partial_errors,
+            container_id=container_id, debloat=result, catalog=catalog, vuln=vuln_diff,
+            graph=graph, node_link=node_link, document=document, partial_errors=partial_errors,
         )
         if config.out:
             write_outputs(bundle, config, source)

@@ -171,6 +171,14 @@ def _decode(quoted: str) -> str | None:
     return raw.decode("utf-8", "surrogateescape")
 
 
+def _int(digits: str) -> int | None:
+    """A pid or descriptor as an int; None past int()'s digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        return None
+
+
 def _path_arg(args: str, idx: int) -> tuple[int | None, str | None]:
     """Read the path argument at position ``idx`` (0 or 1) of ``args``.
 
@@ -192,7 +200,8 @@ def _path_arg(args: str, idx: int) -> tuple[int | None, str | None]:
     if dm is None:
         return None, None
     if not dm["path"]:
-        return int(dm["fd"]), path
+        fd = _int(dm["fd"])
+        return fd, None if fd is None else path
     if not dm["path"].startswith("/"):
         return None, None
     return None, _normalize(dm["path"], path)[0]
@@ -237,11 +246,11 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
                 continue
             lines += 1
             m = event(line)
-            if m is None:
+            pid = m and _int(m[1])
+            if pid is None:
                 unparsed += 1
                 continue
-            pid_text, name, unfinished_args, args, ret, resumed, rest = m.groups()
-            pid = int(pid_text)
+            _, name, unfinished_args, args, ret, resumed, rest = m.groups()
             st = states.get(pid)
             if st is None:
                 # The child of the one unfinished fork takes its state, and
@@ -319,15 +328,15 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
                 paths.add(path)
             elif kind == _CLOSE:
                 if args.isdecimal():
-                    st.fds.pop(int(args), None)
+                    st.fds.pop(_int(args), None)
                 elif dm := _DIRFD_RE.match(args):
-                    st.fds.pop(int(dm["fd"]), None)
+                    st.fds.pop(_int(dm["fd"]), None)
             elif kind == _FORK:
                 if retval > 0 and retval not in born:
                     states[retval] = _PidState(st.cwd, st.fds)
             else:  # fchdir
                 dm = _DIRFD_RE.match(args)
-                fd_path = dm and (dm["path"] or st.fds.get(int(dm["fd"])))
+                fd_path = dm and (dm["path"] or st.fds.get(_int(dm["fd"])))
                 if fd_path and fd_path.startswith("/"):
                     st.cwd = fd_path
                 else:

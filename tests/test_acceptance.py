@@ -210,7 +210,7 @@ def test_criterion_05_libcudnn_case_study():
     bloat_entries = {"/": FileEntry("/", "directory")}
     for path, size in big_files.items():
         bloat_entries[path] = FileEntry(path, "regular", size)
-    bloat = FileSet(bloat_entries, "rootfs-dir")
+    bloat = FileSet(bloat_entries)
     d_p = package_bloat_degree(pkg, bloat)
     assert d_p > 0.99
 
@@ -283,7 +283,7 @@ def test_criterion_08_end_to_end_golden_fixture(tmp_path, monkeypatch):
 
     # The bundle numbers must match per-module oracles before the golden
     # bytes mean anything.
-    fs = load_rootfs(tmp_path / "rootfs")
+    fs = load_rootfs(tmp_path / "rootfs")[0]
     assert set(bundle.debloat.retained.entries) == minicontainer.EXPECTED_RETAINED
     assert set(bundle.debloat.retained.entries) == naive_retained_closure(
         fs, minicontainer.ACCESSED)
@@ -334,7 +334,7 @@ def test_criterion_08_end_to_end_golden_fixture(tmp_path, monkeypatch):
     extracted = tmp_path / "extracted"
     with tarfile.open(tmp_path / "out" / "debloated.tar") as tf:
         tf.extractall(extracted)
-    assert load_rootfs(extracted) == bundle.debloat.retained
+    assert load_rootfs(extracted)[0] == bundle.debloat.retained
 
     # Byte-for-byte golden comparison of the bundle document.
     produced = (tmp_path / "out" / "bundle.json").read_bytes()
@@ -412,7 +412,7 @@ def test_criterion_09_property_suites():
         def bloat_of(pathset):
             entries = {"/": FileEntry("/", "directory")}
             entries.update({p: FileEntry(p, "regular", 1) for p in pathset})
-            return FileSet(entries, "rootfs-dir")
+            return FileSet(entries)
 
         removed_small = {m.cve_id for m in
                          surviving_cves(matches, bloat_of(small_paths)).removed}

@@ -28,7 +28,7 @@ from oracles import naive_retained_closure
 
 
 def fs_from(entries):
-    return FileSet({e.path: e for e in entries}, "rootfs-dir")
+    return FileSet({e.path: e for e in entries})
 
 
 def access(*paths):
@@ -58,7 +58,7 @@ def random_fileset(rng: random.Random, max_entries: int = 500) -> FileSet:
                 depth = parent.count("/") if parent != "/" else 0
                 target = "../" * rng.randint(0, depth) + target.lstrip("/")
             entries[path] = FileEntry(path, "symlink", 0, target or ".")
-    return FileSet(entries, "rootfs-dir")
+    return FileSet(entries)
 
 
 class TestComputeRetained:
@@ -119,7 +119,7 @@ class TestComputeRetained:
 
     def test_empty_fs_rejected(self):
         with pytest.raises(ContractViolation):
-            compute_retained(FileSet({}, "rootfs-dir"), access())
+            compute_retained(FileSet({}), access())
 
     def test_200_entry_fixture_matches_naive_oracle(self):
         rng = random.Random(42)
@@ -224,42 +224,42 @@ class TestManifest:
         )
 
     def test_empty(self):
-        assert render_manifest(FileSet({}, "rootfs-dir")) == ""
+        assert render_manifest(FileSet({})) == ""
 
 
 class TestMaterialize:
     def test_full_roundtrip_dir(self, mini_rootfs, tmp_path):
-        fs = load_rootfs(mini_rootfs)
+        fs, source = load_rootfs(mini_rootfs)
         out = tmp_path / "copy"
-        materialize(fs, RootfsSource(mini_rootfs), out, fmt="dir")
-        assert load_rootfs(out) == fs
+        materialize(fs, source, out, fmt="dir")
+        assert load_rootfs(out)[0] == fs
 
     def test_retained_roundtrip_dir(self, mini_rootfs, tmp_path):
-        fs = load_rootfs(mini_rootfs)
+        fs, source = load_rootfs(mini_rootfs)
         retained = compute_retained(fs, access("/usr/bin/widget", "/app/cfg.yaml"))
         out = tmp_path / "debloated"
-        manifest = materialize(retained, RootfsSource(mini_rootfs), out, fmt="dir")
-        assert load_rootfs(out) == retained
+        manifest = materialize(retained, source, out, fmt="dir")
+        assert load_rootfs(out)[0] == retained
         assert manifest == render_manifest(retained)
 
     def test_retained_roundtrip_tar(self, mini_rootfs, tmp_path):
-        fs = load_rootfs(mini_rootfs)
+        fs, source = load_rootfs(mini_rootfs)
         retained = compute_retained(fs, access("/usr/bin/widget"))
         tar_path = tmp_path / "debloated.tar"
-        materialize(retained, RootfsSource(mini_rootfs), tar_path, fmt="tar")
+        materialize(retained, source, tar_path, fmt="tar")
         loaded, source = load_flat_tar(tar_path)
         source.close()
         assert loaded == retained
         scratch = tmp_path / "extracted"
         with tarfile.open(tar_path) as tf:
             tf.extractall(scratch)
-        assert load_rootfs(scratch) == retained
+        assert load_rootfs(scratch)[0] == retained
 
     def test_empty_retention_makes_root_only_tar(self, mini_rootfs, tmp_path):
-        fs = load_rootfs(mini_rootfs)
+        fs, source = load_rootfs(mini_rootfs)
         retained = compute_retained(fs, access())
         tar_path = tmp_path / "empty.tar"
-        materialize(retained, RootfsSource(mini_rootfs), tar_path, fmt="tar")
+        materialize(retained, source, tar_path, fmt="tar")
         with tarfile.open(tar_path) as tf:
             names = tf.getnames()
         assert names == ["."]
@@ -270,18 +270,18 @@ class TestMaterialize:
             materialize(fs, RootfsSource(tmp_path), tmp_path / "out", fmt="dir")
 
     def test_non_closed_set_rejected(self, mini_rootfs, tmp_path):
-        fs = load_rootfs(mini_rootfs)
+        fs, source = load_rootfs(mini_rootfs)
         broken = FileSet({
             "/": fs.entries["/"],
             "/app/cfg.yaml": fs.entries["/app/cfg.yaml"],
-        }, fs.origin)
+        })
         with pytest.raises(ContractViolation):
-            materialize(broken, RootfsSource(mini_rootfs), tmp_path / "o", fmt="dir")
+            materialize(broken, source, tmp_path / "o", fmt="dir")
 
     def test_deterministic_tar_bytes(self, mini_rootfs, tmp_path):
-        fs = load_rootfs(mini_rootfs)
+        fs, source = load_rootfs(mini_rootfs)
         retained = compute_retained(fs, access("/app/cfg.yaml"))
         a, b = tmp_path / "a.tar", tmp_path / "b.tar"
-        materialize(retained, RootfsSource(mini_rootfs), a, fmt="tar")
+        materialize(retained, source, a, fmt="tar")
         materialize(retained, RootfsSource(mini_rootfs), b, fmt="tar")
         assert a.read_bytes() == b.read_bytes()

@@ -99,15 +99,14 @@ class TestFileEntry:
 
 class TestLoadRootfs:
     def test_empty_dir_has_only_root(self, tmp_path):
-        fs = load_rootfs(tmp_path)
+        fs = load_rootfs(tmp_path)[0]
         assert set(fs.entries) == {"/"}
         assert fs.entries["/"].kind == "directory"
-        assert fs.origin == "rootfs-dir"
 
     def test_small_tree_matches_independent_walk(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "a" / "b.txt").write_bytes(b"12345")
-        fs = load_rootfs(tmp_path)
+        fs = load_rootfs(tmp_path)[0]
         assert set(fs.entries) == {"/", "/a", "/a/b.txt"}
         assert fs.entries["/a/b.txt"].kind == "regular"
         assert fs.entries["/a/b.txt"].size == 5
@@ -116,7 +115,7 @@ class TestLoadRootfs:
     def test_symlink_recorded_not_followed(self, tmp_path):
         (tmp_path / "y").write_bytes(b"abc")
         os.symlink("y", tmp_path / "x")
-        fs = load_rootfs(tmp_path)
+        fs = load_rootfs(tmp_path)[0]
         assert fs.entries["/x"].kind == "symlink"
         assert fs.entries["/x"].link_target == "y"
         assert fs.entries["/x"].size == 0
@@ -127,16 +126,16 @@ class TestLoadRootfs:
 
     def test_special_file_degrades_to_other(self, tmp_path):
         os.mkfifo(tmp_path / "pipe")
-        fs = load_rootfs(tmp_path)
+        fs = load_rootfs(tmp_path)[0]
         assert fs.entries["/pipe"].kind == "other"
         assert fs.entries["/pipe"].size == 0
 
     def test_parent_closure_holds(self, mini_rootfs):
-        fs = load_rootfs(mini_rootfs)
+        fs = load_rootfs(mini_rootfs)[0]
         assert check_parent_closure(fs) == []
 
     def test_mini_rootfs_matches_walk_oracle(self, mini_rootfs):
-        fs = load_rootfs(mini_rootfs)
+        fs = load_rootfs(mini_rootfs)[0]
         assert fileset_inventory(fs) == walk_inventory(mini_rootfs)
 
 
@@ -148,7 +147,6 @@ class TestLoadFlatTar:
             ("etc/l", "sym", "a"),
         ])
         fs = inventory(load_flat_tar(tar))
-        assert fs.origin == "flat-tar"
         assert fs.entries["/etc/a"].size == 5
         assert fs.entries["/etc/l"].link_target == "a"
         assert check_parent_closure(fs) == []
@@ -304,7 +302,7 @@ class TestLoadLayers:
 
 class TestTotalSize:
     def test_empty_fileset(self):
-        fs = FileSet({"/": FileEntry("/", "directory")}, "rootfs-dir")
+        fs = FileSet({"/": FileEntry("/", "directory")})
         assert total_size(fs) == 0
 
     def test_only_regular_files_count(self):
@@ -314,21 +312,21 @@ class TestTotalSize:
             FileEntry("/b", "regular", 7),
             FileEntry("/l", "symlink", 0, "a"),
             FileEntry("/d", "directory"),
-        ], "rootfs-dir")
+        ])
         assert total_size(fs) == 12
 
     def test_matches_shell_style_walk(self, mini_rootfs):
-        fs = load_rootfs(mini_rootfs)
+        fs = load_rootfs(mini_rootfs)[0]
         oracle = sum(size for kind, size, _ in walk_inventory(mini_rootfs).values()
                      if kind == "regular")
         assert total_size(fs) == oracle
 
     def test_additive_over_disjoint_subsets(self, mini_rootfs):
-        fs = load_rootfs(mini_rootfs)
+        fs = load_rootfs(mini_rootfs)[0]
         under_usr = {p: e for p, e in fs.entries.items() if p.startswith("/usr")}
         rest = {p: e for p, e in fs.entries.items() if not p.startswith("/usr")}
-        part1 = FileSet(under_usr, fs.origin)
-        part2 = FileSet(rest, fs.origin)
+        part1 = FileSet(under_usr)
+        part2 = FileSet(rest)
         assert total_size(part1) + total_size(part2) == total_size(fs)
 
 
@@ -361,19 +359,14 @@ class TestContentSources:
 
 
 class TestFileSetSemantics:
-    def test_equality_ignores_origin(self):
-        a = FileSet({"/": FileEntry("/", "directory")}, "rootfs-dir")
-        b = FileSet({"/": FileEntry("/", "directory")}, "layered")
-        assert a == b
-
     def test_duplicate_paths_rejected(self):
         with pytest.raises(ValueError):
-            FileSet([FileEntry("/", "directory"), FileEntry("/", "directory")], "x")
+            FileSet([FileEntry("/", "directory"), FileEntry("/", "directory")])
 
     def test_immutable(self):
-        fs = FileSet({"/": FileEntry("/", "directory")}, "rootfs-dir")
+        fs = FileSet({"/": FileEntry("/", "directory")})
         with pytest.raises((AttributeError, TypeError)):
-            fs.origin = "other"
+            fs.entries = {}
         with pytest.raises(TypeError):
             fs.entries["/new"] = FileEntry("/new", "directory")
 
@@ -578,7 +571,7 @@ class TestSymlinkReads:
                 "/lib/rel": b"bytes", "/up": b"bytes", "/abslib/abs": b"bytes",
                 "/etc/link": b"image-os\n", "/lib/deep": b"image-os\n"}
 
-    def rootfs(self, tmp_path):
+    def tree(self, tmp_path):
         root = tmp_path / "root"
         root.mkdir()
         for name, kind, arg in self.MEMBERS:
@@ -588,7 +581,10 @@ class TestSymlinkReads:
                 (root / name).write_bytes(arg)
             else:
                 os.symlink(arg, root / name)
-        return RootfsSource(root)
+        return root
+
+    def rootfs(self, tmp_path):
+        return RootfsSource(self.tree(tmp_path))
 
     def test_links_resolve_through_the_union(self, tmp_path):
         fs, src = load_flat_tar(make_tar(tmp_path / "t.tar", self.MEMBERS))
@@ -634,12 +630,18 @@ class TestSymlinkReads:
         with pytest.raises(MaterializeError, match=f"^cannot read {path}: {reason}$"):
             self.rootfs(tmp_path).read(path)
 
-    def test_rootfs_mode_follows_directory_links_inside_the_root(self, tmp_path):
-        src = self.rootfs(tmp_path)
-        os.chmod(tmp_path / "root" / "etc" / "real", 0o640)
-        assert src.mode("/abslib/real") == 0o640
-        assert src.mode("/abslib/rel") == src.mode("/etc/rel") != 0o640  # the link's own
-        assert src.mode("/loop/real") is None
+    @pytest.mark.parametrize("kind", ["dir", "tar"])
+    def test_rootfs_mode_follows_directory_links_inside_the_root(self, tmp_path, kind):
+        root = self.tree(tmp_path)
+        os.chmod(root / "etc" / "real", 0o640)  # modes are read when the source opens
+        if kind == "tar":
+            with tarfile.open(tmp_path / "t.tar", "w") as tf:
+                tf.add(root, arcname=".")
+        _, src = load_rootfs(root) if kind == "dir" else load_flat_tar(tmp_path / "t.tar")
+        with src:
+            assert src.mode("/abslib/real") == 0o640
+            assert src.mode("/abslib/rel") == src.mode("/etc/rel") != 0o640  # the link's own
+            assert src.mode("/loop/real") is None
 
 
 SEGMENTS = st.sampled_from(["a", "b", "caf\u00e9", "\u65e5\u672c", "x" * 60, "\u00fc" * 40])

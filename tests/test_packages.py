@@ -1,9 +1,12 @@
 import logging
+import os
 import tarfile
 
 import numpy as np
 import pytest
 
+from bloatlens import imagefs
+from bloatlens.errors import MaterializeError
 from bloatlens.imagefs import FileEntry, FileSet, RootfsSource, load_flat_tar, load_rootfs
 from bloatlens.packages import (
     APT,
@@ -26,7 +29,7 @@ from bloatlens.packages import (
 
 
 def fs_from(entries):
-    return FileSet({e.path: e for e in entries}, "rootfs-dir")
+    return FileSet({e.path: e for e in entries})
 
 
 def pkg(manager=APT, name="p", version="1", files=(), size=0, **kw):
@@ -43,8 +46,8 @@ class TestCanonicalName:
 
 class TestDetectPackages:
     def test_mini_container_catalog(self, mini_rootfs):
-        fs = load_rootfs(mini_rootfs)
-        catalog = detect_packages(fs, RootfsSource(mini_rootfs))
+        fs, source = load_rootfs(mini_rootfs)
+        catalog = detect_packages(fs, source)
         by_key = {(r.manager, r.name): r for r in catalog}
         assert set(by_key) == {
             (APT, "liba"), (APT, "libb"),
@@ -76,14 +79,14 @@ class TestDetectPackages:
         assert conda.declared_deps == (("libother",),)
 
     def test_not_installed_status_skipped(self, mini_rootfs):
-        fs = load_rootfs(mini_rootfs)
-        catalog = detect_packages(fs, RootfsSource(mini_rootfs))
+        fs, source = load_rootfs(mini_rootfs)
+        catalog = detect_packages(fs, source)
         assert all(r.name != "libz" for r in catalog)
 
     def test_missing_dpkg_database_is_not_an_error(self, tmp_path):
         (tmp_path / "only").mkdir()
-        fs = load_rootfs(tmp_path)
-        assert detect_packages(fs, RootfsSource(tmp_path)) == []
+        fs, source = load_rootfs(tmp_path)
+        assert detect_packages(fs, source) == []
 
     def test_malformed_stanza_skipped(self, tmp_path):
         dbdir = tmp_path / "var" / "lib" / "dpkg"
@@ -92,8 +95,8 @@ class TestDetectPackages:
             "Package: broken\nStatus: install ok installed\n\n"  # no Version
             "Package: fine\nStatus: install ok installed\nVersion: 1\n"
         )
-        fs = load_rootfs(tmp_path)
-        catalog = detect_packages(fs, RootfsSource(tmp_path))
+        fs, source = load_rootfs(tmp_path)
+        catalog = detect_packages(fs, source)
         assert [r.name for r in catalog] == ["fine"]
 
     @pytest.mark.parametrize("target,names", [("status.real", ["fine"]), ("gone", [])])
@@ -107,7 +110,7 @@ class TestDetectPackages:
         with tarfile.open(tmp_path / "image.tar", "w") as tf:
             tf.add(root, arcname=".")
         caplog.set_level(logging.WARNING, logger="bloatlens.packages")
-        from_dir = detect_packages(load_rootfs(root), RootfsSource(root))
+        from_dir = detect_packages(*load_rootfs(root))
         fs, source = load_flat_tar(tmp_path / "image.tar")
         with source:
             assert detect_packages(fs, source) == from_dir
@@ -116,6 +119,22 @@ class TestDetectPackages:
                     RootfsSource(root).read("/var/lib/dpkg/status")
         assert [r.name for r in from_dir] == names
         assert ("unreadable dpkg database" in caplog.text) == (not names)
+
+    def test_fifo_status_is_refused_without_opening_it(self, tmp_path, monkeypatch, caplog):
+        dbdir = tmp_path / "var" / "lib" / "dpkg"
+        dbdir.mkdir(parents=True)
+        os.mkfifo(dbdir / "status")
+
+        def no_open(path, *args):  # opening a FIFO blocks until a writer comes
+            raise AssertionError(f"opened {path}")
+
+        monkeypatch.setattr(imagefs.os, "open", no_open)
+        fs, source = load_rootfs(tmp_path)
+        with pytest.raises(MaterializeError, match="not a regular file"):
+            source.read("/var/lib/dpkg/status")
+        caplog.set_level(logging.WARNING, logger="bloatlens.packages")
+        assert detect_packages(fs, source) == []
+        assert "unreadable dpkg database" in caplog.text
 
     def test_dpkg_fixture_two_packages(self, tmp_path):
         dbdir = tmp_path / "var" / "lib" / "dpkg"
@@ -130,8 +149,8 @@ class TestDetectPackages:
         (tmp_path / "bin").mkdir()
         (tmp_path / "bin" / "one").write_bytes(b"1" * 11)
         (tmp_path / "bin" / "two").write_bytes(b"2" * 7)
-        fs = load_rootfs(tmp_path)
-        catalog = detect_packages(fs, RootfsSource(tmp_path))
+        fs, source = load_rootfs(tmp_path)
+        catalog = detect_packages(fs, source)
         one = next(r for r in catalog if r.name == "one")
         two = next(r for r in catalog if r.name == "two")
         assert one.files == {"/", "/bin", "/bin/one"}
@@ -153,8 +172,8 @@ class TestDetectPackages:
         (sp / "demo").mkdir()
         (sp / "demo" / "__init__.py").write_bytes(b"i" * 10)
         (sp / "demo" / "core.py").write_bytes(b"c" * 20)
-        fs = load_rootfs(tmp_path)
-        catalog = detect_packages(fs, RootfsSource(tmp_path))
+        fs, source = load_rootfs(tmp_path)
+        catalog = detect_packages(fs, source)
         demo = next(r for r in catalog if r.manager == PIP)
         site = "/usr/lib/python3/site-packages"
         assert demo.files == {
@@ -168,15 +187,15 @@ class TestDetectPackages:
         meta = tmp_path / "env" / "conda-meta"
         meta.mkdir(parents=True)
         (meta / "empty-1.0-0.json").write_text('{"name": "empty", "version": "1.0", "files": []}')
-        fs = load_rootfs(tmp_path)
-        catalog = detect_packages(fs, RootfsSource(tmp_path))
+        fs, source = load_rootfs(tmp_path)
+        catalog = detect_packages(fs, source)
         rec = next(r for r in catalog if r.manager == CONDA)
         assert rec.files == frozenset()
         assert rec.size == 0
 
     def test_deterministic_order(self, mini_rootfs):
-        fs = load_rootfs(mini_rootfs)
-        a = detect_packages(fs, RootfsSource(mini_rootfs))
+        fs, source = load_rootfs(mini_rootfs)
+        a = detect_packages(fs, source)
         b = detect_packages(fs, RootfsSource(mini_rootfs))
         assert [r.key for r in a] == [r.key for r in b]
         assert [r.key for r in a] == sorted(r.key for r in a)
@@ -303,16 +322,16 @@ class TestCategoryBreakdown:
         assert b.overlap_files == 1
 
     def test_proportions_sum_to_one(self, mini_rootfs):
-        fs = load_rootfs(mini_rootfs)
-        catalog = detect_packages(fs, RootfsSource(mini_rootfs))
+        fs, source = load_rootfs(mini_rootfs)
+        catalog = detect_packages(fs, source)
         index = build_owner_index(catalog, fs)
         b = category_breakdown(fs, index)
         assert sum(b.by_manager.values()) == pytest.approx(1.0, abs=1e-9)
         assert sum(b.by_functionality.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_every_existing_owned_file_indexed(self, mini_rootfs):
-        fs = load_rootfs(mini_rootfs)
-        catalog = detect_packages(fs, RootfsSource(mini_rootfs))
+        fs, source = load_rootfs(mini_rootfs)
+        catalog = detect_packages(fs, source)
         index = build_owner_index(catalog, fs)
         for rec in catalog:
             for path in rec.files:

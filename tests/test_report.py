@@ -26,7 +26,7 @@ def fs_with_sizes(sizes: dict[str, int]) -> FileSet:
     for name, size in sizes.items():
         path = f"/{name}"
         entries[path] = FileEntry(path, "regular", size)
-    return FileSet(entries, "rootfs-dir")
+    return FileSet(entries)
 
 
 class TestParetoFiles:
@@ -46,7 +46,7 @@ class TestParetoFiles:
         assert [p for p, _, _ in rows] == ["/a", "/m", "/z"]
 
     def test_empty_fs(self):
-        fs = FileSet({"/": FileEntry("/", "directory")}, "rootfs-dir")
+        fs = FileSet({"/": FileEntry("/", "directory")})
         assert pareto_files(fs, 0.8) == []
 
     def test_invalid_fraction(self):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bloatlens.debloat import compute_retained
-from bloatlens.imagefs import RootfsSource, load_rootfs
+from bloatlens.imagefs import load_rootfs
 from bloatlens.trace import AccessSet, TraceStats, normalize_path, parse_trace
 
 from oracles import normalize_oracle, parse_trace_oracle
@@ -448,6 +448,19 @@ class TestParseTrace:
         )
         assert acc.paths == {"/f", "/a/g"}
 
+    HUGE = "1" * 5000  # more digits than int() converts
+
+    @pytest.mark.parametrize("line,unparsed,unresolvable", [
+        (HUGE + ' open("/a", O_RDONLY) = 3', 1, 0),
+        ("7 close(" + HUGE + ") = 0", 0, 0),
+        ("7 openat(" + HUGE + ', "a", O_RDONLY) = 4', 0, 1),
+        ("7 fchdir(" + HUGE + ") = 0", 0, 1),
+    ], ids=["pid", "close", "openat-dirfd", "fchdir"])
+    def test_oversized_pid_or_descriptor_does_not_raise(self, line, unparsed, unresolvable):
+        acc = parse(['7 open("/b", O_RDONLY) = 3', line])
+        assert acc.paths == {"/b"}
+        assert (acc.stats.unparsed, acc.stats.unresolvable) == (unparsed, unresolvable)
+
     def test_truncated_path_unresolvable(self):
         acc = parse('7 open("/very/long/pa"..., O_RDONLY) = 3')
         assert acc.paths == set()
@@ -523,8 +536,8 @@ def test_octal_escaped_path_retained_from_rootfs(tmp_path):
     trace = tmp_path / "trace.log"
     trace.write_bytes(b'1 openat(AT_FDCWD, "/opt/caf\\303\\251/x", O_RDONLY) = 3\n')
 
-    fs = load_rootfs(root)
+    fs, source = load_rootfs(root)
     retained = compute_retained(fs, parse_trace(trace))
     assert "/opt/café/x" in retained.entries
     assert "/opt/other" not in retained.entries
-    assert RootfsSource(root).read("/opt/café/x") == b"payload"
+    assert source.read("/opt/café/x") == b"payload"

@@ -4,7 +4,7 @@ import pytest
 
 from bloatlens.debloat import compute_bloat, compute_retained
 from bloatlens.errors import VulnReportError
-from bloatlens.imagefs import FileEntry, FileSet, RootfsSource, load_rootfs
+from bloatlens.imagefs import FileEntry, FileSet, load_rootfs
 from bloatlens.packages import detect_packages
 from bloatlens.trace import AccessSet, parse_trace
 from bloatlens.vuln import (
@@ -29,7 +29,7 @@ def fs_from(paths):
     entries = {"/": FileEntry("/", "directory")}
     for p in paths:
         entries[p] = FileEntry(p, "regular", 1)
-    return FileSet(entries, "rootfs-dir")
+    return FileSet(entries)
 
 
 def grype_doc(*matches):
@@ -183,11 +183,11 @@ class TestSurvivingCves:
 
     def test_mini_fixture_matches_standalone_oracle(self, mini_rootfs,
                                                     mini_trace_path, mini_vuln_path):
-        fs = load_rootfs(mini_rootfs)
+        fs, source = load_rootfs(mini_rootfs)
         access = parse_trace(mini_trace_path)
         retained = compute_retained(fs, access)
         bloat = compute_bloat(fs, retained)
-        catalog = detect_packages(fs, RootfsSource(mini_rootfs))
+        catalog = detect_packages(fs, source)
         matches = load_report(json.loads(mini_vuln_path.read_text()))
         diff = surviving_cves(matches, bloat, catalog)
 
@@ -205,10 +205,10 @@ class TestSurvivingCves:
 
     def test_mini_fixture_expected_partition(self, mini_rootfs, mini_trace_path,
                                              mini_vuln_path):
-        fs = load_rootfs(mini_rootfs)
+        fs, source = load_rootfs(mini_rootfs)
         retained = compute_retained(fs, parse_trace(mini_trace_path))
         bloat = compute_bloat(fs, retained)
-        catalog = detect_packages(fs, RootfsSource(mini_rootfs))
+        catalog = detect_packages(fs, source)
         matches = load_report(json.loads(mini_vuln_path.read_text()))
         diff = surviving_cves(matches, bloat, catalog)
         assert {m.cve_id for m in diff.removed} == {
@@ -296,8 +296,8 @@ class TestSeverityTable:
 
 class TestVulnCounts:
     def test_counts_by_package(self, mini_rootfs, mini_vuln_path):
-        fs = load_rootfs(mini_rootfs)
-        catalog = detect_packages(fs, RootfsSource(mini_rootfs))
+        fs, source = load_rootfs(mini_rootfs)
+        catalog = detect_packages(fs, source)
         matches = load_report(json.loads(mini_vuln_path.read_text()))
         counts = vuln_counts_by_package(matches, catalog)
         assert counts == {
