@@ -13,6 +13,7 @@ import logging
 import os
 import tarfile
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import ContractViolation, MaterializeError
 from .imagefs import (
@@ -125,21 +126,22 @@ def debloat(fs: FileSet, access: AccessSet,
 
 def render_manifest(fs: FileSet) -> str:
     """Stable manifest text: one '<kind>\\t<size>\\t<path>' line per entry,
-    sorted bytewise by path."""
+    sorted bytewise by path. A name that is not UTF-8 keeps its bytes as
+    surrogate escapes, so write it with ``errors="surrogateescape"``."""
     lines = []
-    for path in sorted(fs.entries, key=lambda p: p.encode("utf-8")):
+    for path in sorted(fs.entries, key=lambda p: p.encode("utf-8", "surrogateescape")):
         e = fs.entries[path]
         lines.append(f"{e.kind}\t{e.size}\t{e.path}")
     return "\n".join(lines) + "\n" if lines else ""
 
 
 def materialize(retained: FileSet, source: ContentSource, out: str | os.PathLike,
-                fmt: str = "dir") -> str:
-    """Write a debloated rootfs directory or tar and return its manifest.
+                fmt: str = "dir") -> None:
+    """Write a debloated rootfs directory or tar.
 
     ``fmt`` is 'dir' or 'tar'. The output contains exactly the retained
     entries with sizes and modes copied from the source image; special
-    (kind=other) entries appear in the manifest but are not recreated.
+    (kind=other) entries are not recreated.
     A missing source object is fatal and names the offending path.
     """
     bad = check_parent_closure(retained)
@@ -147,71 +149,61 @@ def materialize(retained: FileSet, source: ContentSource, out: str | os.PathLike
         raise ContractViolation(f"retained set is not parent-closed at: {bad[0]}")
     if fmt not in ("dir", "tar"):
         raise ValueError(f"unknown output format {fmt!r}")
-    out = os.fspath(out)
-    paths = sorted(retained.entries)
-    if fmt == "dir":
-        _write_dir(retained, source, out, paths)
-    else:
-        _write_tar(retained, source, out, paths)
-    return render_manifest(retained)
+    write = _write_dir if fmt == "dir" else _write_tar
+    write(os.fspath(out), _contents(retained, source))
 
 
-def _read_exact(source: ContentSource, path: str, size: int) -> bytes:
-    data = source.read(path)
-    if len(data) != size:
-        raise MaterializeError(f"source size mismatch for {path}: expected {size}, got {len(data)}")
-    return data
-
-
-def _write_dir(retained: FileSet, source: ContentSource, out: str, paths: list[str]) -> None:
-    os.makedirs(out, exist_ok=True)
-    for path in paths:
+def _contents(retained: FileSet, source: ContentSource) -> Iterator[tuple]:
+    """(path, entry, mode, bytes) of each retained directory, regular file and
+    symlink in path order; the bytes are None but for a regular file."""
+    for path in sorted(retained.entries):
         entry = retained.entries[path]
+        if entry.kind not in (DIRECTORY, REGULAR, SYMLINK):
+            log.warning("skipping special entry during materialization: %s", path)
+            continue
+        data = None
+        if entry.kind == REGULAR:
+            data = source.read(path)
+            if len(data) != entry.size:
+                raise MaterializeError(
+                    f"source size mismatch for {path}: expected {entry.size}, got {len(data)}")
+        yield path, entry, source.mode(path), data
+
+
+def _write_dir(out: str, contents: Iterator[tuple]) -> None:
+    os.makedirs(out, exist_ok=True)
+    for path, entry, mode, data in contents:
         target = os.path.join(out, path.lstrip("/"))
-        if entry.kind == DIRECTORY:
-            os.makedirs(target, exist_ok=True)
-            mode = source.mode(path)
-            if mode is not None and path != "/":
-                os.chmod(target, mode)
-        elif entry.kind == REGULAR:
-            data = _read_exact(source, path, entry.size)
-            with open(target, "wb") as f:
-                f.write(data)
-            mode = source.mode(path)
-            if mode is not None:
-                os.chmod(target, mode)
-        elif entry.kind == SYMLINK:
+        if entry.kind == SYMLINK:
             if os.path.lexists(target):
                 os.unlink(target)
             os.symlink(entry.link_target, target)
+            continue
+        if entry.kind == DIRECTORY:
+            os.makedirs(target, exist_ok=True)
         else:
-            log.warning("skipping special entry during materialization: %s", path)
+            with open(target, "wb") as f:
+                f.write(data)
+        if mode is not None and path != "/":
+            os.chmod(target, mode)
 
 
-def _write_tar(retained: FileSet, source: ContentSource, out: str, paths: list[str]) -> None:
+def _write_tar(out: str, contents: Iterator[tuple]) -> None:
     with tarfile.open(out, "w") as tf:
-        for path in paths:
-            entry = retained.entries[path]
-            name = "." if path == "/" else "." + path
-            info = tarfile.TarInfo(name)
+        for path, entry, mode, data in contents:
+            info = tarfile.TarInfo("." if path == "/" else "." + path)
             info.mtime = 0
             info.uid = info.gid = 0
             info.uname = info.gname = ""
-            mode = source.mode(path)
             if entry.kind == DIRECTORY:
                 info.type = tarfile.DIRTYPE
                 info.mode = mode if mode is not None else 0o755
-                tf.addfile(info)
             elif entry.kind == REGULAR:
-                data = _read_exact(source, path, entry.size)
                 info.type = tarfile.REGTYPE
                 info.size = len(data)
                 info.mode = mode if mode is not None else 0o644
-                tf.addfile(info, io.BytesIO(data))
-            elif entry.kind == SYMLINK:
+            else:
                 info.type = tarfile.SYMTYPE
                 info.linkname = entry.link_target
                 info.mode = 0o777
-                tf.addfile(info)
-            else:
-                log.warning("skipping special entry during materialization: %s", path)
+            tf.addfile(info, io.BytesIO(data) if data is not None else None)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import compress, count
 from typing import Iterable, Mapping, Sequence
 
-from .packages import APT, CONDA, PIP, PackageRecord, canonical_pip_name
+from .packages import APT, PIP, PackageRecord, canonical_pip_name
 
 log = logging.getLogger(__name__)
 
@@ -66,51 +66,6 @@ class PackageAttrGraph:
         return len(self.nodes)
 
 
-class _Resolver:
-    """Resolves declared dependency names to installed packages."""
-
-    def __init__(self, catalog: Sequence[PackageRecord]):
-        self.by_manager: dict[str, dict[str, PackageRecord]] = {APT: {}, PIP: {}, CONDA: {}}
-        self.apt_provides: dict[str, list[PackageRecord]] = {}
-        for rec in catalog:
-            names = self.by_manager.setdefault(rec.manager, {})
-            if rec.name in names:
-                log.warning("duplicate %s package name %s; keeping version %s",
-                            rec.manager, rec.name, names[rec.name].version)
-                continue
-            names[rec.name] = rec
-            if rec.manager == APT:
-                for virtual in rec.provides:
-                    self.apt_provides.setdefault(virtual, []).append(rec)
-
-    def direct_deps(self, rec: PackageRecord) -> tuple[list[PackageRecord], int]:
-        """Installed packages ``rec`` depends on, plus dangling-group count.
-
-        APT alternative groups ('a | b') link every installed alternative;
-        virtual names resolve through the Provides index. A group none of
-        whose alternatives is installed counts as dangling.
-        """
-        deps: dict[str, PackageRecord] = {}
-        dangling = 0
-        names = self.by_manager.get(rec.manager, {})
-        for group in rec.declared_deps:
-            found = []
-            for alt in group:
-                if rec.manager == PIP:
-                    alt = canonical_pip_name(alt)
-                hit = names.get(alt)
-                if hit is not None:
-                    found.append(hit)
-                elif rec.manager == APT:
-                    found.extend(self.apt_provides.get(alt, ()))
-            if not found:
-                dangling += 1
-            for dep in found:
-                if dep.key != rec.key:
-                    deps[dep.graph_key] = dep
-        return [deps[k] for k in sorted(deps)], dangling
-
-
 def build_graph(catalog: Sequence[PackageRecord],
                 d_p: Mapping[str, float],
                 vuln_counts: Mapping[str, int] | None = None) -> PackageAttrGraph:
@@ -118,37 +73,62 @@ def build_graph(catalog: Sequence[PackageRecord],
 
     ``d_p`` and ``vuln_counts`` are keyed by ``PackageRecord.graph_key``;
     a package missing from ``d_p`` counts as fully unused (1.0), a missing
-    vulnerability count as zero. Ties are broken by sorted key so the
-    build is deterministic under any catalog ordering, and each package is
-    enqueued at most once so dependency cycles terminate.
+    vulnerability count as zero. A graph key shared by several records
+    keeps the first in key order, so the build is deterministic under any
+    catalog ordering, and each package is enqueued at most once so
+    dependency cycles terminate.
+
+    A declared name resolves within its dependent's manager (PIP names after
+    PEP 503 normalization, APT names also through the Provides index); an
+    APT group 'a | b' links every alternative that resolves, and a group
+    with none counts as dangling.
     """
     vuln_counts = vuln_counts or {}
-    ordered = sorted(catalog, key=lambda r: r.key)
-    resolver = _Resolver(ordered)
-    records = {rec.graph_key: rec
-               for m in resolver.by_manager.values() for rec in m.values()}
+    records: dict[str, PackageRecord] = {}
+    apt_provides: dict[str, list[str]] = {}  # virtual name -> graph keys
+    for rec in sorted(catalog, key=lambda r: r.key):
+        key = rec.graph_key
+        if key in records:
+            log.warning("duplicate %s package name %s; keeping version %s",
+                        rec.manager, rec.name, records[key].version)
+            continue
+        records[key] = rec
+        if rec.manager == APT:
+            for virtual in rec.provides:
+                apt_provides.setdefault(virtual, []).append(key)
 
     def dp_of(key: str) -> float:
         if key not in d_p:
             log.debug("no bloat degree for %s; assuming unused", key)
         return d_p.get(key, 1.0)
 
-    depth: dict[str, int] = {}
     start = sorted(k for k in records if dp_of(k) < 1)
-    for k in start:
-        depth[k] = 1
+    depth = dict.fromkeys(start, 1)
     queue = deque(start)
     edges: set[tuple[str, str]] = set()
     dangling = 0
     while queue:
         cur = queue.popleft()
-        deps, missing = resolver.direct_deps(records[cur])
-        dangling += missing
-        for dep in deps:
-            edges.add((cur, dep.graph_key))
-            if dep.graph_key not in depth:
-                depth[dep.graph_key] = depth[cur] + 1
-                queue.append(dep.graph_key)
+        rec = records[cur]
+        for group in rec.declared_deps:
+            found = []
+            for alt in group:
+                if rec.manager == PIP:
+                    alt = canonical_pip_name(alt)
+                named = f"{rec.manager}:{alt}"
+                if named in records:
+                    found.append(named)
+                elif rec.manager == APT:
+                    found.extend(apt_provides.get(alt, ()))
+            if not found:
+                dangling += 1
+            for dep in found:
+                if dep == cur:
+                    continue
+                edges.add((cur, dep))
+                if dep not in depth:
+                    depth[dep] = depth[cur] + 1
+                    queue.append(dep)
     nodes = {}
     for key in sorted(depth):
         rec = records[key]

@@ -15,7 +15,6 @@ very metadata files parsed here.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import email.parser
 import fnmatch
 import importlib.resources
@@ -25,7 +24,8 @@ import logging
 import re
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, MaterializeError
 from .imagefs import REGULAR, ContentSource, FileSet
@@ -47,6 +47,10 @@ GENERIC = "generic"
 MANAGER_PRIORITY = (CONDA, PIP, APT)
 
 PkgKey = tuple[str, str, str]  # (manager, name, version)
+
+# What a detector reads from one install's metadata:
+# (manager, name, version, files, declared_deps, provides)
+_Found = tuple[str, str, str, frozenset[str], tuple[tuple[str, ...], ...], tuple[str, ...]]
 
 _DPKG_STATUS = "/var/lib/dpkg/status"
 _DPKG_INFO_DIR = "/var/lib/dpkg/info"
@@ -171,16 +175,15 @@ def _dpkg_list_paths(text: str) -> frozenset[str]:
     return frozenset(paths)
 
 
-def _detect_apt(fs: FileSet, source: ContentSource) -> list[PackageRecord]:
+def _detect_apt(fs: FileSet, source: ContentSource) -> Iterator[_Found]:
     if _DPKG_STATUS not in fs.entries:
         log.debug("no dpkg database found at %s", _DPKG_STATUS)
-        return []
+        return
     try:
         text = source.read(_DPKG_STATUS).decode("utf-8", errors="replace")
     except MaterializeError as exc:
         log.warning("unreadable dpkg database, treated as missing: %s", exc)
-        return []
-    records = []
+        return
     for stanza in _parse_deb_stanzas(text):
         name = stanza.get("Package")
         version = stanza.get("Version")
@@ -195,19 +198,17 @@ def _detect_apt(fs: FileSet, source: ContentSource) -> list[PackageRecord]:
         for candidate in (f"{_DPKG_INFO_DIR}/{name}:{arch}.list" if arch else None,
                           f"{_DPKG_INFO_DIR}/{name}.list"):
             if candidate and candidate in fs.entries:
-                files = _dpkg_list_paths(source.read(candidate).decode("utf-8", "replace"))
+                try:
+                    files = _dpkg_list_paths(source.read(candidate).decode("utf-8", "replace"))
+                except MaterializeError as exc:
+                    log.warning("unreadable dpkg file list, treated as missing: %s", exc)
                 break
         else:
             log.debug("no .list file for apt package %s", name)
         deps = _parse_dep_field(stanza.get("Pre-Depends", "")) + \
             _parse_dep_field(stanza.get("Depends", ""))
         provides = tuple(alt[0] for alt in _parse_dep_field(stanza.get("Provides", "")))
-        records.append(PackageRecord(
-            manager=APT, name=name, version=version, files=files,
-            declared_deps=deps, provides=provides,
-            size=_files_size(files, fs),
-        ))
-    return records
+        yield APT, name, version, files, deps, provides
 
 
 # -- PIP ---------------------------------------------------------------
@@ -219,14 +220,13 @@ def _req_dist_name(req: str) -> str | None:
     return canonical_pip_name(m.group("name")) if m else None
 
 
-def _detect_pip(fs: FileSet, source: ContentSource) -> list[PackageRecord]:
+def _detect_pip(fs: FileSet, source: ContentSource) -> Iterator[_Found]:
     dist_infos: dict[str, tuple[str, str]] = {}  # dist-info dir -> (site root, dirname)
     for path in fs.entries:
         m = _DIST_INFO_RE.match(path)
         if m:
             di_dir = f"{m.group('root')}/{m.group('dir')}.dist-info"
             dist_infos[di_dir] = (m.group("root") or "/", m.group("dir"))
-    records = []
     for di_dir in sorted(dist_infos):
         site_root, dirname = dist_infos[di_dir]
         name = version = None
@@ -265,19 +265,13 @@ def _detect_pip(fs: FileSet, source: ContentSource) -> list[PackageRecord]:
                 continue
         else:
             log.debug("no RECORD for pip package %s", name)
-        records.append(PackageRecord(
-            manager=PIP, name=canonical_pip_name(name), version=version,
-            files=frozenset(files), declared_deps=tuple(deps),
-            size=_files_size(files, fs),
-        ))
-    return records
+        yield PIP, canonical_pip_name(name), version, frozenset(files), tuple(deps), ()
 
 
 # -- Conda -------------------------------------------------------------
 
 
-def _detect_conda(fs: FileSet, source: ContentSource) -> list[PackageRecord]:
-    records = []
+def _detect_conda(fs: FileSet, source: ContentSource) -> Iterator[_Found]:
     for path in sorted(fs.entries):
         m = _CONDA_META_RE.match(path)
         if not m:
@@ -287,19 +281,18 @@ def _detect_conda(fs: FileSet, source: ContentSource) -> list[PackageRecord]:
             doc = json.loads(source.read(path).decode("utf-8", errors="replace"))
             name = doc["name"]
             version = str(doc["version"])
+            listed = doc.get("files", [])
+            depends = doc.get("depends", [])
+            if not isinstance(name, str) or not isinstance(listed, list) \
+                    or not isinstance(depends, list):
+                raise TypeError("name must be a string, files and depends arrays")
+            (name + version).encode("utf-8")  # a JSON "\ud800" escape cannot be written out
         except Exception as exc:
             log.warning("skipping malformed conda-meta document %s: %s", path, exc)
             continue
-        files = frozenset(
-            normalize_path(prefix, f) for f in doc.get("files", []) if isinstance(f, str)
-        )
-        deps = tuple((d.split()[0],) for d in doc.get("depends", [])
-                     if isinstance(d, str) and d.split())
-        records.append(PackageRecord(
-            manager=CONDA, name=name, version=version, files=files,
-            declared_deps=deps, size=_files_size(files, fs),
-        ))
-    return records
+        files = frozenset(normalize_path(prefix, f) for f in listed if isinstance(f, str))
+        deps = tuple((d.split()[0],) for d in depends if isinstance(d, str) and d.split())
+        yield CONDA, name, version, files, deps, ()
 
 
 def _files_size(files: Iterable[str], fs: FileSet) -> int:
@@ -337,7 +330,11 @@ def load_rules(source: str | None = None) -> tuple[str, ...]:
 def classify_functionality(p: PackageRecord, rules: Sequence[str]) -> str:
     """ML iff the package name matches any rule (case-insensitive
     substring, or fnmatch glob when the pattern contains wildcards)."""
-    name = p.name.lower()
+    return _functionality(p.name, rules)
+
+
+def _functionality(name: str, rules: Sequence[str]) -> str:
+    name = name.lower()
     for pat in rules:
         if any(ch in pat for ch in "*?["):
             if fnmatch.fnmatchcase(name, pat):
@@ -358,14 +355,18 @@ def detect_packages(fs: FileSet, source: ContentSource,
     """
     if rules is None:
         rules = load_rules()
-    records = _detect_apt(fs, source) + _detect_pip(fs, source) + _detect_conda(fs, source)
     seen: dict[PkgKey, PackageRecord] = {}
-    for rec in records:
-        if rec.key in seen:
-            log.warning("duplicate package record %s; keeping the first", rec.key)
+    for manager, name, version, files, deps, provides in chain(
+            _detect_apt(fs, source), _detect_pip(fs, source), _detect_conda(fs, source)):
+        key = (manager, name, version)
+        if key in seen:
+            log.warning("duplicate package record %s; keeping the first", key)
             continue
-        seen[rec.key] = dataclasses.replace(
-            rec, functionality=classify_functionality(rec, rules))
+        seen[key] = PackageRecord(
+            manager=manager, name=name, version=version, files=files,
+            declared_deps=deps, provides=provides,
+            functionality=_functionality(name, rules), size=_files_size(files, fs),
+        )
     return sorted(seen.values(), key=lambda r: r.key)
 
 

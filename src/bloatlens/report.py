@@ -313,7 +313,7 @@ def _default_container_id(config: PipelineConfig) -> str:
 def _provenance(config: PipelineConfig, fs: FileSet) -> dict:
     inputs: dict[str, object] = {}
     digests: dict[str, object] = {"filesystem": hashlib.sha256(
-        render_manifest(fs).encode("utf-8")).hexdigest()}
+        render_manifest(fs).encode("utf-8", "surrogateescape")).hexdigest()}
     if config.rootfs:
         inputs["rootfs"] = config.rootfs
     if config.layers:
@@ -576,9 +576,11 @@ def dump_json(obj) -> str:
 
 
 def write_text(out: str, name: str, text: str) -> None:
-    """Write ``text`` as ``out/name``, creating ``out`` as needed."""
+    """Write ``text`` as ``out/name`` in UTF-8, creating ``out`` as needed; a
+    surrogate escape (a file name that is not UTF-8) is written as its byte."""
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as f:
+    with open(os.path.join(out, name), "w", encoding="utf-8", errors="surrogateescape",
+              newline="") as f:
         f.write(text)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import VulnReportError
 from .imagefs import FileSet
@@ -70,8 +70,42 @@ def _require(obj: Any, key: str, where: str) -> Any:
     return obj[key]
 
 
+def _array(value: Any, where: str) -> list:
+    """An optional array field: null or absent reads as empty."""
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise VulnReportError(f"{where} is not an array")
+    return value
+
+
 def _norm_location(path: str) -> str:
     return path if path.startswith("/") else "/" + path
+
+
+def _merged(findings: Iterable[tuple]) -> list[VulnMatch]:
+    """One VulnMatch per (id, package, version), locations unioned. Each
+    finding is (id, severity, name, version, locations, id_at, name_at); the
+    last two are the JSON paths of its id and name in the report's layout."""
+    merged: dict[tuple[str, str, str], tuple[str, set[str]]] = {}
+    for cve, sev, name, version, locs, id_at, name_at in findings:
+        if not isinstance(cve, str) or not cve:
+            raise VulnReportError(f"{id_at} must be a non-empty string")
+        if not name and not locs:
+            raise VulnReportError(f"{name_at} must be non-empty for a finding without locations")
+        sev = normalize_severity(sev)
+        key = (cve, name, version)
+        if key in merged:
+            old_sev, old_locs = merged[key]
+            if old_sev != sev:
+                log.warning("conflicting severities for %s; keeping %s", key, old_sev)
+            old_locs |= locs
+        else:
+            merged[key] = (sev, locs)
+    out = [VulnMatch(cve_id=cve, severity=sev, pkg_name=name, pkg_version=version,
+                     locations=frozenset(locs))
+           for (cve, name, version), (sev, locs) in merged.items()]
+    return sorted(out, key=lambda v: (v.cve_id, v.pkg_name, v.pkg_version))
 
 
 def load_report(doc: Any) -> list[VulnMatch]:
@@ -88,63 +122,51 @@ def load_report(doc: Any) -> list[VulnMatch]:
         matches = doc
     if not isinstance(matches, list):
         raise VulnReportError("$.matches is not an array")
-    merged: dict[tuple[str, str, str], tuple[str, set[str]]] = {}
-    order: list[tuple[str, str, str]] = []
+    return _merged(_grype_findings(matches))
+
+
+def _grype_findings(matches: list) -> Iterator[tuple]:
     for i, m in enumerate(matches):
         where = f"$.matches[{i}]"
         vul = _require(m, "vulnerability", where)
         art = _require(m, "artifact", where)
         cve = _require(vul, "id", f"{where}.vulnerability")
-        sev = normalize_severity(str(_require(vul, "severity", f"{where}.vulnerability")))
+        sev = str(_require(vul, "severity", f"{where}.vulnerability"))
         name = str(_require(art, "name", f"{where}.artifact"))
         version = str(_require(art, "version", f"{where}.artifact"))
         locs = set()
-        for j, loc in enumerate(art.get("locations") or []):
-            locs.add(_norm_location(str(_require(loc, "path", f"{where}.artifact.locations[{j}]"))))
-        if not isinstance(cve, str) or not cve:
-            raise VulnReportError(f"{where}.vulnerability.id must be a non-empty string")
-        key = (cve, name, version)
-        if key in merged:
-            old_sev, old_locs = merged[key]
-            if old_sev != sev:
-                log.warning("conflicting severities for %s; keeping %s", key, old_sev)
-            old_locs |= locs
-        else:
-            merged[key] = (sev, locs)
-            order.append(key)
-    out = []
-    for key in order:
-        sev, locs = merged[key]
-        out.append(VulnMatch(cve_id=key[0], severity=sev, pkg_name=key[1],
-                             pkg_version=key[2], locations=frozenset(locs)))
-    return sorted(out, key=lambda v: (v.cve_id, v.pkg_name, v.pkg_version))
+        at = f"{where}.artifact.locations"
+        for j, loc in enumerate(_array(art.get("locations"), at)):
+            locs.add(_norm_location(str(_require(loc, "path", f"{at}[{j}]"))))
+        yield (cve, sev, name, version, locs,
+               f"{where}.vulnerability.id", f"{where}.artifact.name")
 
 
 def load_trivy_report(doc: Any) -> list[VulnMatch]:
     """Convert Trivy's Results[].Vulnerabilities[] layout to VulnMatch rows.
 
     Trivy reports carry no per-file locations for OS packages, so matches
-    fall back to package-file coverage during survival analysis.
+    fall back to package-file coverage during survival analysis. Schema
+    violations name the JSON path of the offending field in this layout.
     """
     results = _require(doc, "Results", "$")
     if not isinstance(results, list):
         raise VulnReportError("$.Results is not an array")
-    grype_like = []
+    return _merged(_trivy_findings(results))
+
+
+def _trivy_findings(results: list) -> Iterator[tuple]:
     for i, res in enumerate(results):
-        for j, v in enumerate(res.get("Vulnerabilities") or []):
-            where = f"$.Results[{i}].Vulnerabilities[{j}]"
-            grype_like.append({
-                "vulnerability": {
-                    "id": _require(v, "VulnerabilityID", where),
-                    "severity": str(v.get("Severity", "Unknown")),
-                },
-                "artifact": {
-                    "name": _require(v, "PkgName", where),
-                    "version": str(v.get("InstalledVersion", "")),
-                    "locations": [],
-                },
-            })
-    return load_report(grype_like)
+        if not isinstance(res, dict):
+            raise VulnReportError(f"$.Results[{i}] is not an object")
+        at = f"$.Results[{i}].Vulnerabilities"
+        for j, v in enumerate(_array(res.get("Vulnerabilities"), at)):
+            where = f"{at}[{j}]"
+            cve = _require(v, "VulnerabilityID", where)
+            name = str(_require(v, "PkgName", where))
+            yield (cve, str(v.get("Severity", "Unknown")), name,
+                   str(v.get("InstalledVersion", "")), set(),
+                   f"{where}.VulnerabilityID", f"{where}.PkgName")
 
 
 def _catalog_finder(catalog: Sequence[PackageRecord]):

@@ -1,4 +1,6 @@
 import json
+import os
+import tarfile
 
 import pytest
 
@@ -206,6 +208,24 @@ class TestAnalyze:
         manifest = (out / "manifest.tsv").read_text()
         assert "/etc/hostname" in manifest
 
+    def test_non_utf8_file_name_keeps_its_bytes(self, mini_rootfs, tmp_path, capsys):
+        with open(os.path.join(os.fsencode(mini_rootfs), b"app/caf\xe9.conf"), "wb") as f:
+            f.write(b"x")
+        trace = tmp_path / "trace.log"
+        trace.write_text('1 open("/app/caf\\351.conf", O_RDONLY) = 3\n')
+        for command, flags in (("analyze", ["--emit-tar"]),
+                               ("debloat", ["--emit-tar", "--emit-rootfs"])):
+            out = tmp_path / command
+            code, _, _ = run_cli(capsys, command, "--rootfs", str(mini_rootfs),
+                                 "--trace", str(trace), *flags, "--out", str(out))
+            assert code == 0
+            assert b"regular\t1\t/app/caf\xe9.conf\n" in (out / "manifest.tsv").read_bytes()
+            with tarfile.open(out / "debloated.tar") as tf:
+                assert tf.extractfile("./app/caf\udce9.conf").read() == b"x"
+        with open(os.path.join(os.fsencode(tmp_path / "debloat" / "rootfs"),
+                               b"app/caf\xe9.conf"), "rb") as f:
+            assert f.read() == b"x"
+
 
 class TestStageSubcommands:
     def test_debloat_stage(self, mini_rootfs, mini_trace_path, tmp_path, capsys):
@@ -363,6 +383,45 @@ BAD_REPORTS = {
 }
 
 
+def _grype(artifact: str) -> str:
+    return ('{"matches": [{"vulnerability": {"id": "CVE-1", "severity": "High"}, '
+            f'"artifact": {artifact}}}]}}')
+
+
+# Inputs of wrong shape: each must end in its documented exit code, not a traceback.
+MALFORMED_REPORTS = {
+    "trivy-result-not-object": '{"Results": [1]}',
+    "trivy-vulnerabilities-not-array": '{"Results": [{"Vulnerabilities": 5}]}',
+    "trivy-empty-id": '{"Results": [{"Vulnerabilities": [{"VulnerabilityID": "", '
+                      '"PkgName": "a"}]}]}',
+    "grype-locations-not-array": _grype('{"name": "a", "version": "1", "locations": 5}'),
+    "grype-empty-name": _grype('{"name": "", "version": "1"}'),
+}
+
+
+def _replace(root, path: str, make) -> None:
+    (root / path).unlink()
+    make(root / path)
+
+
+CONDA_META = "opt/conda/conda-meta/condapkg-3.1-0.json"
+LIBA_LIST = "var/lib/dpkg/info/liba.list"
+MALFORMED_IMAGES = {
+    "conda-files-null": lambda root: (root / CONDA_META).write_text(
+        '{"name": "condapkg", "version": "3.1", "files": null}'),
+    "conda-depends-not-array": lambda root: (root / CONDA_META).write_text(
+        '{"name": "condapkg", "version": "3.1", "depends": 5}'),
+    "conda-name-lone-surrogate": lambda root: (root / CONDA_META).write_text(
+        '{"name": "condapkg\\ud800", "version": "3.1"}'),
+    "dpkg-list-dangling-symlink": lambda root: _replace(
+        root, LIBA_LIST, lambda p: p.symlink_to("gone.list")),
+    "dpkg-list-directory": lambda root: _replace(root, LIBA_LIST, lambda p: p.mkdir()),
+    "dpkg-list-fifo": lambda root: _replace(root, LIBA_LIST, os.mkfifo),
+    "non-utf8-name": lambda root: open(
+        os.path.join(os.fsencode(root), b"app/caf\xe9.conf"), "wb").close(),
+}
+
+
 class TestInputPolicy:
     @pytest.mark.parametrize("command, flag", [
         ("analyze", "--rules"),
@@ -387,6 +446,38 @@ class TestInputPolicy:
         assert code == 2
         assert json.loads(stderr)["error"]["flag"] == flag
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, case", [
+        *(("analyze", case) for case in MALFORMED_REPORTS),
+        *(("vulns", case) for case in MALFORMED_REPORTS),
+        *(("analyze", case) for case in MALFORMED_IMAGES),
+    ])
+    def test_malformed_input_exits_without_traceback(self, command, case, mini_rootfs,
+                                                     mini_trace_path, tmp_path, capsys):
+        args = ["--rootfs", str(mini_rootfs), "--trace", str(mini_trace_path),
+                "--out", str(tmp_path / "out")]
+        if case in MALFORMED_REPORTS:
+            report = tmp_path / "report.json"
+            report.write_text(MALFORMED_REPORTS[case])
+            args += ["--vuln-report", str(report)]
+            expected = 4 if command == "analyze" else 2
+        else:
+            MALFORMED_IMAGES[case](mini_rootfs)
+            expected = 0
+        code, _, stderr = run_cli(capsys, command, *args)
+        assert code == expected
+        assert "Traceback" not in stderr
+        if expected == 0:
+            assert stderr == ""
+            return
+        layout = "$.Results" if case.startswith("trivy") else "$.matches"
+        if expected == 2:
+            error = json.loads(stderr)["error"]
+            assert error["flag"] == "--vuln-report"
+            assert error["message"].startswith(layout)
+        else:
+            assert json.loads(stderr)["diagnostics"][0].startswith(
+                f"vulnerability report ignored: {layout}")
 
     @pytest.mark.parametrize("kind", sorted(BAD_REPORTS))
     def test_analyze_records_bad_report_without_its_path(self, kind, mini_rootfs,

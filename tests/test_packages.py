@@ -1,3 +1,4 @@
+import json
 import logging
 import os
 import tarfile
@@ -192,6 +193,45 @@ class TestDetectPackages:
         rec = next(r for r in catalog if r.manager == CONDA)
         assert rec.files == frozenset()
         assert rec.size == 0
+
+    @pytest.mark.parametrize("override", [
+        {"files": None}, {"files": 5}, {"depends": None}, {"depends": {"a": 1}},
+        {"name": 7}, {"name": None}, {"name": "bad\ud800"}, {"version": "1\udc80"},
+    ], ids=str)
+    def test_conda_wrong_shape_skips_the_package(self, tmp_path, caplog, override):
+        meta = tmp_path / "env" / "conda-meta"
+        meta.mkdir(parents=True)
+        doc = {"name": "bad", "version": "1", "files": [], "depends": []} | override
+        (meta / "bad-1-0.json").write_text(json.dumps(doc))
+        (meta / "good-1-0.json").write_text('{"name": "good", "version": "1"}')
+        caplog.set_level(logging.WARNING, logger="bloatlens.packages")
+        catalog = detect_packages(*load_rootfs(tmp_path))
+        assert [r.name for r in catalog] == ["good"]
+        assert "skipping malformed conda-meta document /env/conda-meta/bad-1-0.json" \
+            in caplog.text
+
+    @pytest.mark.parametrize("kind", ["dangling-symlink", "directory", "fifo"])
+    def test_unreadable_dpkg_list_is_treated_as_missing(self, tmp_path, caplog, kind):
+        dbdir = tmp_path / "var" / "lib" / "dpkg"
+        (dbdir / "info").mkdir(parents=True)
+        (dbdir / "status").write_text(
+            "Package: one\nStatus: install ok installed\nVersion: 1\n\n"
+            "Package: two\nStatus: install ok installed\nVersion: 2\n")
+        (dbdir / "info" / "two.list").write_text("/bin/two\n")
+        listing = dbdir / "info" / "one.list"
+        if kind == "dangling-symlink":
+            listing.symlink_to("gone.list")
+        elif kind == "directory":
+            listing.mkdir()
+        else:
+            os.mkfifo(listing)
+        (tmp_path / "bin").mkdir()
+        (tmp_path / "bin" / "two").write_bytes(b"2" * 7)
+        caplog.set_level(logging.WARNING, logger="bloatlens.packages")
+        catalog = detect_packages(*load_rootfs(tmp_path))
+        assert [(r.name, r.files, r.size) for r in catalog] == [
+            ("one", frozenset(), 0), ("two", frozenset({"/bin/two"}), 7)]
+        assert "unreadable dpkg file list, treated as missing" in caplog.text
 
     def test_deterministic_order(self, mini_rootfs):
         fs, source = load_rootfs(mini_rootfs)

@@ -94,6 +94,36 @@ class TestLoadReport:
         with pytest.raises(VulnReportError, match=r"locations\[0\]"):
             load_report(doc)
 
+    @pytest.mark.parametrize("loader, doc, message", [
+        (load_trivy_report, {"Results": [1]}, "$.Results[0] is not an object"),
+        (load_trivy_report, {"Results": [{"Vulnerabilities": 5}]},
+         "$.Results[0].Vulnerabilities is not an array"),
+        (load_trivy_report, {"Results": [{"Vulnerabilities": [
+            {"VulnerabilityID": "CVE-1", "PkgName": "a"},
+            {"VulnerabilityID": "CVE-2", "PkgName": "b"},
+            {"VulnerabilityID": "CVE-3"}]}]},
+         "missing required field at $.Results[0].Vulnerabilities[2].PkgName"),
+        (load_trivy_report, {"Results": [{"Vulnerabilities": [
+            {"VulnerabilityID": "", "PkgName": "a"}]}]},
+         "$.Results[0].Vulnerabilities[0].VulnerabilityID must be a non-empty string"),
+        (load_trivy_report, {"Results": [{"Vulnerabilities": [
+            {"VulnerabilityID": "CVE-1", "PkgName": ""}]}]},
+         "$.Results[0].Vulnerabilities[0].PkgName must be non-empty for a finding "
+         "without locations"),
+        (load_report, {"matches": [{"vulnerability": {"id": "CVE-1", "severity": "High"},
+                                    "artifact": {"name": "a", "version": "1",
+                                                 "locations": 5}}]},
+         "$.matches[0].artifact.locations is not an array"),
+        (load_report, grype_doc(grype_match("CVE-1", "High", "", "1")),
+         "$.matches[0].artifact.name must be non-empty for a finding without locations"),
+    ], ids=["trivy-result-not-object", "trivy-vulnerabilities-not-array",
+            "trivy-missing-pkgname", "trivy-empty-id", "trivy-empty-pkgname",
+            "grype-locations-not-array", "grype-empty-name"])
+    def test_wrong_shape_names_its_layouts_json_path(self, loader, doc, message):
+        with pytest.raises(VulnReportError) as err:
+            loader(doc)
+        assert str(err.value) == message
+
     def test_relative_location_normalized(self):
         doc = grype_doc(grype_match("CVE-1", "High", "a", "1", ["usr/lib/x"]))
         assert load_report(doc)[0].locations == {"/usr/lib/x"}
