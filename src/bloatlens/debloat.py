@@ -8,10 +8,9 @@ complement. Both are path-level set operations on an immutable FileSet.
 from __future__ import annotations
 
 import fnmatch
-import io
 import logging
 import os
-import tarfile
+import struct
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -188,22 +187,43 @@ def _write_dir(out: str, contents: Iterator[tuple]) -> None:
             os.chmod(target, mode)
 
 
+# debloated.tar holds the bytes tarfile's default (pax) format writes for each
+# member with mtime, uid and gid 0 and no user, group or device fields.
+_USTAR = struct.Struct("100s8s16s12s12s8sc100s8s247x")
+_TAR_TYPES = {DIRECTORY: (b"5", 0o755), REGULAR: (b"0", 0o644), SYMLINK: (b"2", 0o777)}
+
+
+def _tar_header(name: str, typ: bytes, mode: int, size: int = 0, link: str = "") -> bytes:
+    """A member's ustar header, after a pax 'x' header when its name or link is
+    over 100 bytes or not ASCII, or its size is 8 GiB or more."""
+    pax = [(key, value) for key, value in ((b"path", name), (b"linkpath", link))
+           if len(value) > 100 or not value.isascii()]
+    if size >= 8 ** 11:
+        pax, size = pax + [(b"size", str(size))], 0
+    head = b""
+    if pax:
+        try:
+            "".join(value for _, value in pax).encode("utf-8")
+        except UnicodeEncodeError:  # a surrogate escape: the values are raw bytes
+            head = b"21 hdrcharset=BINARY\n"
+        for key, value in pax:
+            value = value.encode("utf-8", "surrogateescape")
+            n = len(key) + len(value) + 3  # a record's length counts its own digits
+            head += b"%d %s=%s\n" % (n + len(str(n + len(str(n)))), key, value)
+        head = _tar_header("././@PaxHeader", b"x", 0, len(head)) + head + bytes(-len(head) % 512)
+    buf = _USTAR.pack(name.encode("ascii", "replace"), b"%07o" % (mode & 0o7777),
+                      b"0000000\0" * 2, b"%011o" % size, b"0" * 11, b" " * 8, typ,
+                      link.encode("ascii", "replace"), b"ustar\x0000")  # a blank checksum
+    return b"%s%s%06o\0 %s" % (head, buf[:148], sum(buf), buf[156:])
+
+
 def _write_tar(out: str, contents: Iterator[tuple]) -> None:
-    with tarfile.open(out, "w") as tf:
+    with open(out, "wb") as f:
         for path, entry, mode, data in contents:
-            info = tarfile.TarInfo("." if path == "/" else "." + path)
-            info.mtime = 0
-            info.uid = info.gid = 0
-            info.uname = info.gname = ""
-            if entry.kind == DIRECTORY:
-                info.type = tarfile.DIRTYPE
-                info.mode = mode if mode is not None else 0o755
-            elif entry.kind == REGULAR:
-                info.type = tarfile.REGTYPE
-                info.size = len(data)
-                info.mode = mode if mode is not None else 0o644
-            else:
-                info.type = tarfile.SYMTYPE
-                info.linkname = entry.link_target
-                info.mode = 0o777
-            tf.addfile(info, io.BytesIO(data) if data is not None else None)
+            typ, default = _TAR_TYPES[entry.kind]
+            name = ("." + path).rstrip("/") + ("/" if entry.kind == DIRECTORY else "")
+            mode = default if mode is None or entry.kind == SYMLINK else mode
+            data = data or b""
+            f.writelines((_tar_header(name, typ, mode, len(data), entry.link_target or ""),
+                          data, bytes(-len(data) % 512)))
+        f.write(bytes(1024 + -(f.tell() + 1024) % 10240))  # two end blocks, then a full record

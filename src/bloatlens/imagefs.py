@@ -17,7 +17,7 @@ is closed (or, for a layer none of whose members is left in the union,
 until the union is built). The tar walk reads ustar headers (either checksum
 sum, octal and base-256 numbers, the name prefix, v7 ``name/`` directories),
 GNU long names and link names, and pax extended and global records (path,
-linkpath, size); it rejects sparse members. tarfile only writes tars here.
+linkpath, size); it rejects sparse members. The package uses no tarfile.
 Every source follows symlinks inside the image, and never out of it.
 """
 
@@ -35,6 +35,7 @@ import struct
 import sys
 import tempfile
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -71,13 +72,11 @@ _EXTENSION_TYPES = (b"L", b"K", b"x", b"X", b"g")  # GNU long names, pax, pax gl
 
 
 def _validate_path(path: str) -> None:
-    if path == "/":
-        return
-    if not path.startswith("/") or path.endswith("/"):
+    if path != "/" and (not path.startswith("/") or path.endswith("/")):
         raise ValueError(f"path must be absolute without trailing slash: {path!r}")
-    for seg in path.split("/")[1:]:
-        if seg in ("", ".", ".."):
-            raise ValueError(f"path contains empty or dot segment: {path!r}")
+    # A path with no '//' and no '/.' has no empty, '.' or '..' segment.
+    if ("//" in path or "/." in path) and {"", ".", ".."}.intersection(path.split("/")[1:]):
+        raise ValueError(f"path contains empty or dot segment: {path!r}")
 
 
 def parent_of(path: str) -> str:
@@ -85,7 +84,7 @@ def parent_of(path: str) -> str:
     return path.rsplit("/", 1)[0] or "/"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileEntry:
     """One filesystem object: an absolute normalized path plus kind and size.
 
@@ -171,13 +170,6 @@ def total_size(fs: FileSet) -> int:
     return sum(e.size for e in fs.entries.values() if e.kind == REGULAR)
 
 
-def _ancestors(path: str) -> Iterator[str]:
-    """Proper ancestors of an absolute path, nearest first, ending with '/'."""
-    while path != "/":
-        path = parent_of(path)
-        yield path
-
-
 def _with_parents(entries: Iterable[FileEntry]) -> FileSet:
     """A FileSet of entries (later ones win) and the parent directories they imply."""
     items = {"/": FileEntry("/", DIRECTORY)}
@@ -194,10 +186,11 @@ def _with_parents(entries: Iterable[FileEntry]) -> FileSet:
 
 def _tar_member_path(name: str) -> str | None:
     """Normalize a tar member name to an absolute path; None for the root."""
-    parts = [p for p in name.split("/") if p not in ("", ".")]
-    if not parts or ".." in parts:
-        return None
-    return "/" + "/".join(parts)
+    path = "/" + name.removeprefix("./").removesuffix("/")
+    if "//" in path or "/." in path or path.endswith("/"):  # else it is already normal
+        parts = [p for p in name.split("/") if p not in ("", ".")]
+        path = "/" + "/".join(parts) if parts and ".." not in parts else None
+    return path
 
 
 def _resolve(path: str, link: Callable[[str], str | None]) -> str:
@@ -398,16 +391,17 @@ def _tar_members(plain: IO[bytes], label: str) -> list[tuple[str, _Member]]:
             raise bad("unexpected end of data")
         return pos + size + -size % _BLOCK
 
-    plain.seek(pos)
+    read, seek, unpack = plain.read, plain.seek, _HEADER.unpack
+    seek(pos)
     while True:
-        buf = plain.read(_BLOCK)
+        buf = read(_BLOCK)
         extended, at = at is not None, pos if at is None else at
         if len(buf) < _BLOCK or buf == _ZERO_BLOCK:
             if extended or (pos == start and len(buf) < _BLOCK):
                 raise bad("no member after its extended header" if extended else
                           "truncated header" if buf else "empty file")
             break
-        name, mode, size, chksum, typ, linkname, prefix = _HEADER.unpack(buf)
+        name, mode, size, chksum, typ, linkname, prefix = unpack(buf)
         try:
             # Compare the checksum, as a byte sum of the block, with the unsigned and
             # signed sums; an ASCII block sums below 65521, to Adler-32's low half - 1.
@@ -418,8 +412,8 @@ def _tar_members(plain: IO[bytes], label: str) -> list[tuple[str, _Member]]:
             mode, size = _number(mode), _number(size)
             pos += _BLOCK
             if typ in _EXTENSION_TYPES:
-                nxt, data = data_end(size), plain.read(size)
-                pos = plain.seek(nxt)
+                nxt, data = data_end(size), read(size)
+                pos = seek(nxt)
                 records = _pax_records(data) if typ not in b"LK" else {
                     "path" if typ == b"L" else "linkpath":
                     data.partition(b"\0")[0].decode(_ENCODING, "surrogateescape")}
@@ -429,9 +423,11 @@ def _tar_members(plain: IO[bytes], label: str) -> list[tuple[str, _Member]]:
             name = name.partition(b"\0")[0]
             if typ == b"\0" and name.endswith(b"/"):
                 typ = _DIRTYPE
-            prefix = prefix.partition(b"\0")[0]
-            name = (prefix + b"/" + name if prefix else name).decode(_ENCODING, "surrogateescape")
-            linkname = linkname.partition(b"\0")[0].decode(_ENCODING, "surrogateescape")
+            if prefix[0]:
+                name = prefix.partition(b"\0")[0] + b"/" + name
+            name = name.decode(_ENCODING, "surrogateescape")
+            linkname = linkname.partition(b"\0")[0].decode(_ENCODING, "surrogateescape") \
+                if linkname[0] else ""
             if glob or ext:
                 fields = {**glob, **ext}
                 name = fields.get("GNU.sparse.name", fields.get("path", name))
@@ -444,14 +440,14 @@ def _tar_members(plain: IO[bytes], label: str) -> list[tuple[str, _Member]]:
                               f"is not supported")
         offset = pos
         if size and typ not in b"123456":  # regular and unknown types carry data
-            pos = plain.seek(data_end(size))
-        ext, at = {}, None
+            pos = seek(data_end(size))
+        ext, at = ext and {}, None  # a new dict only when the last one was used
         path = _tar_member_path(name)
         if path is not None:
             members.append((path, _Member(typ, linkname, size, mode, offset)))
     # A legitimate end of archive leaves only zero padding behind.
-    plain.seek(at)
-    if any(block.strip(b"\0") for block in iter(lambda: plain.read(1 << 16), b"")):
+    seek(at)
+    if any(block.strip(b"\0") for block in iter(lambda: read(1 << 16), b"")):
         raise bad("data after the end-of-archive block")
     return members
 
@@ -558,21 +554,23 @@ class LayeredSource(_TarSource):
     def _add_tar(self, source, label: str) -> None:
         plain, members = self._members(source, label)
         union = self._union
-        opaque, gone, additions = set(), set(), []
+        under, gone, additions = set(), set(), []  # under: '<dir>/' prefixes to clear
         for path, member in members:
             parent, _, base = path.rpartition("/")
             if base == OPAQUE_MARKER:
-                opaque.add(parent or "/")
+                under.add(parent + "/")
             elif base.startswith(WHITEOUT_PREFIX):
                 gone.add(f"{parent}/{base[len(WHITEOUT_PREFIX):]}")
             else:
                 additions.append((path, member))
-        # Whiteouts hide lower layers only, so they apply first, in one pass:
-        # a path goes when it or an ancestor is whited out or an ancestor is opaque.
-        hiding = opaque | gone
-        if hiding:
-            for p in [p for p in union if p in gone or any(a in hiding for a in _ancestors(p))]:
-                del union[p]
+        # Whiteouts hide lower layers only, so they apply first: a path goes when it is
+        # whited out or sorts in ['d/', 'd0'), '0' following '/', for a whited-out or opaque d.
+        keys = sorted(union) if under or gone else []
+        for prefix in under | {g + "/" for g in gone}:
+            for p in keys[bisect_left(keys, prefix):bisect_left(keys, prefix[:-1] + "0")]:
+                union.pop(p, None)
+        for g in gone:
+            union.pop(g, None)
         for path, member in additions:
             self._add(path, plain, member)
 

@@ -157,7 +157,7 @@ def _decode(quoted: str) -> str | None:
 
     strace escapes every non-printable byte, so escapes decode to bytes and
     the bytes to UTF-8 with surrogateescape: the same names ``os.scandir``
-    and ``tarfile`` give the image's files.
+    and the tar loaders give the image's files.
     """
     if "\\" not in quoted:
         return quoted

@@ -64,9 +64,11 @@ def normalize_severity(label: str) -> str:
     return sev
 
 
-def _require(obj: Any, key: str, where: str) -> Any:
+def _require(obj: Any, key: str, where: str, nullable: bool = False) -> Any:
     if not isinstance(obj, dict) or key not in obj:
         raise VulnReportError(f"missing required field at {where}.{key}")
+    if obj[key] is None and not nullable:
+        raise VulnReportError(f"{where}.{key} must not be null")
     return obj[key]
 
 
@@ -131,7 +133,7 @@ def _grype_findings(matches: list) -> Iterator[tuple]:
         vul = _require(m, "vulnerability", where)
         art = _require(m, "artifact", where)
         cve = _require(vul, "id", f"{where}.vulnerability")
-        sev = str(_require(vul, "severity", f"{where}.vulnerability"))
+        sev = str(_require(vul, "severity", f"{where}.vulnerability", nullable=True) or "")
         name = str(_require(art, "name", f"{where}.artifact"))
         version = str(_require(art, "version", f"{where}.artifact"))
         locs = set()
@@ -164,8 +166,8 @@ def _trivy_findings(results: list) -> Iterator[tuple]:
             where = f"{at}[{j}]"
             cve = _require(v, "VulnerabilityID", where)
             name = str(_require(v, "PkgName", where))
-            yield (cve, str(v.get("Severity", "Unknown")), name,
-                   str(v.get("InstalledVersion", "")), set(),
+            yield (cve, str(v.get("Severity") or "Unknown"), name,
+                   str(v.get("InstalledVersion") or ""), set(),
                    f"{where}.VulnerabilityID", f"{where}.PkgName")
 
 

@@ -8,6 +8,7 @@ instead of BFS) so agreement actually means something.
 
 from __future__ import annotations
 
+import io
 import os
 import pathlib
 import posixpath
@@ -372,3 +373,26 @@ def tarfile_contents(tar_path):
             modes.setdefault(path, None)
             inventory.setdefault(path, ("directory", 0, None))
     return inventory, modes, data
+
+
+def write_tar_oracle(out, contents) -> None:
+    """debloated.tar as tarfile writes it: contents yields (path, entry, mode,
+    bytes) as materialize's tar writer receives them."""
+    with tarfile.open(out, "w") as tf:
+        for path, entry, mode, data in contents:
+            info = tarfile.TarInfo("." if path == "/" else "." + path)
+            info.mtime = 0
+            info.uid = info.gid = 0
+            info.uname = info.gname = ""
+            if entry.kind == "directory":
+                info.type = tarfile.DIRTYPE
+                info.mode = mode if mode is not None else 0o755
+            elif entry.kind == "regular":
+                info.type = tarfile.REGTYPE
+                info.size = len(data)
+                info.mode = mode if mode is not None else 0o644
+            else:
+                info.type = tarfile.SYMTYPE
+                info.linkname = entry.link_target
+                info.mode = 0o777
+            tf.addfile(info, io.BytesIO(data) if data is not None else None)

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bloatlens.debloat import (
+    _contents,
+    _tar_header,
+    _write_tar,
     compute_bloat,
     compute_retained,
     container_bloat_degree,
@@ -24,7 +27,7 @@ from bloatlens.imagefs import (
 )
 from bloatlens.trace import AccessSet
 
-from oracles import naive_retained_closure
+from oracles import naive_retained_closure, write_tar_oracle
 
 
 def fs_from(entries):
@@ -286,3 +289,72 @@ class TestMaterialize:
         materialize(retained, source, a, fmt="tar")
         materialize(retained, RootfsSource(mini_rootfs), b, fmt="tar")
         assert a.read_bytes() == b.read_bytes()
+
+
+# Name segments: ASCII, non-ASCII, a surrogate escape (a byte that is not
+# UTF-8) and long ones, so that paths and link targets pass 100 bytes.
+SEGMENTS = st.sampled_from(["a", "bin", "é", "日本", "\udcff", "x\udc80y", "L" * 45, "ü" * 40])
+SEGMENT = st.lists(SEGMENTS, min_size=1, max_size=3).map("".join)
+MODES = st.sampled_from([None, 0o644, 0o755, 0o4755, 0o2711, 0o1777, 0o7777, 0o100644])
+
+
+@st.composite
+def retained_contents(draw):
+    """What materialize hands its tar writer: (path, entry, mode, bytes) in
+    path order for the root and a parent-closed random tree below it."""
+    items = {"/": (FileEntry("/", "directory"), draw(MODES), None)}
+    for segments in draw(st.lists(st.lists(SEGMENT, min_size=1, max_size=4), max_size=12)):
+        path = ""
+        for segment in segments[:-1]:
+            path += "/" + segment
+            if path in items and items[path][0].kind != "directory":
+                break
+            items.setdefault(path, (FileEntry(path, "directory"), draw(MODES), None))
+        else:
+            path += "/" + segments[-1]
+            if path in items:
+                continue
+            kind = draw(st.sampled_from(["directory", "regular", "symlink"]))
+            if kind == "regular":
+                data = draw(st.binary(max_size=1100))
+                items[path] = (FileEntry(path, kind, len(data)), draw(MODES), data)
+            elif kind == "symlink":
+                target = "/".join(draw(st.lists(SEGMENT | st.just(".."), min_size=1, max_size=5)))
+                items[path] = (FileEntry(path, kind, 0, target), draw(MODES), None)
+            else:
+                items[path] = (FileEntry(path, kind), draw(MODES), None)
+    return [(path, *items[path]) for path in sorted(items)]
+
+
+class TestTarWriterAgainstTarfile:
+    @settings(max_examples=150, deadline=None)
+    @given(contents=retained_contents())
+    def test_bytes_equal_tarfiles_pax_format(self, contents, tmp_path_factory):
+        out = tmp_path_factory.mktemp("tars")
+        _write_tar(out / "new.tar", iter(contents))
+        write_tar_oracle(out / "oracle.tar", iter(contents))
+        assert (out / "new.tar").read_bytes() == (out / "oracle.tar").read_bytes()
+
+    @pytest.mark.parametrize("length", [99, 100, 101, 155, 156])
+    def test_name_and_link_lengths_around_the_ustar_fields(self, length):
+        name, link = "./" + "n" * (length - 2), "t" * length
+        info = tarfile.TarInfo(name)
+        info.type, info.linkname, info.mode = tarfile.SYMTYPE, link, 0o777
+        info.mtime, info.uname, info.gname = 0, "", ""
+        expected = info.tobuf(tarfile.PAX_FORMAT, "utf-8", "surrogateescape")
+        assert _tar_header(name, b"2", 0o777, 0, link) == expected
+        assert len(expected) == (512 if length <= 100 else 1536)
+
+    def test_size_of_8_gib_gets_a_pax_size_record(self):
+        info = tarfile.TarInfo("./big")
+        info.size, info.mode, info.mtime, info.uname, info.gname = 8 ** 11, 0o644, 0, "", ""
+        header = _tar_header("./big", b"0", 0o644, 8 ** 11)
+        assert b" size=8589934592\n" in header
+        assert header == info.tobuf(tarfile.PAX_FORMAT, "utf-8", "surrogateescape")
+
+    def test_materialized_tar_equals_the_oracles(self, mini_rootfs, tmp_path):
+        fs, source = load_rootfs(mini_rootfs)
+        retained = compute_retained(fs, access("/usr/bin/widget", "/app/cfg.yaml"))
+        materialize(retained, source, tmp_path / "new.tar", fmt="tar")
+        write_tar_oracle(tmp_path / "oracle.tar", _contents(retained, source))
+        assert (tmp_path / "new.tar").read_bytes() == (tmp_path / "oracle.tar").read_bytes()

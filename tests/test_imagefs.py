@@ -274,6 +274,30 @@ class TestLoadLayers:
         assert once == twice
         assert "/drop" not in once.entries
 
+    def test_root_opaque_marker_hides_every_lower_path(self, tmp_path):
+        l1 = make_tar(tmp_path / "l1.tar", [("a", "dir", None), ("a/x", "file", b"x"),
+                                            ("b", "file", b"b")])
+        l2 = make_tar(tmp_path / "l2.tar", [(".wh..wh..opq", "file", b""), ("c", "file", b"c")])
+        fs = inventory(load_layers([l1, l2]))
+        assert sorted(fs.entries) == ["/", "/c"]
+
+    @pytest.mark.parametrize("marker", [".wh.", "a/.wh."])
+    def test_bare_whiteout_marker_hides_nothing(self, tmp_path, marker):
+        lower = [("a", "dir", None), ("a/x", "file", b"x"), ("b", "file", b"b")]
+        l1 = make_tar(tmp_path / "l1.tar", lower)
+        l2 = make_tar(tmp_path / "l2.tar", [(marker, "file", b"")])
+        fs = inventory(load_layers([l1, l2]))
+        assert sorted(fs.entries) == ["/", "/a", "/a/x", "/b"]
+
+    def test_whiteout_spares_siblings_that_share_its_prefix(self, tmp_path):
+        l1 = make_tar(tmp_path / "l1.tar", [
+            ("a", "dir", None), ("a/x", "file", b"x"), ("ab", "file", b"ab"),
+            ("a.b", "file", b"."), ("a0", "dir", None), ("a0/y", "file", b"y")])
+        l2 = make_tar(tmp_path / "l2.tar", [(".wh.a", "file", b"")])
+        fs = inventory(load_layers([l1, l2]))
+        assert fileset_inventory(fs) == sequential_extract_union([l1, l2], tmp_path / "x")
+        assert sorted(fs.entries) == ["/", "/a.b", "/a0", "/a0/y", "/ab"]
+
     def test_malformed_layer_names_index_and_offset(self, tmp_path):
         good = make_tar(tmp_path / "good.tar", [("a", "file", b"x")])
         bad = tmp_path / "bad.tar"
@@ -489,7 +513,7 @@ class TestCompressedLayers:
         assert all(t.closed for t in temps)
 
 
-NAMES = ("a", "b", "c")
+NAMES = ("a", "b", "c", "ab")  # "ab" shares a prefix with "a"
 LAYER_OPS = st.lists(st.tuples(
     st.sampled_from(("file", "dir", "sym", "lnk", "wh", "opq")),
     st.lists(st.sampled_from(NAMES), min_size=1, max_size=3).map("/".join),

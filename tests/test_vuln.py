@@ -124,6 +124,35 @@ class TestLoadReport:
             loader(doc)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("loader, doc, message", [
+        (load_report, {"matches": [{"vulnerability": {"id": "CVE-1", "severity": None},
+                                    "artifact": {"name": None, "version": None}}]},
+         "$.matches[0].artifact.name must not be null"),
+        (load_report, grype_doc(grype_match("CVE-1", "High", "a", None)),
+         "$.matches[0].artifact.version must not be null"),
+        (load_report, grype_doc(grype_match("CVE-1", "High", "a", "1", [None])),
+         "$.matches[0].artifact.locations[0].path must not be null"),
+        (load_trivy_report, {"Results": [{"Vulnerabilities": [
+            {"VulnerabilityID": "CVE-1", "PkgName": None, "InstalledVersion": "1"}]}]},
+         "$.Results[0].Vulnerabilities[0].PkgName must not be null"),
+    ], ids=["grype-null-name", "grype-null-version", "grype-null-location-path",
+            "trivy-null-pkgname"])
+    def test_null_identity_field_names_its_json_path(self, loader, doc, message):
+        with pytest.raises(VulnReportError) as err:
+            loader(doc)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("loader, doc, expected", [
+        (load_report, grype_doc(grype_match("CVE-1", None, "a", "1")),
+         match("CVE-1", "Negligible", "a", "1")),
+        (load_trivy_report, {"Results": [{"Vulnerabilities": [
+            {"VulnerabilityID": "CVE-1", "PkgName": "a", "Severity": None,
+             "InstalledVersion": None}]}]},
+         match("CVE-1", "Negligible", "a", "")),
+    ], ids=["grype-null-severity", "trivy-null-severity-and-version"])
+    def test_null_severity_and_trivy_version_read_as_absent(self, loader, doc, expected):
+        assert loader(doc) == [expected]
+
     def test_relative_location_normalized(self):
         doc = grype_doc(grype_match("CVE-1", "High", "a", "1", ["usr/lib/x"]))
         assert load_report(doc)[0].locations == {"/usr/lib/x"}
