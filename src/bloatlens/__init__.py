@@ -42,7 +42,6 @@ from .imagefs import (  # noqa: F401
     total_size,
 )
 from .packages import (  # noqa: F401
-    OwnerIndex,
     PackageRecord,
     build_owner_index,
     category_breakdown,

@@ -33,7 +33,7 @@ from .report import (
     package_rows,
     run_pipeline,
     severity_csv,
-    vuln_matches,
+    vuln_diff,
     vuln_section,
     write_debloated,
     write_graph,
@@ -185,8 +185,8 @@ def _cmd_graph(args) -> list[str]:
     with open_inputs(config) as (fs, source, access, rules):
         result = debloat(fs, access, keep=config.keep)
         catalog = detect_packages(fs, source, rules)
-    matches = vuln_matches(config, partial_errors)
-    graph = package_graph(catalog, package_rows(catalog, result.bloat, fs), matches)
+    diff = vuln_diff(config, result.bloat, catalog, partial_errors)
+    graph = package_graph(catalog, package_rows(catalog, result.bloat, fs), diff)
     write_graph(config.out, graph, to_node_link(graph))
     print(f"graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges, "
           f"{len(graph.excluded)} unreachable packages excluded")

@@ -92,27 +92,15 @@ class PackageRecord:
         return f"{self.manager}:{self.name}"
 
 
-class OwnerIndex:
-    """Maps every owned path that exists in the filesystem to its owners."""
-
-    def __init__(self, owners: Mapping[str, list[PkgKey]],
-                 records: Mapping[PkgKey, PackageRecord]):
-        self.owners = dict(owners)
-        self.records = dict(records)
-
-    def owners_of(self, path: str) -> list[PkgKey]:
-        return self.owners.get(path, [])
-
-
-def build_owner_index(catalog: Sequence[PackageRecord], fs: FileSet) -> OwnerIndex:
-    owners: dict[str, list[PkgKey]] = {}
-    records: dict[PkgKey, PackageRecord] = {}
+def build_owner_index(catalog: Sequence[PackageRecord],
+                      fs: FileSet) -> dict[str, list[PackageRecord]]:
+    """Every owned path that exists in the filesystem -> its owners, in key order."""
+    owners: dict[str, list[PackageRecord]] = {}
     for rec in sorted(catalog, key=lambda r: r.key):
-        records[rec.key] = rec
         for path in rec.files:
             if path in fs.entries:
-                owners.setdefault(path, []).append(rec.key)
-    return OwnerIndex(owners, records)
+                owners.setdefault(path, []).append(rec)
+    return owners
 
 
 # -- APT ---------------------------------------------------------------
@@ -410,7 +398,8 @@ class CategoryBreakdown:
     total_bytes: int
 
 
-def category_breakdown(fileset: FileSet, index: OwnerIndex) -> CategoryBreakdown:
+def category_breakdown(fileset: FileSet,
+                       owners: Mapping[str, list[PackageRecord]]) -> CategoryBreakdown:
     """Proportions of a file set owned by each manager and functionality.
 
     Multi-owner files are attributed once, by conda > pip > apt priority;
@@ -425,16 +414,16 @@ def category_breakdown(fileset: FileSet, index: OwnerIndex) -> CategoryBreakdown
         if entry.kind != REGULAR:
             continue
         total += entry.size
-        owners = index.owners_of(path)
-        if len(owners) > 1:
-            overlap += 1
-        if not owners:
+        recs = owners.get(path)
+        if not recs:
             manager_bytes[NON_PACKAGE] += entry.size
             func_bytes[NON_PACKAGE] += entry.size
             continue
-        chosen = min(owners, key=lambda k: MANAGER_PRIORITY.index(k[0]))
-        manager_bytes[chosen[0]] += entry.size
-        func_bytes[index.records[chosen].functionality] += entry.size
+        if len(recs) > 1:
+            overlap += 1
+        chosen = min(recs, key=lambda r: MANAGER_PRIORITY.index(r.manager))
+        manager_bytes[chosen.manager] += entry.size
+        func_bytes[chosen.functionality] += entry.size
     if total == 0:
         zero_m = {m: 0.0 for m in manager_bytes}
         zero_f = {f: 0.0 for f in func_bytes}

@@ -74,7 +74,6 @@ from .vuln import (
     load_trivy_report,
     severity_table,
     surviving_cves,
-    vuln_counts_by_package,
 )
 
 log = logging.getLogger(__name__)
@@ -178,9 +177,14 @@ class AnalysisBundle:
 
 
 def _timestamp() -> str:
+    """The provenance time: SOURCE_DATE_EPOCH when set, else now. A value
+    that is no representable Unix time is an InputError."""
     sde = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(sde) if sde else int(time.time())
-    return datetime.fromtimestamp(t, timezone.utc).isoformat()
+    try:
+        t = int(sde) if sde else int(time.time())
+        return datetime.fromtimestamp(t, timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError):
+        raise InputError(f"not a Unix time: {sde!r}", flag="SOURCE_DATE_EPOCH") from None
 
 
 def _sha256_file(path: str) -> str:
@@ -243,18 +247,21 @@ def load_any_report(path: str) -> list[VulnMatch]:
     return load_report(doc)
 
 
-def vuln_matches(config: PipelineConfig, partial_errors: list[str]) -> list[VulnMatch] | None:
-    """The config's report as an optional input: None without one, and an
-    unreadable one is recorded in ``partial_errors`` and yields None."""
+def vuln_diff(config: PipelineConfig, bloat: FileSet, catalog: list[PackageRecord],
+              partial_errors: list[str]) -> VulnDiff | None:
+    """The config's report as an optional input, resolved against the catalog:
+    None without one, and an unreadable one is recorded in ``partial_errors``
+    and yields None."""
     if not config.vuln_report:
         return None
     try:
-        return load_any_report(config.vuln_report)
+        matches = load_any_report(config.vuln_report)
     except VulnReportError as exc:
         msg = f"vulnerability report ignored: {exc}"
         log.error("%s", msg)
         partial_errors.append(msg)
         return None
+    return surviving_cves(matches, bloat, catalog)
 
 
 # (record, bloat bytes, d_p) of one catalog package
@@ -266,13 +273,13 @@ def package_rows(catalog: list[PackageRecord], bloat: FileSet, fs: FileSet) -> l
 
 
 def package_graph(catalog: list[PackageRecord], rows: list[PackageRow],
-                  matches: list[VulnMatch] | None) -> PackageAttrGraph:
-    """The attribute graph over the catalog, built from each graph key's d_p."""
+                  diff: VulnDiff | None) -> PackageAttrGraph:
+    """The attribute graph over the catalog, built from each graph key's d_p
+    and the diff's per-package finding counts."""
     dp_map: dict[str, float] = {}
     for rec, _, dp in rows:
         dp_map.setdefault(rec.graph_key, dp)
-    vuln_counts = vuln_counts_by_package(matches, catalog) if matches is not None else {}
-    return build_graph(catalog, dp_map, vuln_counts)
+    return build_graph(catalog, dp_map, diff.by_package if diff is not None else {})
 
 
 def run_pipeline(config: PipelineConfig) -> AnalysisBundle:
@@ -283,20 +290,20 @@ def run_pipeline(config: PipelineConfig) -> AnalysisBundle:
     present but unreadable is recorded in ``partial_errors`` instead of
     aborting the run.
     """
+    generated_at = _timestamp()
     with open_inputs(config) as (fs, source, access, rules):
         partial_errors: list[str] = []
         container_id = config.container_id or _default_container_id(config)
         result = debloat(fs, access, keep=config.keep)
         catalog = detect_packages(fs, source, rules)
         rows = package_rows(catalog, result.bloat, fs)
-        matches = vuln_matches(config, partial_errors)
-        vuln_diff = surviving_cves(matches, result.bloat, catalog) if matches is not None else None
-        graph = package_graph(catalog, rows, matches)
+        diff = vuln_diff(config, result.bloat, catalog, partial_errors)
+        graph = package_graph(catalog, rows, diff)
         node_link = to_node_link(graph)
         document = _build_document(config, container_id, fs, result, catalog, rows,
-                                   vuln_diff, graph, node_link, partial_errors)
+                                   diff, graph, node_link, partial_errors, generated_at)
         bundle = AnalysisBundle(
-            container_id=container_id, debloat=result, catalog=catalog, vuln=vuln_diff,
+            container_id=container_id, debloat=result, catalog=catalog, vuln=diff,
             graph=graph, node_link=node_link, document=document, partial_errors=partial_errors,
         )
         if config.out:
@@ -310,7 +317,7 @@ def _default_container_id(config: PipelineConfig) -> str:
     return name or "container"
 
 
-def _provenance(config: PipelineConfig, fs: FileSet) -> dict:
+def _provenance(config: PipelineConfig, fs: FileSet, generated_at: str) -> dict:
     inputs: dict[str, object] = {}
     digests: dict[str, object] = {"filesystem": hashlib.sha256(
         render_manifest(fs).encode("utf-8", "surrogateescape")).hexdigest()}
@@ -333,7 +340,7 @@ def _provenance(config: PipelineConfig, fs: FileSet) -> dict:
     return {
         "tool": "bloatlens",
         "version": __version__,
-        "generated_at": _timestamp(),
+        "generated_at": generated_at,
         "inputs": inputs,
         "input_digests": digests,
     }
@@ -342,11 +349,11 @@ def _provenance(config: PipelineConfig, fs: FileSet) -> dict:
 def _build_document(config: PipelineConfig, container_id: str, fs: FileSet,
                     result: DebloatResult, catalog: list[PackageRecord],
                     rows: list[PackageRow],
-                    vuln_diff: VulnDiff | None, graph: PackageAttrGraph,
-                    node_link: dict, partial_errors: list[str]) -> dict:
-    index = build_owner_index(catalog, fs)
-    container_breakdown = category_breakdown(fs, index)
-    bloat_breakdown = category_breakdown(result.bloat, index)
+                    diff: VulnDiff | None, graph: PackageAttrGraph,
+                    node_link: dict, partial_errors: list[str], generated_at: str) -> dict:
+    owners = build_owner_index(catalog, fs)
+    container_breakdown = category_breakdown(fs, owners)
+    bloat_breakdown = category_breakdown(result.bloat, owners)
 
     dp_pairs = [(rec, dp) for rec, _, dp in rows]
     catalog_rows = []
@@ -411,7 +418,7 @@ def _build_document(config: PipelineConfig, container_id: str, fs: FileSet,
 
     return {
         "container_id": container_id,
-        "provenance": _provenance(config, fs),
+        "provenance": _provenance(config, fs, generated_at),
         "debloat": debloat_section(fs, result),
         "packages": {
             "catalog": catalog_rows,
@@ -424,7 +431,7 @@ def _build_document(config: PipelineConfig, container_id: str, fs: FileSet,
             },
             "violin": violin,
         },
-        "vuln": vuln_section(vuln_diff) if vuln_diff is not None else None,
+        "vuln": vuln_section(diff) if diff is not None else None,
         "graph": {
             **node_link,
             "per_node": per_node,

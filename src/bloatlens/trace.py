@@ -15,7 +15,7 @@ import logging
 import re
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from os import PathLike, fspath
 from typing import IO, Iterable
 
@@ -110,11 +110,6 @@ class AccessSet:
         for p in self.paths:
             if not p.startswith("/"):
                 raise ValueError(f"access path must be absolute: {p!r}")
-
-    def __or__(self, other: "AccessSet") -> "AccessSet":
-        stats = TraceStats(*(getattr(self.stats, f.name) + getattr(other.stats, f.name)
-                             for f in fields(TraceStats)))
-        return AccessSet(self.paths | other.paths, stats)
 
 
 def normalize_path(cwd: str, raw: str) -> str:

@@ -10,7 +10,7 @@ reduction numbers stay conservative.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import VulnReportError
@@ -49,11 +49,13 @@ class VulnMatch:
 
 @dataclass(frozen=True)
 class VulnDiff:
-    """Partition of matches into removed-by-debloating and retained."""
+    """Partition of matches into removed-by-debloating and retained, and the
+    number of matches resolved to each catalog package."""
 
     removed: tuple[VulnMatch, ...]
     retained: tuple[VulnMatch, ...]
     reduction: float | None
+    by_package: dict[str, int] = field(default_factory=dict)  # graph key -> findings
 
 
 def normalize_severity(label: str) -> str:
@@ -171,50 +173,46 @@ def _trivy_findings(results: list) -> Iterator[tuple]:
                    f"{where}.VulnerabilityID", f"{where}.PkgName")
 
 
-def _catalog_finder(catalog: Sequence[PackageRecord]):
-    """match -> catalog package by exact (name, version), else by PEP 503 name."""
+def surviving_cves(matches: Iterable[VulnMatch], bloat: FileSet,
+                   catalog: Sequence[PackageRecord] = ()) -> VulnDiff:
+    """Decide which findings debloating removed, and count them per package.
+
+    Each match resolves to the first catalog record with its exact (name,
+    version), else to the first with its PEP 503 name and version; the
+    resolved records' graph keys are counted in ``by_package``. A match is
+    removed iff all of its file locations lie in the bloat set, or, lacking
+    locations, iff its record has files and every one of them lies in the
+    bloat set. Matches without locations whose record is absent or owns no
+    files are retained conservatively.
+    """
     exact: dict[tuple[str, str], PackageRecord] = {}
     normalized: dict[tuple[str, str], PackageRecord] = {}
     for rec in catalog:
         exact.setdefault((rec.name, rec.version), rec)
         normalized.setdefault((canonical_pip_name(rec.name), rec.version), rec)
-
-    def find(match: VulnMatch) -> PackageRecord | None:
-        return exact.get((match.pkg_name, match.pkg_version)) or \
-            normalized.get((canonical_pip_name(match.pkg_name), match.pkg_version))
-    return find
-
-
-def surviving_cves(matches: Iterable[VulnMatch], bloat: FileSet,
-                   catalog: Sequence[PackageRecord] = ()) -> VulnDiff:
-    """Decide which findings debloating removed.
-
-    A match is removed iff all of its file locations lie in the bloat set,
-    or, lacking locations, iff the matched catalog package has files and
-    every one of them lies in the bloat set. Matches that resolve to no
-    catalog package and carry no locations are retained conservatively.
-    """
-    find = _catalog_finder(catalog)
     removed, retained = [], []
+    by_package: dict[str, int] = {}
     for match in matches:
+        rec = exact.get((match.pkg_name, match.pkg_version)) or \
+            normalized.get((canonical_pip_name(match.pkg_name), match.pkg_version))
+        if rec is not None:
+            by_package[rec.graph_key] = by_package.get(rec.graph_key, 0) + 1
         if match.locations:
             gone = all(loc in bloat.entries for loc in match.locations)
+        elif rec is None:
+            log.debug("no catalog package for %s %s; retaining %s conservatively",
+                      match.pkg_name, match.pkg_version, match.cve_id)
+            gone = False
+        elif not rec.files:
+            log.debug("package %s owns no files; retaining %s conservatively",
+                      match.pkg_name, match.cve_id)
+            gone = False
         else:
-            rec = find(match)
-            if rec is None:
-                log.debug("no catalog package for %s %s; retaining %s conservatively",
-                          match.pkg_name, match.pkg_version, match.cve_id)
-                gone = False
-            elif not rec.files:
-                log.debug("package %s owns no files; retaining %s conservatively",
-                          match.pkg_name, match.cve_id)
-                gone = False
-            else:
-                gone = all(f in bloat.entries for f in rec.files)
+            gone = all(f in bloat.entries for f in rec.files)
         (removed if gone else retained).append(match)
     total = len(removed) + len(retained)
     reduction = len(removed) / total if total else None
-    return VulnDiff(tuple(removed), tuple(retained), reduction)
+    return VulnDiff(tuple(removed), tuple(retained), reduction, by_package)
 
 
 @dataclass(frozen=True)
@@ -248,15 +246,3 @@ def severity_table(diff: VulnDiff) -> SeverityTable:
         total_after=total_after,
         reduction_percent=reduction,
     )
-
-
-def vuln_counts_by_package(matches: Iterable[VulnMatch],
-                           catalog: Sequence[PackageRecord]) -> dict[str, int]:
-    """Number of distinct CVE findings per catalog package graph key."""
-    find = _catalog_finder(catalog)
-    counts: dict[str, int] = {}
-    for match in matches:
-        rec = find(match)
-        if rec is not None:
-            counts[rec.graph_key] = counts.get(rec.graph_key, 0) + 1
-    return counts

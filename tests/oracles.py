@@ -334,6 +334,32 @@ def reachability_oracle(keys: list[str], edges: set[tuple[str, str]]) -> dict[st
     return {k: {keys[j] for j in range(n) if closure[index[k], j]} - {k} for k in keys}
 
 
+def _pep503_oracle(name: str) -> str:
+    """Lowercase, with each run of '-', '_' and '.' replaced by one '-'."""
+    out = []
+    for ch in name.lower():
+        if ch in "-_.":
+            if not out or out[-1] != "-":
+                out.append("-")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def catalog_match_oracle(match, catalog):
+    """The record a finding names: the first in catalog order with its exact
+    (name, version), else the first with its PEP 503 name and its version,
+    else None."""
+    for rec in catalog:
+        if rec.name == match.pkg_name and rec.version == match.pkg_version:
+            return rec
+    for rec in catalog:
+        if (rec.version == match.pkg_version
+                and _pep503_oracle(rec.name) == _pep503_oracle(match.pkg_name)):
+            return rec
+    return None
+
+
 def vuln_survival_oracle(match, bloat_paths: set[str], files_by_pkg: dict) -> bool:
     """Standalone removed/retained decision for one match (True = removed)."""
     if match.locations:

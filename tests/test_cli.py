@@ -447,6 +447,25 @@ class TestInputPolicy:
         assert json.loads(stderr)["error"]["flag"] == flag
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("epoch", ["abc", "99999999999999999999"])
+    def test_bad_source_date_epoch_fails_before_ingest(self, epoch, mini_rootfs,
+                                                       mini_trace_path, tmp_path, capsys,
+                                                       monkeypatch):
+        from bloatlens import report
+
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("the image or trace was read before SOURCE_DATE_EPOCH")
+
+        for loader in ("load_rootfs", "load_flat_tar", "load_layers", "parse_trace"):
+            monkeypatch.setattr(report, loader, no_ingest)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        code, _, stderr = run_cli(capsys, "analyze", "--rootfs", str(mini_rootfs),
+                                  "--trace", str(mini_trace_path),
+                                  "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert json.loads(stderr)["error"]["flag"] == "SOURCE_DATE_EPOCH"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, case", [
         *(("analyze", case) for case in MALFORMED_REPORTS),
         *(("vulns", case) for case in MALFORMED_REPORTS),

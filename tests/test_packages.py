@@ -372,11 +372,11 @@ class TestCategoryBreakdown:
     def test_every_existing_owned_file_indexed(self, mini_rootfs):
         fs, source = load_rootfs(mini_rootfs)
         catalog = detect_packages(fs, source)
-        index = build_owner_index(catalog, fs)
+        owners = build_owner_index(catalog, fs)
         for rec in catalog:
             for path in rec.files:
                 if path in fs.entries:
-                    assert rec.key in index.owners_of(path)
+                    assert rec in owners[path]
 
 
 class TestSizeReductionR:

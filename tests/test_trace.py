@@ -517,12 +517,6 @@ class TestAccessSet:
         with pytest.raises(ValueError):
             AccessSet(frozenset({"rel/path"}))
 
-    def test_union(self):
-        a = AccessSet(frozenset({"/a"}), TraceStats(3, 2, 1, 1, 0, 0, 0))
-        b = AccessSet(frozenset({"/b"}), TraceStats(10, 9, 1, 4, 1, 2, 1))
-        assert (a | b).paths == {"/a", "/b"}
-        assert (a | b).stats == TraceStats(13, 11, 2, 5, 1, 2, 1)
-
     def test_stats_default(self):
         acc = AccessSet(frozenset())
         assert acc.stats == TraceStats()

@@ -1,11 +1,14 @@
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bloatlens.debloat import compute_bloat, compute_retained
 from bloatlens.errors import VulnReportError
 from bloatlens.imagefs import FileEntry, FileSet, load_rootfs
-from bloatlens.packages import detect_packages
+from bloatlens.packages import PackageRecord, detect_packages
 from bloatlens.trace import AccessSet, parse_trace
 from bloatlens.vuln import (
     VulnDiff,
@@ -14,10 +17,9 @@ from bloatlens.vuln import (
     load_trivy_report,
     severity_table,
     surviving_cves,
-    vuln_counts_by_package,
 )
 
-from oracles import vuln_survival_oracle
+from oracles import catalog_match_oracle, vuln_survival_oracle
 
 
 def match(cve="CVE-1", sev="High", name="pkg", version="1", locations=()):
@@ -353,12 +355,53 @@ class TestSeverityTable:
         assert set(diff.retained) <= original
 
 
+# Spellings of one PEP 503 name, another name, and one no record carries.
+_NAMES = ("Widget_Tools", "widget.tools", "widget-tools", "libz", "ghost")
+_PATHS = ("/a", "/b", "/c", "/d")
+
+
+@st.composite
+def _catalog_and_matches(draw):
+    paths = st.frozensets(st.sampled_from(_PATHS))
+    record = st.builds(PackageRecord, manager=st.sampled_from(("apt", "pip", "conda")),
+                       name=st.sampled_from(_NAMES[:-1]), version=st.sampled_from("12"),
+                       files=paths)
+    catalog = draw(st.lists(record, max_size=8))
+    # One name under two managers, at drawn places in catalog order.
+    name, version = draw(st.sampled_from(_NAMES[:-1])), draw(st.sampled_from("12"))
+    for manager in draw(st.permutations(("apt", "pip", "conda")))[:2]:
+        at = draw(st.integers(0, len(catalog)))
+        catalog.insert(at, PackageRecord(manager, name, version, draw(paths)))
+    finding = st.tuples(st.sampled_from(_NAMES), st.sampled_from("12"), paths)
+    matches = [VulnMatch(f"CVE-{i}", "High", n, v, locs)
+               for i, (n, v, locs) in enumerate(draw(st.lists(finding, max_size=10)))]
+    return catalog, matches, fs_from(draw(paths))
+
+
+class TestSingleResolution:
+    @given(_catalog_and_matches())
+    @settings(max_examples=150, deadline=None)
+    def test_counts_and_survival_follow_first_catalog_match(self, case):
+        catalog, matches, bloat = case
+        diff = surviving_cves(matches, bloat, catalog)
+        expected = Counter()
+        for m in matches:
+            rec = catalog_match_oracle(m, catalog)
+            if rec is not None:
+                expected[rec.graph_key] += 1
+            files_by_pkg = {(m.pkg_name, m.pkg_version): rec.files} if rec else {}
+            removed = vuln_survival_oracle(m, set(bloat.entries), files_by_pkg)
+            assert (m in diff.removed) == removed, m
+            assert (m in diff.retained) == (not removed), m
+        assert diff.by_package == dict(expected)
+
+
 class TestVulnCounts:
     def test_counts_by_package(self, mini_rootfs, mini_vuln_path):
         fs, source = load_rootfs(mini_rootfs)
         catalog = detect_packages(fs, source)
         matches = load_report(json.loads(mini_vuln_path.read_text()))
-        counts = vuln_counts_by_package(matches, catalog)
+        counts = surviving_cves(matches, fs_from([]), catalog).by_package
         assert counts == {
             "apt:liba": 4,
             "apt:libb": 2,
