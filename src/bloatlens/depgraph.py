@@ -15,6 +15,7 @@ import statistics
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress, count
+from json.encoder import encode_basestring as _dot_quoted  # \\, \" and \n read as DOT reads them
 from typing import Iterable, Mapping, Sequence
 
 from .packages import APT, PIP, PackageRecord, canonical_pip_name
@@ -209,6 +210,11 @@ def pr_set(g: PackageAttrGraph, key: str) -> set[str]:
     return set(compress(g._keys, _flags(_bits(g, g._pr_bits, key))))
 
 
+def closure_sizes(g: PackageAttrGraph, key: str) -> tuple[int, int]:
+    """|PD(key)| and |PR(key)|, counted in the bitsets without building the sets."""
+    return _bits(g, g._pd_bits, key).bit_count(), _bits(g, g._pr_bits, key).bit_count()
+
+
 def pd_aggregate(g: PackageAttrGraph, key: str) -> tuple[float | None, int]:
     """Average bloat degree and total vulnerabilities over PD(key).
 
@@ -269,11 +275,12 @@ def to_node_link(g: PackageAttrGraph) -> dict:
 def to_dot(g: PackageAttrGraph) -> str:
     """Graphviz dot rendering; node labels carry name, depth, d_p and |V|."""
     lines = ["digraph packages {", "  node [shape=box];"]
+    ids = {key: _dot_quoted(key) for key in g.nodes}
     for key in sorted(g.nodes):
         n = g.nodes[key]
-        label = f"{n.name}\\nD={n.depth}\\nd_p={n.d_p:.2f}\\n|V|={n.vuln_count}"
-        lines.append(f'  "{key}" [label="{label}"];')
+        label = _dot_quoted(f"{n.name}\nD={n.depth}\nd_p={n.d_p:.2f}\n|V|={n.vuln_count}")
+        lines.append(f"  {ids[key]} [label={label}];")
     for a, b in sorted(g.edges):
-        lines.append(f'  "{a}" -> "{b}";')
+        lines.append(f"  {ids[a]} -> {ids[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -25,7 +25,7 @@ import re
 import statistics
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, MaterializeError
 from .imagefs import REGULAR, ContentSource, FileSet
@@ -318,18 +318,15 @@ def load_rules(source: str | None = None) -> tuple[str, ...]:
 def classify_functionality(p: PackageRecord, rules: Sequence[str]) -> str:
     """ML iff the package name matches any rule (case-insensitive
     substring, or fnmatch glob when the pattern contains wildcards)."""
-    return _functionality(p.name, rules)
+    return _classifier(rules)(p.name)
 
 
-def _functionality(name: str, rules: Sequence[str]) -> str:
-    name = name.lower()
-    for pat in rules:
-        if any(ch in pat for ch in "*?["):
-            if fnmatch.fnmatchcase(name, pat):
-                return ML
-        elif pat in name:
-            return ML
-    return GENERIC
+def _classifier(rules: Sequence[str]) -> Callable[[str], str]:
+    """classify_functionality for a package name, through one compiled pattern."""
+    alternatives = [r"\A" + fnmatch.translate(pat) if any(ch in pat for ch in "*?[")
+                    else re.escape(pat) for pat in rules]
+    search = re.compile("|".join(alternatives) if alternatives else "(?!)").search
+    return lambda name: ML if search(name.lower()) else GENERIC
 
 
 def detect_packages(fs: FileSet, source: ContentSource,
@@ -341,8 +338,7 @@ def detect_packages(fs: FileSet, source: ContentSource,
     package with a diagnostic; a missing package database simply yields no
     packages for that manager.
     """
-    if rules is None:
-        rules = load_rules()
+    functionality = _classifier(load_rules() if rules is None else rules)
     seen: dict[PkgKey, PackageRecord] = {}
     for manager, name, version, files, deps, provides in chain(
             _detect_apt(fs, source), _detect_pip(fs, source), _detect_conda(fs, source)):
@@ -353,7 +349,7 @@ def detect_packages(fs: FileSet, source: ContentSource,
         seen[key] = PackageRecord(
             manager=manager, name=name, version=version, files=files,
             declared_deps=deps, provides=provides,
-            functionality=_functionality(name, rules), size=_files_size(files, fs),
+            functionality=functionality(name), size=_files_size(files, fs),
         )
     return sorted(seen.values(), key=lambda r: r.key)
 

@@ -31,10 +31,11 @@ from .debloat import DebloatResult, debloat, materialize, render_manifest
 from .depgraph import (
     PackageAttrGraph,
     build_graph,
+    closure_sizes,
     depth_correlations,
     pd_aggregate,
-    pd_set,
-    pr_set,
+    pd_set,  # noqa: F401  bench/spans.py wraps these names
+    pr_set,  # noqa: F401
     to_dot,
     to_node_link,
 )
@@ -399,11 +400,11 @@ def _build_document(config: PipelineConfig, container_id: str, fs: FileSet,
     per_node = []
     for key in sorted(graph.nodes):
         avg_dp, pd_vulns = pd_aggregate(graph, key)
+        pd, pr = closure_sizes(graph, key)
         per_node.append({
             "key": key,
             "depth": graph.nodes[key].depth,
-            "pd": len(pd_set(graph, key)),
-            "pr": len(pr_set(graph, key)),
+            "pd": pd, "pr": pr,
             "pd_avg_d_p": _r6(avg_dp) if avg_dp is not None else None,
             "pd_total_vulns": pd_vulns,
         })
@@ -533,6 +534,11 @@ def _scalar(o) -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
+class Rendered(str):
+    """A subtree's JSON text as dump_json writes it at the top level, less the final newline;
+    dump_json indents every line to splice it in (no JSON string holds a raw newline)."""
+
+
 def dump_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte, in
     half the time: with ``indent`` set, ``json`` passes every chunk up
@@ -544,7 +550,7 @@ def dump_json(obj) -> str:
     def write(o, inner: str) -> None:
         # ``inner`` starts each item's line. A loop shared by dicts and lists is 5-8% slower.
         if not isinstance(o, containers):
-            append(_scalar(o))
+            append(o.replace("\n", inner[:-2]) if type(o) is Rendered else _scalar(o))
             return
         comma, deeper = "," + inner, inner + "  "
         if isinstance(o, dict):
@@ -660,25 +666,26 @@ def severity_csv(table: dict) -> str:
     return _csv_text(["severity", "before", "after"], rows)
 
 
+# Each plot file but the histogram holds one section of the bundle document.
+_PLOT_SECTIONS = {
+    "pareto_original.json": ("pareto", "original"), "pareto_retained.json": ("pareto", "retained"),
+    "cdf_pd_pr.json": ("graph", "cdfs"), "violin_packages.json": ("packages", "violin"),
+    "severity_table.json": ("vuln", "severity_table")}
+
+
 def plots_from_document(doc: dict) -> dict[str, str]:
     """Render every plot-data JSON file from the bundle document alone."""
-    plots = {
-        "pareto_original.json": dump_json(doc["pareto"]["original"]),
-        "pareto_retained.json": dump_json(doc["pareto"]["retained"]),
-        "bloat_degree_histogram.json": dump_json({
-            "bin_width": 0.1,
-            "counts": doc["packages"]["histogram_d_p"],
-        }),
-        "cdf_pd_pr.json": dump_json(doc["graph"]["cdfs"]),
-        "violin_packages.json": dump_json(doc["packages"]["violin"]),
-    }
-    if doc.get("vuln"):
-        plots["severity_table.json"] = dump_json(doc["vuln"]["severity_table"])
+    plots = {"bloat_degree_histogram.json": dump_json({
+        "bin_width": 0.1, "counts": doc["packages"]["histogram_d_p"]})}
+    for name, (section, key) in _PLOT_SECTIONS.items():
+        if section != "vuln" or doc.get("vuln"):  # null without a vulnerability report
+            plots[name] = dump_json(doc[section][key])
     return plots
 
 
-def write_report_files(doc: dict, out: str) -> None:
-    rendered = {"tables": tables_from_document(doc), "plots": plots_from_document(doc)}
+def write_report_files(doc: dict, out: str, view: dict | None = None) -> None:
+    """tables/ and plots/ from the document; plots from ``view`` if given."""
+    rendered = {"tables": tables_from_document(doc), "plots": plots_from_document(view or doc)}
     for subdir, files in rendered.items():
         for name, text in files.items():
             write_text(os.path.join(out, subdir), name, text)
@@ -699,7 +706,12 @@ def write_debloated(out: str, retained: FileSet, source: ContentSource,
 
 def write_outputs(bundle: AnalysisBundle, config: PipelineConfig,
                   source: ContentSource) -> None:
-    write_text(config.out, "bundle.json", dump_json(bundle.document))
-    write_graph(config.out, bundle.graph, bundle.node_link)
-    write_report_files(bundle.document, config.out)
+    # The view renders once each section that graph.json or a plot file repeats.
+    view = dict(bundle.document)
+    for section, key in [("graph", "nodes"), ("graph", "edges"), *_PLOT_SECTIONS.values()]:
+        if view[section] is not None:
+            view[section] = {**view[section], key: Rendered(dump_json(view[section][key])[:-1])}
+    write_text(config.out, "bundle.json", dump_json(view))
+    write_graph(config.out, bundle.graph, {k: view["graph"][k] for k in bundle.node_link})
+    write_report_files(bundle.document, config.out, view)
     write_debloated(config.out, bundle.debloat.retained, source, config.emit_tar)

@@ -8,6 +8,7 @@ instead of BFS) so agreement actually means something.
 
 from __future__ import annotations
 
+import fnmatch
 import io
 import os
 import pathlib
@@ -332,6 +333,19 @@ def reachability_oracle(keys: list[str], edges: set[tuple[str, str]]) -> dict[st
             break
         closure = step
     return {k: {keys[j] for j in range(n) if closure[index[k], j]} - {k} for k in keys}
+
+
+def functionality_oracle(name: str, rules) -> str:
+    """"ml" iff the lowercased name matches a rule, tried one at a time: a
+    rule with a wildcard through fnmatch, any other as a substring."""
+    name = name.lower()
+    for pat in rules:
+        if any(ch in pat for ch in "*?["):
+            if fnmatch.fnmatchcase(name, pat):
+                return "ml"
+        elif pat in name:
+            return "ml"
+    return "generic"
 
 
 def _pep503_oracle(name: str) -> str:

@@ -1,15 +1,20 @@
+import json
 import random
+import re
 import statistics
 import time
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bloatlens.depgraph import (
     GraphNode,
     PackageAttrGraph,
     build_graph,
+    closure_sizes,
     depth_correlations,
     pd_aggregate,
     pd_set,
@@ -17,7 +22,7 @@ from bloatlens.depgraph import (
     to_dot,
     to_node_link,
 )
-from bloatlens.packages import APT, PIP, PackageRecord
+from bloatlens.packages import APT, CONDA, PIP, PackageRecord
 
 from oracles import reachability_oracle
 
@@ -305,6 +310,7 @@ class TestCycles:
             for k in keys:
                 assert pd_set(g, k) == forward[k], k
                 assert pr_set(g, k) == backward[k], k
+                assert closure_sizes(g, k) == (len(pd_set(g, k)), len(pr_set(g, k))), k
                 avg, total = pd_aggregate(g, k)
                 if forward[k]:
                     assert avg == statistics.fmean(g.nodes[d].d_p for d in forward[k])
@@ -364,3 +370,31 @@ class TestExports:
         assert '"pip:a" -> "pip:b";' in dot
         assert "d_p=0.25" in dot
         assert dot.startswith("digraph")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(st.sampled_from('ab"\\ -é{};\n\t\x01'), min_size=1, max_size=6),
+                    min_size=1, max_size=6, unique=True))
+    def test_dot_quotes_every_name(self, names):
+        # Each node depends on the first; a conda name may hold quotes, backslashes
+        # and control characters.
+        catalog = [PackageRecord(manager=CONDA, name=n, version="1", files=frozenset({"/f"}),
+                                 size=1, declared_deps=((names[0],),)) for n in names]
+        g = build_graph(catalog, {f"conda:{n}": 0.5 for n in names})
+        quoted = r'"(?:[^"\\]|\\.)*"'
+        node_line = re.compile(rf"  ({quoted}) \[label=({quoted})\];")
+        edge_line = re.compile(rf"  ({quoted}) -> ({quoted});")
+        lines = to_dot(g).split("\n")
+        assert lines[:2] == ["digraph packages {", "  node [shape=box];"]
+        assert lines[-2:] == ["}", ""]
+        node_ids, edge_ids = {}, []
+        for line in lines[2:-2]:
+            if m := node_line.fullmatch(line):
+                node_ids[m[1]] = json.loads(m[1])  # a DOT ID is quoted as a JSON string is
+                assert json.loads(m[2]).rsplit("\n", 3)[0] == g.nodes[node_ids[m[1]]].name
+            else:
+                m = edge_line.fullmatch(line)
+                assert m, line
+                edge_ids.append((m[1], m[2]))
+        assert sorted(node_ids.values()) == sorted(g.nodes)
+        assert {(node_ids[a], node_ids[b]) for a, b in edge_ids} == set(g.edges)
+        assert len(edge_ids) == len(g.edges) == len(names) - 1

@@ -5,6 +5,8 @@ import tarfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bloatlens import imagefs
 from bloatlens.errors import MaterializeError
@@ -27,6 +29,8 @@ from bloatlens.packages import (
     quartile_summary,
     size_reduction_R,
 )
+
+from oracles import functionality_oracle
 
 
 def fs_from(entries):
@@ -264,6 +268,26 @@ class TestClassifyFunctionality:
         rule_file.write_text("# custom\nmypkg\n")
         rules = load_rules(str(rule_file))
         assert classify_functionality(pkg(name="mypkg-extras"), rules) == ML
+
+    _NAME = st.text(st.sampled_from("abAB.+-_()|\\é\n"), max_size=8)
+    _RULE = st.one_of(
+        st.text(st.sampled_from("abA.+()|\\é"), max_size=4),  # substrings, "" included
+        st.text(st.sampled_from("ab.*?[]!-\\"), max_size=6),  # globs, unbalanced "[" too
+        st.sampled_from(["a*", "?", "[!a]*", "[a-b]?", "[", "a[b", "*]", "[]]", "+", ".", "("]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_NAME, st.lists(_RULE, max_size=5))
+    def test_matches_the_rule_by_rule_oracle(self, name, rules):
+        for seq in (rules, tuple(rules)):
+            assert (classify_functionality(pkg(name=name), seq)
+                    == functionality_oracle(name, rules)), (name, rules)
+
+    def test_bundled_rules_match_the_oracle(self):
+        rules = load_rules()
+        for name in ("libcudnn8", "python3-scipy", "curl", "tf-slim", "LibMKL-rt", "x"):
+            assert classify_functionality(pkg(name=name), rules) == functionality_oracle(
+                name, rules)
 
 
 class TestPackageBloatDegree:

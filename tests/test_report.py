@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bloatlens.cli import main
 from bloatlens.errors import ContractViolation, InputError
 from bloatlens.imagefs import FileEntry, FileSet
 from bloatlens.report import (
@@ -16,6 +17,7 @@ from bloatlens.report import (
     cdf_points,
     dump_json,
     pareto_files,
+    Rendered,
     run_pipeline,
     tables_from_document,
 )
@@ -216,11 +218,24 @@ class TestRunPipeline:
             out=str(tmp_path / "out"),
         )
         run_pipeline(config)
-        doc = json.loads((tmp_path / "out" / "bundle.json").read_text())
+        out = tmp_path / "out"
+        doc = json.loads((out / "bundle.json").read_text())
         regenerated = tables_from_document(doc)
         for name, text in regenerated.items():
-            on_disk = (tmp_path / "out" / "tables" / name).read_text()
+            on_disk = (out / "tables" / name).read_text()
             assert on_disk == text, name
+        # report --bundle rewrites every table and plot file byte for byte
+        assert main(["report", "--bundle", str(out / "bundle.json"),
+                     "--out", str(tmp_path / "again")]) == 0
+        for subdir in ("tables", "plots"):
+            names = sorted(p.name for p in (out / subdir).iterdir())
+            assert names == sorted(p.name for p in (tmp_path / "again" / subdir).iterdir())
+            for name in names:
+                assert ((out / subdir / name).read_bytes()
+                        == (tmp_path / "again" / subdir / name).read_bytes()), name
+        node_link = {k: doc["graph"][k]
+                     for k in ("nodes", "edges", "excluded", "dangling_dependencies")}
+        assert (out / "graph.json").read_text() == dump_json(node_link)
 
     def test_outputs_bypass_the_pure_python_encoder(self, mini_rootfs, mini_trace_path,
                                                     mini_vuln_path, tmp_path, monkeypatch):
@@ -270,6 +285,11 @@ def stdlib_json(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+def rendered(value) -> Rendered:
+    """``value`` pre-rendered for dump_json to splice in, as analyze renders a section."""
+    return Rendered(dump_json(value)[:-1])
+
+
 _TEXT = st.text(st.one_of(
     st.characters(exclude_categories=()),  # surrogates included
     st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfffé😀'),
@@ -303,6 +323,31 @@ class TestDumpJson:
     ])
     def test_edge_documents(self, value):
         assert dump_json(value) == stdlib_json(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_VALUES, st.data())
+    def test_rendered_subtrees_splice_at_any_depth(self, value, data):
+        def splice(o):  # render some subtrees, some of them inside others
+            if isinstance(o, dict):
+                o = {k: splice(v) for k, v in o.items()}
+            elif isinstance(o, (list, tuple)):
+                o = type(o)(splice(v) for v in o)
+            return rendered(o) if data.draw(st.booleans()) else o
+
+        assert dump_json(splice(value)) == stdlib_json(value)
+
+    @pytest.mark.parametrize("value", [
+        [], {}, (), [[], {}, ()], ("\n\x00é😀\u2028", {"\t": ["\r", None]}),
+    ])
+    def test_rendered_edge_values_splice_at_each_depth(self, value):
+        for depth in range(4):
+            doc = rendered(value)
+            for _ in range(depth):
+                doc = {"k": [1, doc]}
+            expected = value
+            for _ in range(depth):
+                expected = {"k": [1, expected]}
+            assert dump_json(doc) == stdlib_json(expected)
 
     def test_large_document_crosses_block_joins(self):
         rows = [{"path": f"/opt/é/{i}", "size": i * 7919, "ratio": i / 7,
