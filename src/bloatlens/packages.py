@@ -316,8 +316,7 @@ def load_rules(source: str | None = None) -> tuple[str, ...]:
 
 
 def classify_functionality(p: PackageRecord, rules: Sequence[str]) -> str:
-    """ML iff the package name matches any rule (case-insensitive
-    substring, or fnmatch glob when the pattern contains wildcards)."""
+    """ML iff the lowercased name matches a rule: a glob if it has a wildcard, else a substring."""
     return _classifier(rules)(p.name)
 
 

@@ -585,6 +585,7 @@ def dump_json(obj) -> str:
             parts.clear()
 
     write(obj, "\n  ")
+    del write  # it holds itself, so the cycle would keep every block alive until a GC pass
     return "".join([*blocks, *parts, "\n"])
 
 

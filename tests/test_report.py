@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import tarfile
+import tracemalloc
 import warnings
 
 import pytest
@@ -348,6 +349,21 @@ class TestDumpJson:
             for _ in range(depth):
                 expected = {"k": [1, expected]}
             assert dump_json(doc) == stdlib_json(expected)
+
+    def test_keeps_nothing_but_the_text_on_return(self):
+        # With the collector off only reference counts free memory, so a block of
+        # the writer's still alive after the call shows as traced memory.
+        doc = {"rows": [{"path": f"/p/{i}", "size": i} for i in range(20000)]}
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            text = dump_json(doc)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert grown < 1.2 * len(text)
 
     def test_large_document_crosses_block_joins(self):
         rows = [{"path": f"/opt/é/{i}", "size": i * 7919, "ratio": i / 7,
