@@ -14,11 +14,11 @@ from bloatlens.errors import ContractViolation, InputError
 from bloatlens.imagefs import FileEntry, FileSet
 from bloatlens.report import (
     PipelineConfig,
+    Rendered,
     bloat_degree_histogram,
     cdf_points,
     dump_json,
     pareto_files,
-    Rendered,
     run_pipeline,
     tables_from_document,
 )
@@ -340,7 +340,7 @@ class TestDumpJson:
     @pytest.mark.parametrize("value", [
         [], {}, (), [[], {}, ()], ("\n\x00é😀\u2028", {"\t": ["\r", None]}),
     ])
-    def test_rendered_edge_values_splice_at_each_depth(self, value):
+    def test_rendered_edge_values_splice_at_nested_depths(self, value):
         for depth in range(4):
             doc = rendered(value)
             for _ in range(depth):
