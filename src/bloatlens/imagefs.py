@@ -17,7 +17,9 @@ is closed (or, for a layer none of whose members is left in the union,
 until the union is built). The tar walk reads ustar headers (either checksum
 sum, octal and base-256 numbers, the name prefix, v7 ``name/`` directories),
 GNU long names and link names, and pax extended and global records (path,
-linkpath, size); it rejects sparse members. The package uses no tarfile.
+linkpath, size); it rejects sparse members. It feeds the union as it reads,
+so no tar's member list is held; a layer holds back only its own additions
+until its whiteouts have applied. The package uses no tarfile.
 Every source follows symlinks inside the image, and never out of it.
 """
 
@@ -38,7 +40,7 @@ import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 from .errors import IngestError, MaterializeError
 
@@ -335,7 +337,6 @@ def _decompressed(raw: IO[bytes], label: str, files: contextlib.ExitStack) -> IO
             plain = files.enter_context(tempfile.TemporaryFile())
             while chunk:
                 plain.write(chunk)
-                plain.flush()
                 try:
                     chunk = stream.read(1 << 20)
                 except _DECOMPRESS_ERRORS as exc:
@@ -345,11 +346,6 @@ def _decompressed(raw: IO[bytes], label: str, files: contextlib.ExitStack) -> IO
             raise IngestError(f"{label}: cannot write the decompressed tar to a temp "
                               f"file in {tempfile.gettempdir()}: {exc}") from exc
     return plain
-
-
-# A tar member as its headers give it; offset is where its data starts.
-_Member = NamedTuple("_Member", [("type", bytes), ("linkname", str), ("size", int),
-                                 ("mode", int), ("offset", int)])
 
 
 def _number(field: bytes) -> int:
@@ -374,12 +370,13 @@ def _pax_records(data: bytes) -> dict[str, str]:
     return records
 
 
-def _tar_members(plain: IO[bytes], label: str) -> list[tuple[str, _Member]]:
-    """Walk the headers of a plain tar stream once: [(path, member)]. An error
-    names the offset of the member's first header (an L, K, x or g, or its own)."""
+def _tar_members(plain: IO[bytes], label: str) -> Iterator[tuple]:
+    """Walk the headers of a plain tar stream once, yielding each member as it
+    is read: (path, type, linkname, size, mode, data offset). An error names
+    the offset of the member's first header (an L, K, x or g, or its own)."""
     start = pos = plain.tell()
     end = plain.seek(0, os.SEEK_END)
-    members, glob, ext, at = [], {}, {}, None
+    glob, ext, at = {}, {}, None
 
     def bad(reason: str) -> IngestError:
         if at == start:
@@ -444,21 +441,21 @@ def _tar_members(plain: IO[bytes], label: str) -> list[tuple[str, _Member]]:
         ext, at = ext and {}, None  # a new dict only when the last one was used
         path = _tar_member_path(name)
         if path is not None:
-            members.append((path, _Member(typ, linkname, size, mode, offset)))
+            yield path, typ, linkname, size, mode, offset
     # A legitimate end of archive leaves only zero padding behind.
     seek(at)
     if any(block.strip(b"\0") for block in iter(lambda: read(1 << 16), b"")):
         raise bad("data after the end-of-archive block")
-    return members
 
 
 class _TarSource(ContentSource):
     """Inventory and content of tars that are each read in one pass.
 
-    A path's bytes are at (plain tar stream, member whose data a read
-    returns: for a hardlink, the member its target had then). Subclasses
-    merge each tar in ``_add_tar``; a tar with no member left in the union
-    is then closed.
+    A regular entry's bytes are at (plain tar stream, data offset, size); a
+    hardlink shares the location its target had then, or None when that
+    target was missing or not a regular file. Each tar's walk feeds
+    ``_add_tar`` as it reads; a tar none of whose bytes are left in the
+    union is then closed.
     """
 
     def __init__(self, tars: list[tuple[str | os.PathLike | IO[bytes], str]]):
@@ -467,64 +464,64 @@ class _TarSource(ContentSource):
         self._union = {}
         try:
             for source, label in tars:
-                self._add_tar(source, label)
+                files = self._stack.enter_context(contextlib.ExitStack())
+                try:
+                    raw = source
+                    if isinstance(source, (str, os.PathLike)):
+                        raw = files.enter_context(open(source, "rb"))
+                    plain = _decompressed(raw, label, files)
+                    if raw is not source and plain is not raw:
+                        raw.close()
+                except OSError as exc:
+                    raise IngestError(
+                        f"{label}: malformed tar at byte offset 0: cannot open: {exc}") from exc
+                self._files[plain] = files
+                self._add_tar(plain, _tar_members(plain, label))
         except BaseException:
             self.close()
             raise
-        used = {plain for _, _, (plain, _) in self._union.values()}
+        used = {where[0] for _, _, where in self._union.values() if where}
         for plain, files in self._files.items():
             if plain not in used:
                 files.close()
 
-    def _members(self, source, label: str) -> tuple[IO[bytes], list[tuple[str, _Member]]]:
-        """Open one tar, decompressed once, and walk its headers: (plain stream, members)."""
-        files = self._stack.enter_context(contextlib.ExitStack())
-        try:
-            raw = source
-            if isinstance(source, (str, os.PathLike)):
-                raw = files.enter_context(open(source, "rb"))
-            plain = _decompressed(raw, label, files)
-            if raw is not source and plain is not raw:
-                raw.close()
-        except OSError as exc:
-            raise IngestError(
-                f"{label}: malformed tar at byte offset 0: cannot open: {exc}") from exc
-        self._files[plain] = files
-        return plain, _tar_members(plain, label)
+    def _add_tar(self, plain: IO[bytes], members: Iterable[tuple]) -> None:
+        """Merge one tar's members in order: the last member at a path wins."""
+        for member in members:
+            self._add(plain, *member)
 
-    def _add(self, path: str, plain: IO[bytes], member: _Member) -> None:
+    def _add(self, plain: IO[bytes], path: str, typ: bytes, linkname: str, size: int,
+             mode: int, offset: int) -> None:
         """Put one member in the union, dropping the subtree of a directory it replaces."""
         union = self._union
         old = union.get(path)
-        if old is not None and old[0].kind == DIRECTORY and member.type != _DIRTYPE:
+        if old is not None and old[0].kind == DIRECTORY and typ != _DIRTYPE:
             for p in [p for p in union if p.startswith(path + "/")]:
                 del union[p]
-        where = (plain, member)
-        if member.type == _DIRTYPE:
+        where = None
+        if typ == _DIRTYPE:
             entry = FileEntry(path, DIRECTORY)
-        elif member.type == _SYMTYPE:
-            entry = FileEntry(path, SYMLINK, 0, member.linkname)
-        elif member.type == _LNKTYPE:
+        elif typ == _SYMTYPE:
+            entry = FileEntry(path, SYMLINK, 0, linkname)
+        elif typ == _LNKTYPE:
             # Hardlink: a regular entry with its target's size and bytes (tar stores them once).
-            target = union.get(_tar_member_path(member.linkname))
+            target = union.get(_tar_member_path(linkname))
             if target is None:
-                log.warning("hardlink %s points outside archive (%s)", path, member.linkname)
-                entry, where = FileEntry(path, REGULAR, 0), (plain, None)
-            else:
-                entry, where = FileEntry(path, REGULAR, target[0].size), target[2]
-        elif member.type in _REGULAR_TYPES:
-            entry = FileEntry(path, REGULAR, member.size)
+                log.warning("hardlink %s points outside archive (%s)", path, linkname)
+            entry = FileEntry(path, REGULAR, target[0].size if target else 0)
+            where = target[2] if target else None
+        elif typ in _REGULAR_TYPES:
+            entry, where = FileEntry(path, REGULAR, size), (plain, offset, size)
         else:
             entry = FileEntry(path, OTHER)
-        union[path] = (entry, member.mode, where)
+        union[path] = (entry, mode, where)
 
-    def _bytes(self, path: str, where: tuple[IO[bytes], _Member | None]) -> bytes:
-        plain, member = where
-        if member is None or member.type not in _REGULAR_TYPES:
-            raise MaterializeError(f"cannot read {path}: " + (
-                "dangling hardlink" if member is None else "not a regular member"))
-        plain.seek(member.offset)
-        return plain.read(member.size)
+    def _bytes(self, path: str, where: tuple[IO[bytes], int, int] | None) -> bytes:
+        if where is None:
+            raise MaterializeError(f"cannot read {path}: dangling hardlink")
+        plain, offset, size = where
+        plain.seek(offset)
+        return plain.read(size)
 
     def close(self) -> None:
         self._stack.close()
@@ -536,11 +533,6 @@ class FlatTarSource(_TarSource):
     def __init__(self, source: str | os.PathLike | IO[bytes]):
         super().__init__([(source, "flat tar")])
 
-    def _add_tar(self, source, label: str) -> None:
-        plain, members = self._members(source, label)
-        for path, member in members:
-            self._add(path, plain, member)
-
 
 class LayeredSource(_TarSource):
     """Content source over the union of a layer stack (see :func:`load_layers`)."""
@@ -551,18 +543,19 @@ class LayeredSource(_TarSource):
             raise IngestError("no layers given")
         super().__init__(layers)
 
-    def _add_tar(self, source, label: str) -> None:
-        plain, members = self._members(source, label)
+    def _add_tar(self, plain: IO[bytes], members: Iterable[tuple]) -> None:
         union = self._union
         under, gone, additions = set(), set(), []  # under: '<dir>/' prefixes to clear
-        for path, member in members:
-            parent, _, base = path.rpartition("/")
+        for member in members:
+            parent, _, base = member[0].rpartition("/")
             if base == OPAQUE_MARKER:
                 under.add(parent + "/")
+            elif base == WHITEOUT_PREFIX:
+                log.warning("whiteout %s names no path; ignored", member[0])
             elif base.startswith(WHITEOUT_PREFIX):
                 gone.add(f"{parent}/{base[len(WHITEOUT_PREFIX):]}")
             else:
-                additions.append((path, member))
+                additions.append(member)
         # Whiteouts hide lower layers only, so they apply first: a path goes when it is
         # whited out or sorts in ['d/', 'd0'), '0' following '/', for a whited-out or opaque d.
         keys = sorted(union) if under or gone else []
@@ -571,8 +564,7 @@ class LayeredSource(_TarSource):
                 union.pop(p, None)
         for g in gone:
             union.pop(g, None)
-        for path, member in additions:
-            self._add(path, plain, member)
+        super()._add_tar(plain, additions)
 
 
 def load_flat_tar(source: str | os.PathLike | IO[bytes]) -> tuple[FileSet, FlatTarSource]:
@@ -592,10 +584,12 @@ def load_layers(layer_tars: Iterable[str | os.PathLike | IO[bytes]]
     Returns the union's inventory and a content source over it, which the
     caller closes. Whiteout entries follow the OCI image layer spec:
     '.wh.<name>' deletes <name> from the union of the lower layers,
-    '.wh..wh..opq' hides all prior contents of its directory. Whiteouts act
-    on lower layers only, so the layer's own additions are applied after
-    its deletions. Later layers replace earlier entries at the same path;
-    replacing a directory with a non-directory drops the old subtree.
+    '.wh..wh..opq' hides all prior contents of its directory. A bare '.wh.'
+    names no path: it is logged, left out of the union and hides nothing.
+    Whiteouts act on lower layers only, so the layer's own additions are
+    applied after its deletions. Later layers replace earlier entries at
+    the same path; replacing a directory with a non-directory drops the
+    old subtree.
     """
     content = LayeredSource(layer_tars)
     return content._fileset(), content

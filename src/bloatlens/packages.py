@@ -93,13 +93,15 @@ class PackageRecord:
 
 
 def build_owner_index(catalog: Sequence[PackageRecord],
-                      fs: FileSet) -> dict[str, list[PackageRecord]]:
-    """Every owned path that exists in the filesystem -> its owners, in key order."""
-    owners: dict[str, list[PackageRecord]] = {}
-    for rec in sorted(catalog, key=lambda r: r.key):
+                      fs: FileSet) -> dict[str, tuple[PackageRecord, int]]:
+    """Every owned path that exists in the filesystem -> (its owner, its number
+    of owners). The owner is the first record in conda > pip > apt, then key, order."""
+    owners: dict[str, tuple[PackageRecord, int]] = {}
+    for rec in sorted(catalog, key=lambda r: (MANAGER_PRIORITY.index(r.manager), r.key)):
         for path in rec.files:
             if path in fs.entries:
-                owners.setdefault(path, []).append(rec)
+                owner, count = owners.get(path, (rec, 0))
+                owners[path] = (owner, count + 1)
     return owners
 
 
@@ -394,11 +396,11 @@ class CategoryBreakdown:
 
 
 def category_breakdown(fileset: FileSet,
-                       owners: Mapping[str, list[PackageRecord]]) -> CategoryBreakdown:
+                       owners: Mapping[str, tuple[PackageRecord, int]]) -> CategoryBreakdown:
     """Proportions of a file set owned by each manager and functionality.
 
-    Multi-owner files are attributed once, by conda > pip > apt priority;
-    the number of such files is reported. Proportions are size-weighted
+    Multi-owner files are attributed once, to the owner ``build_owner_index``
+    chose; the number of such files is reported. Proportions are size-weighted
     over regular files and sum to 1 (for a non-empty set).
     """
     manager_bytes = {m: 0 for m in (*MANAGER_PRIORITY, NON_PACKAGE)}
@@ -409,14 +411,12 @@ def category_breakdown(fileset: FileSet,
         if entry.kind != REGULAR:
             continue
         total += entry.size
-        recs = owners.get(path)
-        if not recs:
+        chosen, count = owners.get(path, (None, 0))
+        if chosen is None:
             manager_bytes[NON_PACKAGE] += entry.size
             func_bytes[NON_PACKAGE] += entry.size
             continue
-        if len(recs) > 1:
-            overlap += 1
-        chosen = min(recs, key=lambda r: MANAGER_PRIORITY.index(r.manager))
+        overlap += count > 1
         manager_bytes[chosen.manager] += entry.size
         func_bytes[chosen.functionality] += entry.size
     if total == 0:

@@ -286,6 +286,8 @@ def sequential_extract_union(layer_paths, scratch) -> dict[str, tuple[str, int, 
         add_members = []
         for m in members:
             base = os.path.basename(m.name.rstrip("/"))
+            if base == ".wh.":  # names no path (the spec's <name> is never empty)
+                continue
             if base == ".wh..wh..opq" or base.startswith(".wh."):
                 whiteout_members.append(m)
             else:

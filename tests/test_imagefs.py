@@ -1,4 +1,6 @@
 import errno
+import gc
+import gzip
 import io
 import lzma
 import os
@@ -6,6 +8,7 @@ import pathlib
 import struct
 import tarfile
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -282,12 +285,14 @@ class TestLoadLayers:
         assert sorted(fs.entries) == ["/", "/c"]
 
     @pytest.mark.parametrize("marker", [".wh.", "a/.wh."])
-    def test_bare_whiteout_marker_hides_nothing(self, tmp_path, marker):
+    def test_bare_whiteout_marker_hides_nothing(self, tmp_path, marker, caplog):
         lower = [("a", "dir", None), ("a/x", "file", b"x"), ("b", "file", b"b")]
         l1 = make_tar(tmp_path / "l1.tar", lower)
         l2 = make_tar(tmp_path / "l2.tar", [(marker, "file", b"")])
         fs = inventory(load_layers([l1, l2]))
         assert sorted(fs.entries) == ["/", "/a", "/a/x", "/b"]
+        assert fileset_inventory(fs) == sequential_extract_union([l1, l2], tmp_path / "x")
+        assert f"whiteout /{marker} names no path" in caplog.text
 
     def test_whiteout_spares_siblings_that_share_its_prefix(self, tmp_path):
         l1 = make_tar(tmp_path / "l1.tar", [
@@ -425,6 +430,21 @@ class TestHardlinksResolveInTheirOwnTar:
             assert fs.entries["/alias"].size == 5
             assert src.read("/alias") == b"lower"
 
+    @pytest.mark.parametrize("layered", [False, True], ids=["flat", "layers"])
+    def test_link_to_a_directory_or_symlink_dangles(self, tmp_path, layered):
+        targets = [("d", "dir", None), ("s", "sym", "d")]
+        links = [("hd", "lnk", "d"), ("hs", "lnk", "s")]
+        if layered:
+            fs, src = load_layers([make_tar(tmp_path / "l0.tar", targets),
+                                   make_tar(tmp_path / "l1.tar", links)])
+        else:
+            fs, src = load_flat_tar(make_tar(tmp_path / "t.tar", targets + links))
+        with src:
+            for path in ("/hd", "/hs"):
+                assert fs.entries[path] == FileEntry(path, "regular", 0)
+                with pytest.raises(MaterializeError, match="dangling hardlink"):
+                    src.read(path)
+
     def test_link_under_directory_replaced_earlier_in_layer_dangles(self, tmp_path):
         l1 = make_tar(tmp_path / "l1.tar", [("d", "dir", None), ("d/x", "file", b"gone")])
         l2 = make_tar(tmp_path / "l2.tar", [("d", "file", b"f"), ("h", "lnk", "d/x")])
@@ -515,7 +535,7 @@ class TestCompressedLayers:
 
 NAMES = ("a", "b", "c", "ab")  # "ab" shares a prefix with "a"
 LAYER_OPS = st.lists(st.tuples(
-    st.sampled_from(("file", "dir", "sym", "lnk", "wh", "opq")),
+    st.sampled_from(("file", "dir", "sym", "lnk", "wh", "opq", "bare")),
     st.lists(st.sampled_from(NAMES), min_size=1, max_size=3).map("/".join),
     st.binary(max_size=6),
 ), max_size=8)
@@ -546,6 +566,8 @@ def compile_layer(ops):
             place(f"{prefix}.wh.{base}", "file", b"")
         elif op == "opq":
             place(f"{prefix}.wh..wh..opq", "file", b"")
+        elif op == "bare":  # a marker naming no path, at the root for a one-name path
+            place(f"{prefix}.wh.", "file", b"")
         elif op == "lnk":
             files = [p for p, k in kinds.items() if k == "file" and ".wh." not in p]
             if files:
@@ -834,3 +856,42 @@ class TestHandMadeHeaders:
             tf.addfile(info, io.BytesIO())
         with pytest.raises(IngestError, match=r"^flat tar: sparse member 'holes' at byte offset 0"):
             load_flat_tar(tmp_path / "t.tar")
+
+
+class TestStreamedWalk:
+    def test_flat_tar_walk_holds_no_member_list(self):
+        blocks = [header(f"d{i % 5}/f{i}", 0) for i in range(50)]
+        data = io.BytesIO(b"".join(blocks * 400) + b"\0" * 1024)  # 20,000 members
+        tracemalloc.start()
+        try:
+            fs, src = load_flat_tar(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        src.close()
+        assert len(fs) == 1 + 5 + 50
+        assert peak < 1 << 20, f"peak {peak} bytes"
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
+    def test_truncated_member_after_good_ones_closes_every_file(self, tmp_path, monkeypatch, gz):
+        temps, real = [], tempfile.TemporaryFile
+
+        def recorded(*args, **kwargs):
+            temps.append(real(*args, **kwargs))
+            return temps[-1]
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+        good = b"".join(header(f"f{i}", 512) + data_blocks(b"x" * 512) for i in range(5))
+        tar = good + header("cut", 1000) + b"x" * 512
+        lower = tmp_path / "lower"
+        lower.write_bytes(gzip.compress(good + b"\0" * 1024))
+        bad = tmp_path / "bad"
+        bad.write_bytes(gzip.compress(tar) if gz else tar)
+        for label, load in [("flat tar", lambda: load_flat_tar(bad)),
+                            ("layer 1", lambda: load_layers([lower, bad]))]:
+            with pytest.raises(IngestError) as err:
+                load()
+            assert str(err.value) == (
+                f"{label}: malformed tar header at byte offset 5120: unexpected end of data")
+        gc.collect()  # an unclosed file would now warn, which fails the suite
+        assert temps and all(t.closed for t in temps)

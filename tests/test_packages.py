@@ -15,6 +15,7 @@ from bloatlens.packages import (
     APT,
     CONDA,
     GENERIC,
+    MANAGER_PRIORITY,
     ML,
     PIP,
     PackageRecord,
@@ -397,10 +398,17 @@ class TestCategoryBreakdown:
         fs, source = load_rootfs(mini_rootfs)
         catalog = detect_packages(fs, source)
         owners = build_owner_index(catalog, fs)
+        by_path = {}
         for rec in catalog:
             for path in rec.files:
                 if path in fs.entries:
-                    assert rec in owners[path]
+                    by_path.setdefault(path, []).append(rec)
+        assert owners.keys() == by_path.keys()
+        assert any(len(recs) > 1 for recs in by_path.values())
+        for path, recs in by_path.items():  # conda > pip > apt, ties in key order
+            first = min(sorted(recs, key=lambda r: r.key),
+                        key=lambda r: MANAGER_PRIORITY.index(r.manager))
+            assert owners[path] == (first, len(recs)), path
 
 
 class TestSizeReductionR:
