@@ -239,8 +239,7 @@ def depth_correlations(g: PackageAttrGraph,
     if len(keys) < 2:
         return None, None
     depths = [float(g.nodes[k].depth) for k in keys]
-    pd_sizes = [float(_bits(g, g._pd_bits, k).bit_count()) for k in keys]
-    pr_sizes = [float(_bits(g, g._pr_bits, k).bit_count()) for k in keys]
+    pd_sizes, pr_sizes = zip(*(closure_sizes(g, k) for k in keys))
 
     def cor(xs, ys):
         try:

@@ -18,8 +18,8 @@ until the union is built). The tar walk reads ustar headers (either checksum
 sum, octal and base-256 numbers, the name prefix, v7 ``name/`` directories),
 GNU long names and link names, and pax extended and global records (path,
 linkpath, size); it rejects sparse members. It feeds the union as it reads,
-so no tar's member list is held; a layer holds back only its own additions
-until its whiteouts have applied. The package uses no tarfile.
+so no tar's member list is held, and a layer's whiteout applies as it is
+read. The package uses no tarfile.
 Every source follows symlinks inside the image, and never out of it.
 """
 
@@ -218,30 +218,32 @@ def _resolve(path: str, link: Callable[[str], str | None]) -> str:
 class ContentSource:
     """Reads file bytes and modes back out of the image a FileSet came from.
 
-    ``_union`` maps each inventory path to (entry, mode, where the bytes of
-    a regular entry are); subclasses fill it at ingest and fetch those bytes
-    in ``_bytes(path, where)``. Links, modes and reads resolve through it.
+    ``_union`` maps each inventory path to a plain record ``(kind, size,
+    link_target, mode, where)``: its :class:`FileEntry` fields, its permission
+    bits (or None) and where a regular entry's bytes are (or None). Subclasses
+    fill it at ingest and fetch those bytes in ``_bytes(path, where)``; links,
+    modes, reads and the inventory's one FileEntry per path come from it.
     """
 
     def _fileset(self) -> FileSet:
-        return _with_parents(entry for entry, _, _ in self._union.values())
+        return _with_parents(FileEntry(path, kind, size, link)
+                             for path, (kind, size, link, _, _) in self._union.items())
 
     def _link(self, path: str) -> str | None:
         hit = self._union.get(path)
-        return hit[0].link_target if hit else None  # None unless a symlink
+        return hit[2] if hit else None  # None unless a symlink
 
     def read(self, path: str) -> bytes:
         hit = self._union.get(path)
-        if hit is None or hit[0].kind == SYMLINK:
+        if hit is None or hit[0] == SYMLINK:
             resolved = self._union.get(_resolve(path, self._link))
             if resolved is None:
                 raise MaterializeError(f"cannot read {path}: " + (
                     "dangling symlink" if hit else "not present in the image"))
             hit = resolved
-        entry, _, where = hit
-        if entry.kind != REGULAR:
+        if hit[0] != REGULAR:
             raise MaterializeError(f"cannot read {path}: not a regular file")
-        return self._bytes(path, where)
+        return self._bytes(path, hit[4])
 
     def mode(self, path: str) -> int | None:
         """The entry's own mode; for a path not in the inventory, that of the
@@ -253,7 +255,7 @@ class ContentSource:
             except MaterializeError:
                 return None
             hit = self._union.get(f"{directory.rstrip('/')}/{path.rsplit('/', 1)[1]}")
-        return hit[1] if hit else None
+        return hit[3] if hit else None
 
     def close(self) -> None:
         pass
@@ -276,7 +278,7 @@ class RootfsSource(ContentSource):
         root = os.fspath(root)
         if not os.path.isdir(root):
             raise IngestError(f"rootfs is not a readable directory: {root}")
-        self._union = {"/": (FileEntry("/", DIRECTORY), stat.S_IMODE(os.stat(root).st_mode), None)}
+        self._union = {"/": (DIRECTORY, 0, None, stat.S_IMODE(os.stat(root).st_mode), None)}
         self._walk(root, "")
 
     def _walk(self, directory: str, prefix: str) -> None:
@@ -291,22 +293,20 @@ class RootfsSource(ContentSource):
             return
         for child in children:
             path, mode, where = f"{prefix}/{child.name}", None, None
+            kind, size, link = OTHER, 0, None
             try:
                 st = child.stat(follow_symlinks=False)
                 mode = stat.S_IMODE(st.st_mode)
                 if stat.S_ISLNK(st.st_mode):
-                    entry = FileEntry(path, SYMLINK, 0, os.readlink(child.path))
+                    kind, link = SYMLINK, os.readlink(child.path)
                 elif stat.S_ISDIR(st.st_mode):
-                    entry = FileEntry(path, DIRECTORY)
+                    kind = DIRECTORY
                 elif stat.S_ISREG(st.st_mode):
-                    entry, where = FileEntry(path, REGULAR, st.st_size), child.path
-                else:
-                    entry = FileEntry(path, OTHER)
+                    kind, size, where = REGULAR, st.st_size, child.path
             except OSError as exc:
                 log.warning("unreadable entry %s: %s", child.path, exc)
-                entry = FileEntry(path, OTHER)
-            self._union[path] = (entry, mode, where)
-            if entry.kind == DIRECTORY:
+            self._union[path] = (kind, size, link, mode, where)
+            if kind == DIRECTORY:
                 self._walk(child.path, path)
 
     def _bytes(self, path: str, where: str) -> bytes:
@@ -480,7 +480,7 @@ class _TarSource(ContentSource):
         except BaseException:
             self.close()
             raise
-        used = {where[0] for _, _, where in self._union.values() if where}
+        used = {record[4][0] for record in self._union.values() if record[4]}
         for plain, files in self._files.items():
             if plain not in used:
                 files.close()
@@ -495,26 +495,24 @@ class _TarSource(ContentSource):
         """Put one member in the union, dropping the subtree of a directory it replaces."""
         union = self._union
         old = union.get(path)
-        if old is not None and old[0].kind == DIRECTORY and typ != _DIRTYPE:
+        if old is not None and old[0] == DIRECTORY and typ != _DIRTYPE:
             for p in [p for p in union if p.startswith(path + "/")]:
                 del union[p]
-        where = None
         if typ == _DIRTYPE:
-            entry = FileEntry(path, DIRECTORY)
+            union[path] = (DIRECTORY, 0, None, mode, None)
         elif typ == _SYMTYPE:
-            entry = FileEntry(path, SYMLINK, 0, linkname)
+            union[path] = (SYMLINK, 0, linkname, mode, None)
         elif typ == _LNKTYPE:
             # Hardlink: a regular entry with its target's size and bytes (tar stores them once).
             target = union.get(_tar_member_path(linkname))
             if target is None:
                 log.warning("hardlink %s points outside archive (%s)", path, linkname)
-            entry = FileEntry(path, REGULAR, target[0].size if target else 0)
-            where = target[2] if target else None
+            size, where = (target[1], target[4]) if target else (0, None)
+            union[path] = (REGULAR, size, None, mode, where)
         elif typ in _REGULAR_TYPES:
-            entry, where = FileEntry(path, REGULAR, size), (plain, offset, size)
+            union[path] = (REGULAR, size, None, mode, (plain, offset, size))
         else:
-            entry = FileEntry(path, OTHER)
-        union[path] = (entry, mode, where)
+            union[path] = (OTHER, 0, None, mode, None)
 
     def _bytes(self, path: str, where: tuple[IO[bytes], int, int] | None) -> bytes:
         if where is None:
@@ -544,27 +542,24 @@ class LayeredSource(_TarSource):
         super().__init__(layers)
 
     def _add_tar(self, plain: IO[bytes], members: Iterable[tuple]) -> None:
-        union = self._union
-        under, gone, additions = set(), set(), []  # under: '<dir>/' prefixes to clear
+        union, own, keys = self._union, set(), None  # own: the paths this layer added
         for member in members:
             parent, _, base = member[0].rpartition("/")
-            if base == OPAQUE_MARKER:
-                under.add(parent + "/")
+            if not base.startswith(WHITEOUT_PREFIX):
+                self._add(plain, *member)
+                own.add(member[0])
             elif base == WHITEOUT_PREFIX:
                 log.warning("whiteout %s names no path; ignored", member[0])
-            elif base.startswith(WHITEOUT_PREFIX):
-                gone.add(f"{parent}/{base[len(WHITEOUT_PREFIX):]}")
             else:
-                additions.append(member)
-        # Whiteouts hide lower layers only, so they apply first: a path goes when it is
-        # whited out or sorts in ['d/', 'd0'), '0' following '/', for a whited-out or opaque d.
-        keys = sorted(union) if under or gone else []
-        for prefix in under | {g + "/" for g in gone}:
-            for p in keys[bisect_left(keys, prefix):bisect_left(keys, prefix[:-1] + "0")]:
-                union.pop(p, None)
-        for g in gone:
-            union.pop(g, None)
-        super()._add_tar(plain, additions)
+                # Whiteouts hide lower layers only: each drops a gone d and what sorts in
+                # ['d/', 'd0') for a gone or opaque d ('0' follows '/'), sparing own paths.
+                opaque = base == OPAQUE_MARKER
+                top = parent if opaque else f"{parent}/{base[len(WHITEOUT_PREFIX):]}"
+                keys = sorted(union) if keys is None else keys  # later additions are own
+                hidden = keys[bisect_left(keys, top + "/"):bisect_left(keys, top + "0")]
+                for p in hidden if opaque else [top, *hidden]:
+                    if p not in own:
+                        union.pop(p, None)
 
 
 def load_flat_tar(source: str | os.PathLike | IO[bytes]) -> tuple[FileSet, FlatTarSource]:
@@ -586,10 +581,11 @@ def load_layers(layer_tars: Iterable[str | os.PathLike | IO[bytes]]
     '.wh.<name>' deletes <name> from the union of the lower layers,
     '.wh..wh..opq' hides all prior contents of its directory. A bare '.wh.'
     names no path: it is logged, left out of the union and hides nothing.
-    Whiteouts act on lower layers only, so the layer's own additions are
-    applied after its deletions. Later layers replace earlier entries at
-    the same path; replacing a directory with a non-directory drops the
-    old subtree.
+    Members merge in tar order, each whiteout as it is read; whiteouts act
+    on lower layers only, so they spare every path the layer itself adds.
+    A hardlink takes its target as the union holds it when the link is
+    read. Later layers replace earlier entries at the same path; replacing
+    a directory with a non-directory drops the old subtree.
     """
     content = LayeredSource(layer_tars)
     return content._fileset(), content

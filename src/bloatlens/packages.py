@@ -262,11 +262,8 @@ def _detect_pip(fs: FileSet, source: ContentSource) -> Iterator[_Found]:
 
 
 def _detect_conda(fs: FileSet, source: ContentSource) -> Iterator[_Found]:
-    for path in sorted(fs.entries):
-        m = _CONDA_META_RE.match(path)
-        if not m:
-            continue
-        prefix = m.group("prefix") or "/"
+    for path in sorted(filter(_CONDA_META_RE.match, fs.entries)):
+        prefix = _CONDA_META_RE.match(path).group("prefix") or "/"
         try:
             doc = json.loads(source.read(path).decode("utf-8", errors="replace"))
             name = doc["name"]

@@ -5,6 +5,7 @@ import io
 import lzma
 import os
 import pathlib
+import stat
 import struct
 import tarfile
 import tempfile
@@ -133,6 +134,19 @@ class TestLoadRootfs:
         assert fs.entries["/pipe"].kind == "other"
         assert fs.entries["/pipe"].size == 0
 
+    def test_unreadable_symlink_degrades_to_other_and_keeps_its_mode(self, tmp_path,
+                                                                     monkeypatch, caplog):
+        os.symlink("y", tmp_path / "x")
+
+        def denied(path):
+            raise PermissionError(errno.EACCES, "denied", path)
+
+        monkeypatch.setattr(os, "readlink", denied)
+        fs, src = load_rootfs(tmp_path)
+        assert fs.entries["/x"] == FileEntry("/x", "other")
+        assert src.mode("/x") == stat.S_IMODE(os.lstat(tmp_path / "x").st_mode)
+        assert "unreadable entry" in caplog.text
+
     def test_parent_closure_holds(self, mini_rootfs):
         fs = load_rootfs(mini_rootfs)[0]
         assert check_parent_closure(fs) == []
@@ -229,15 +243,14 @@ class TestLoadLayers:
             ("cfg/sub", "dir", None),
             ("cfg/sub/deep", "file", b"d"),
         ])
-        l2 = make_tar(tmp_path / "l2.tar", [
-            ("cfg/.wh..wh..opq", "file", b""),
-            ("cfg/new", "file", b"new"),
-        ])
-        fs = inventory(load_layers([l1, l2]))
-        assert "/cfg/old" not in fs.entries
-        assert "/cfg/sub/deep" not in fs.entries
-        assert fs.entries["/cfg/new"].size == 3
-        assert fs.entries["/cfg"].kind == "directory"
+        upper = [("cfg/.wh..wh..opq", "file", b""), ("cfg/new", "file", b"new")]
+        for members in (upper, upper[::-1]):  # the marker before, then after, the new file
+            l2 = make_tar(tmp_path / "l2.tar", members)
+            fs = inventory(load_layers([l1, l2]))
+            assert "/cfg/old" not in fs.entries
+            assert "/cfg/sub/deep" not in fs.entries
+            assert fs.entries["/cfg/new"].size == 3
+            assert fs.entries["/cfg"].kind == "directory"
 
     def test_later_layer_replaces_file(self, tmp_path):
         l1 = make_tar(tmp_path / "l1.tar", [("a", "file", b"1")])
@@ -262,9 +275,11 @@ class TestLoadLayers:
 
     def test_whiteout_then_readd_same_layer(self, tmp_path):
         l1 = make_tar(tmp_path / "l1.tar", [("a", "file", b"old!")])
-        l2 = make_tar(tmp_path / "l2.tar", [(".wh.a", "file", b""), ("a", "file", b"n")])
-        fs = inventory(load_layers([l1, l2]))
-        assert fs.entries["/a"].size == 1
+        upper = [(".wh.a", "file", b""), ("a", "file", b"n")]
+        for members in (upper, upper[::-1]):  # the marker before, then after, the new file
+            l2 = make_tar(tmp_path / "l2.tar", members)
+            fs = inventory(load_layers([l1, l2]))
+            assert fs.entries["/a"].size == 1
 
     def test_whiteout_idempotent(self, tmp_path):
         l1 = make_tar(tmp_path / "l1.tar", [
@@ -429,6 +444,23 @@ class TestHardlinksResolveInTheirOwnTar:
         with src:
             assert fs.entries["/alias"].size == 5
             assert src.read("/alias") == b"lower"
+
+    @pytest.mark.parametrize("marker_last", [False, True], ids=["marker-first", "marker-last"])
+    def test_link_to_lower_file_whited_out_in_its_layer(self, tmp_path, marker_last):
+        # A hardlink takes its target as the union holds it when the link is read.
+        l1 = make_tar(tmp_path / "l1.tar", [("data", "file", b"lower")])
+        upper = [("alias", "lnk", "data"), (".wh.data", "file", b"")]
+        fs, src = load_layers([l1, make_tar(tmp_path / "l2.tar",
+                                            upper if marker_last else upper[::-1])])
+        with src:
+            assert "/data" not in fs.entries
+            if marker_last:
+                assert fs.entries["/alias"] == FileEntry("/alias", "regular", 5)
+                assert src.read("/alias") == b"lower"
+            else:
+                assert fs.entries["/alias"] == FileEntry("/alias", "regular", 0)
+                with pytest.raises(MaterializeError, match="dangling hardlink"):
+                    src.read("/alias")
 
     @pytest.mark.parametrize("layered", [False, True], ids=["flat", "layers"])
     def test_link_to_a_directory_or_symlink_dangles(self, tmp_path, layered):
@@ -859,18 +891,25 @@ class TestHandMadeHeaders:
 
 
 class TestStreamedWalk:
-    def test_flat_tar_walk_holds_no_member_list(self):
+    @staticmethod
+    def assert_walk_holds_no_member_list(load):
         blocks = [header(f"d{i % 5}/f{i}", 0) for i in range(50)]
         data = io.BytesIO(b"".join(blocks * 400) + b"\0" * 1024)  # 20,000 members
         tracemalloc.start()
         try:
-            fs, src = load_flat_tar(data)
+            fs, src = load(data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         src.close()
         assert len(fs) == 1 + 5 + 50
         assert peak < 1 << 20, f"peak {peak} bytes"
+
+    def test_flat_tar_walk_holds_no_member_list(self):
+        self.assert_walk_holds_no_member_list(load_flat_tar)
+
+    def test_layer_walk_holds_no_member_list(self):
+        self.assert_walk_holds_no_member_list(lambda data: load_layers([data]))
 
     @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
     def test_truncated_member_after_good_ones_closes_every_file(self, tmp_path, monkeypatch, gz):
