@@ -39,6 +39,7 @@ from .imagefs import (  # noqa: F401
     load_flat_tar,
     load_layers,
     load_rootfs,
+    normalize_path,
     total_size,
 )
 from .packages import (  # noqa: F401
@@ -60,7 +61,7 @@ from .report import (  # noqa: F401
     pareto_files,
     run_pipeline,
 )
-from .trace import AccessSet, TraceStats, normalize_path, parse_trace  # noqa: F401
+from .trace import AccessSet, TraceStats, parse_trace  # noqa: F401
 from .vuln import (  # noqa: F401
     SeverityTable,
     VulnDiff,

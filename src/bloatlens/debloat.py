@@ -22,10 +22,11 @@ from .imagefs import (
     ContentSource,
     FileSet,
     check_parent_closure,
+    normalize_path,
     parent_of,
     total_size,
 )
-from .trace import AccessSet, normalize_path
+from .trace import AccessSet
 
 log = logging.getLogger(__name__)
 

@@ -4,7 +4,9 @@ Builds an immutable file inventory (:class:`FileSet`) from one of three
 sources: an extracted rootfs directory, a single flat tar, or an ordered
 stack of image layer tars with OCI whiteout handling. The inventory records
 paths, kinds and apparent sizes only; file content stays in the source and
-is read back through a :class:`ContentSource` when needed.
+is read back through a :class:`ContentSource` when needed. Every stage
+writes the paths it matches against the inventory in the normal form of
+:func:`normalize_path`.
 
 Every loader returns (FileSet, ContentSource) from one pass over its input,
 and the caller closes the source. The pass records each entry with its mode
@@ -73,12 +75,23 @@ _REGULAR_TYPES = (b"0", b"\0", b"7")
 _EXTENSION_TYPES = (b"L", b"K", b"x", b"X", b"g")  # GNU long names, pax, pax global
 
 
-def _validate_path(path: str) -> None:
-    if path != "/" and (not path.startswith("/") or path.endswith("/")):
-        raise ValueError(f"path must be absolute without trailing slash: {path!r}")
-    # A path with no '//' and no '/.' has no empty, '.' or '..' segment.
-    if ("//" in path or "/." in path) and {"", ".", ".."}.intersection(path.split("/")[1:]):
-        raise ValueError(f"path contains empty or dot segment: {path!r}")
+def normalize_path(cwd: str, raw: str) -> str:
+    """``raw`` joined onto ``cwd`` if relative, with its empty, '.' and '..'
+    segments collapsed lexically ('..' stops at '/') and no link followed:
+    the one normal form in which every stage writes image paths."""
+    if not cwd.startswith("/"):
+        raise ValueError(f"cwd must be absolute: {cwd!r}")
+    if not raw.startswith("/"):
+        raw = cwd.rstrip("/") + "/" + raw
+    if "//" not in raw and "/." not in raw and not raw.endswith("/"):
+        return raw  # no empty, "." or ".." segment: already normal
+    stack: list[str] = []
+    for seg in raw.split("/"):
+        if seg == "..":
+            del stack[-1:]
+        elif seg not in ("", "."):
+            stack.append(seg)
+    return "/" + "/".join(stack)
 
 
 def parent_of(path: str) -> str:
@@ -101,7 +114,8 @@ class FileEntry:
     link_target: str | None = None
 
     def __post_init__(self):
-        _validate_path(self.path)
+        if normalize_path("/", self.path) != self.path:
+            raise ValueError(f"path must be absolute and normal: {self.path!r}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r} for {self.path!r}")
         if self.size < 0:
@@ -279,35 +293,39 @@ class RootfsSource(ContentSource):
         if not os.path.isdir(root):
             raise IngestError(f"rootfs is not a readable directory: {root}")
         self._union = {"/": (DIRECTORY, 0, None, stat.S_IMODE(os.stat(root).st_mode), None)}
-        self._walk(root, "")
+        self._walk(root)
 
-    def _walk(self, directory: str, prefix: str) -> None:
-        """Record the entries under host directory, whose image path is prefix or '/'."""
-        try:
-            with os.scandir(directory) as it:
-                children = sorted(it, key=lambda d: d.name)
-        except OSError as exc:
-            if not prefix:
-                raise IngestError(f"cannot read rootfs root: {exc}") from exc
-            log.warning("unreadable directory %s: %s", directory, exc)
-            return
-        for child in children:
-            path, mode, where = f"{prefix}/{child.name}", None, None
-            kind, size, link = OTHER, 0, None
+    def _walk(self, root: str) -> None:
+        """Record the entries under host directory root, keeping the directories
+        still to list, as (host path, image path or '' for '/'), on a stack."""
+        todo = [(root, "")]
+        while todo:
+            directory, prefix = todo.pop()
             try:
-                st = child.stat(follow_symlinks=False)
-                mode = stat.S_IMODE(st.st_mode)
-                if stat.S_ISLNK(st.st_mode):
-                    kind, link = SYMLINK, os.readlink(child.path)
-                elif stat.S_ISDIR(st.st_mode):
-                    kind = DIRECTORY
-                elif stat.S_ISREG(st.st_mode):
-                    kind, size, where = REGULAR, st.st_size, child.path
+                with os.scandir(directory) as it:
+                    children = sorted(it, key=lambda d: d.name)
             except OSError as exc:
-                log.warning("unreadable entry %s: %s", child.path, exc)
-            self._union[path] = (kind, size, link, mode, where)
-            if kind == DIRECTORY:
-                self._walk(child.path, path)
+                if not prefix:
+                    raise IngestError(f"cannot read rootfs root: {exc}") from exc
+                log.warning("unreadable directory %s: %s", directory, exc)
+                continue
+            for child in children:
+                path, mode, where = f"{prefix}/{child.name}", None, None
+                kind, size, link = OTHER, 0, None
+                try:
+                    st = child.stat(follow_symlinks=False)
+                    mode = stat.S_IMODE(st.st_mode)
+                    if stat.S_ISLNK(st.st_mode):
+                        kind, link = SYMLINK, os.readlink(child.path)
+                    elif stat.S_ISDIR(st.st_mode):
+                        kind = DIRECTORY
+                    elif stat.S_ISREG(st.st_mode):
+                        kind, size, where = REGULAR, st.st_size, child.path
+                except OSError as exc:
+                    log.warning("unreadable entry %s: %s", child.path, exc)
+                self._union[path] = (kind, size, link, mode, where)
+                if kind == DIRECTORY:
+                    todo.append((child.path, path))
 
     def _bytes(self, path: str, where: str) -> bytes:
         try:

@@ -28,8 +28,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, MaterializeError
-from .imagefs import REGULAR, ContentSource, FileSet
-from .trace import normalize_path
+from .imagefs import REGULAR, ContentSource, FileSet, normalize_path
 
 log = logging.getLogger(__name__)
 
@@ -159,8 +158,6 @@ def _dpkg_list_paths(text: str) -> frozenset[str]:
         line = line.strip()
         if not line:
             continue
-        if line == "/.":
-            line = "/"
         paths.add(normalize_path("/", line))
     return frozenset(paths)
 

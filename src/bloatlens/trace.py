@@ -6,6 +6,7 @@ The accepted grammar is documented in docs/trace-format.md. Parsing keeps
 per-PID state: a current working directory maintained from chdir/fchdir
 and inherited across fork/clone, and a table of file descriptors returned
 by successful opens (used to resolve fchdir and dirfd-relative calls).
+Paths and the root prefix take the normal form of imagefs.normalize_path.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from os import PathLike, fspath
 from typing import IO, Iterable
+
+from .imagefs import normalize_path
 
 log = logging.getLogger(__name__)
 
@@ -112,41 +115,6 @@ class AccessSet:
                 raise ValueError(f"access path must be absolute: {p!r}")
 
 
-def normalize_path(cwd: str, raw: str) -> str:
-    """Lexically resolve ``raw`` against ``cwd``.
-
-    Joins relative paths onto cwd and collapses '.' and '..' segments
-    without consulting any real filesystem. '..' escaping above the root
-    clamps at '/' (a diagnostic is logged).
-    """
-    path, escaped = _normalize(cwd, raw)
-    if escaped:
-        log.debug("path %r escapes above root; clamped", raw)
-    return path
-
-
-def _normalize(cwd: str, raw: str) -> tuple[str, bool]:
-    if not cwd.startswith("/"):
-        raise ValueError(f"cwd must be absolute: {cwd!r}")
-    if not raw.startswith("/"):
-        raw = cwd.rstrip("/") + "/" + raw
-    if "//" not in raw and "/." not in raw and not raw.endswith("/"):
-        return raw, False  # no empty, "." or ".." segment: already normal
-    stack: list[str] = []
-    escaped = False
-    for seg in raw.split("/"):
-        if seg in ("", "."):
-            continue
-        if seg == "..":
-            if stack:
-                stack.pop()
-            else:
-                escaped = True
-        else:
-            stack.append(seg)
-    return "/" + "/".join(stack), escaped
-
-
 def _decode(quoted: str) -> str | None:
     """Decode the body of a C-quoted string, or None if an escape is malformed.
 
@@ -188,7 +156,7 @@ def _path_arg(args: str, idx: int) -> tuple[int | None, str | None]:
     if path is None:
         return None, None
     if path.startswith("/"):
-        return None, _normalize("/", path)[0]
+        return None, normalize_path("/", path)
     if idx == 0 or m[1] == "AT_FDCWD":
         return _CWD, path
     dm = _DIRFD_RE.match(m[1])
@@ -199,7 +167,7 @@ def _path_arg(args: str, idx: int) -> tuple[int | None, str | None]:
         return fd, None if fd is None else path
     if not dm["path"].startswith("/"):
         return None, None
-    return None, _normalize(dm["path"], path)[0]
+    return None, normalize_path(dm["path"], path)
 
 
 class _PidState:
@@ -215,12 +183,12 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
                 include_failed: bool = False) -> AccessSet:
     """Extract the accessed-file set from a multi-process trace log.
 
-    ``root_prefix`` is the container root as seen by the tracer; resolved
-    paths are rebased under it and paths outside it are dropped with a
+    ``root_prefix`` (normalized) is the container root as the tracer saw it;
+    resolved paths are rebased under it, and those outside it dropped with a
     diagnostic. Failed calls are excluded unless ``include_failed`` is set.
     Unparseable lines are counted and skipped, never fatal.
     """
-    root = "/" + root_prefix.strip("/") if root_prefix.strip("/") else "/"
+    root = normalize_path("/", root_prefix)
     under_root, cut = root + "/", len(root)
     paths: set[str] = set()
     states: dict[int, _PidState] = {}
@@ -301,7 +269,7 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
                 base, path = hit
                 if base is not None:
                     base = st.cwd if base == _CWD else st.fds.get(base)
-                    path = None if base is None else _normalize(base, path)[0]
+                    path = None if base is None else normalize_path(base, path)
                 if kind == _CHDIR:
                     st.cwd = path
                 if path is None:

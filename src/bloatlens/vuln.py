@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import VulnReportError
-from .imagefs import FileSet
+from .imagefs import FileSet, normalize_path
 from .packages import PackageRecord, canonical_pip_name
 
 log = logging.getLogger(__name__)
@@ -83,10 +83,6 @@ def _array(value: Any, where: str) -> list:
     return value
 
 
-def _norm_location(path: str) -> str:
-    return path if path.startswith("/") else "/" + path
-
-
 def _merged(findings: Iterable[tuple]) -> list[VulnMatch]:
     """One VulnMatch per (id, package, version), locations unioned. Each
     finding is (id, severity, name, version, locations, id_at, name_at); the
@@ -141,7 +137,7 @@ def _grype_findings(matches: list) -> Iterator[tuple]:
         locs = set()
         at = f"{where}.artifact.locations"
         for j, loc in enumerate(_array(art.get("locations"), at)):
-            locs.add(_norm_location(str(_require(loc, "path", f"{at}[{j}]"))))
+            locs.add(normalize_path("/", str(_require(loc, "path", f"{at}[{j}]"))))
         yield (cve, sev, name, version, locs,
                f"{where}.vulnerability.id", f"{where}.artifact.name")
 

@@ -155,6 +155,31 @@ class TestLoadRootfs:
         fs = load_rootfs(mini_rootfs)[0]
         assert fileset_inventory(fs) == walk_inventory(mini_rootfs)
 
+    def test_tree_deeper_than_the_recursion_limit_walks(self, tmp_path):
+        depth = 1100  # /d/d/...: about 2.2k characters, under PATH_MAX
+        fd = os.open(tmp_path, os.O_RDONLY)
+        try:
+            for _ in range(depth):
+                os.mkdir("d", dir_fd=fd)
+                fd, parent = os.open("d", os.O_RDONLY, dir_fd=fd), fd
+                os.close(parent)
+        finally:
+            os.close(fd)
+        try:
+            assert len(load_rootfs(tmp_path)[0]) == depth + 1
+        finally:  # shutil.rmtree recurses per level too
+            for level in range(depth, 0, -1):
+                os.rmdir(os.path.join(tmp_path, *["d"] * level))
+
+
+class TestOneNormalForm:
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.lists(st.sampled_from(["a", ".", "..", "/", "./"]), max_size=8).map("".join))
+    def test_tar_member_path_is_the_normal_form_or_refused(self, name):
+        path, normal = imagefs._tar_member_path(name), imagefs.normalize_path("/", name)
+        assert path is None or path == normal
+        assert (path is None) == (normal == "/" or ".." in name.split("/"))
+
 
 class TestLoadFlatTar:
     def test_basic_members(self, tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bloatlens
 from bloatlens.debloat import compute_retained
 from bloatlens.imagefs import load_rootfs
 from bloatlens.trace import AccessSet, TraceStats, normalize_path, parse_trace
@@ -129,6 +130,10 @@ class TestNormalizePath:
     def test_relative_cwd_rejected(self):
         with pytest.raises(ValueError):
             normalize_path("rel", "x")
+
+    def test_one_normalizer_for_every_stage(self):
+        assert bloatlens.trace.normalize_path is bloatlens.imagefs.normalize_path
+        assert bloatlens.normalize_path is bloatlens.imagefs.normalize_path
 
     def test_randomized_against_posixpath_oracle(self):
         rng = random.Random(1234)
@@ -314,6 +319,13 @@ class TestParseTrace:
             root_prefix="/var/lib/docker/rootfs",
         )
         assert acc.paths == {"/app/cfg"}
+
+    @pytest.mark.parametrize("prefix", ["/srv//rootfs", "/srv/./rootfs", "/srv/x/../rootfs"])
+    def test_root_prefix_normalized_like_paths(self, prefix):
+        acc = parse('1 openat(AT_FDCWD, "/srv/rootfs/etc/passwd", O_RDONLY) = 3',
+                    root_prefix=prefix)
+        assert acc.paths == {"/etc/passwd"}
+        assert acc.stats.outside_root == 0
 
     def test_quoted_path_with_escapes(self):
         acc = parse(r'7 open("/tmp/we ird\"name\n", O_RDONLY) = 3')

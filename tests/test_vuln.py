@@ -159,6 +159,15 @@ class TestLoadReport:
         doc = grype_doc(grype_match("CVE-1", "High", "a", "1", ["usr/lib/x"]))
         assert load_report(doc)[0].locations == {"/usr/lib/x"}
 
+    @pytest.mark.parametrize("location", [
+        "/usr/lib/libx.so/", "/usr//lib/libx.so", "/usr/lib/./libx.so",
+        "/usr/share/../lib/libx.so"])
+    def test_non_normal_location_matches_the_inventory(self, location):
+        matches = load_report(grype_doc(grype_match("CVE-1", "High", "a", "1", [location])))
+        assert matches[0].locations == {"/usr/lib/libx.so"}
+        diff = surviving_cves(matches, fs_from(["/usr/lib/libx.so"]))
+        assert diff.removed == tuple(matches)
+
     def test_mini_fixture_loads_twelve(self, mini_vuln_path):
         doc = json.loads(mini_vuln_path.read_text())
         assert len(load_report(doc)) == 12
