@@ -67,7 +67,6 @@ from .vuln import (  # noqa: F401
     VulnDiff,
     VulnMatch,
     load_report,
-    load_trivy_report,
     severity_table,
     surviving_cves,
 )

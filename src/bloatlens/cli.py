@@ -27,13 +27,11 @@ from .report import (
     PipelineConfig,
     debloat_section,
     dump_json,
-    load_any_report,
     open_inputs,
     package_graph,
     package_rows,
     run_pipeline,
     severity_csv,
-    vuln_diff,
     vuln_section,
     write_debloated,
     write_graph,
@@ -115,11 +113,23 @@ def _config_from(args) -> PipelineConfig:
     """An image subcommand's config; fields without a flag there keep defaults."""
     if not args.out:
         raise InputError("an output directory is required", flag="--out")
+    _check_out(args.out)
     values = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)
               if hasattr(args, f.name)}
     values["layers"] = tuple(args.layers)
     values["keep"] = tuple(values.get("keep", ()))
     return PipelineConfig(**values)
+
+
+def _check_out(out: str) -> None:
+    """--out, or else its nearest existing ancestor, must be a writable
+    directory, so a bad --out fails before any input is read; nothing is created."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise InputError(f"cannot write under {path}: not a writable directory",
+                         flag="--out")
 
 
 # Each command returns the diagnostics of its partial success, if any.
@@ -133,7 +143,7 @@ def _cmd_analyze(args) -> list[str]:
 
 def _cmd_debloat(args) -> list[str]:
     config = _config_from(args)
-    with open_inputs(config) as (fs, source, access, _):
+    with open_inputs(config) as (fs, source, access, *_):
         result = debloat(fs, access, keep=config.keep)
         write_debloated(config.out, result.retained, source, config.emit_tar)
         write_text(config.out, "debloat.json", dump_json(debloat_section(fs, result)))
@@ -146,7 +156,7 @@ def _cmd_debloat(args) -> list[str]:
 
 def _cmd_packages(args) -> list[str]:
     config = _config_from(args)
-    with open_inputs(config, need_trace=False) as (fs, source, _, rules):
+    with open_inputs(config, need_trace=False) as (fs, source, _, rules, *_):
         catalog = detect_packages(fs, source, rules)
     doc = [
         {
@@ -168,10 +178,10 @@ def _cmd_packages(args) -> list[str]:
 
 def _cmd_vulns(args) -> list[str]:
     config = _config_from(args)
-    with open_inputs(config, need_report=True) as (fs, source, access, rules):
+    with open_inputs(config, need_report=True) as (fs, source, access, rules, matches, _):
         result = debloat(fs, access, keep=config.keep)
         catalog = detect_packages(fs, source, rules)
-    diff = surviving_cves(load_any_report(config.vuln_report), result.bloat, catalog)
+    diff = surviving_cves(matches, result.bloat, catalog)
     doc = vuln_section(diff, partition=len)
     write_text(config.out, "vulndiff.json", dump_json(doc))
     write_text(config.out, "severity_table.csv", severity_csv(doc["severity_table"]))
@@ -181,11 +191,10 @@ def _cmd_vulns(args) -> list[str]:
 
 def _cmd_graph(args) -> list[str]:
     config = _config_from(args)
-    partial_errors: list[str] = []
-    with open_inputs(config) as (fs, source, access, rules):
+    with open_inputs(config) as (fs, source, access, rules, matches, partial_errors):
         result = debloat(fs, access, keep=config.keep)
         catalog = detect_packages(fs, source, rules)
-    diff = vuln_diff(config, result.bloat, catalog, partial_errors)
+    diff = surviving_cves(matches, result.bloat, catalog) if matches is not None else None
     graph = package_graph(catalog, package_rows(catalog, result.bloat, fs), diff)
     write_graph(config.out, graph, to_node_link(graph))
     print(f"graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges, "
@@ -194,6 +203,7 @@ def _cmd_graph(args) -> list[str]:
 
 
 def _cmd_report(args) -> list[str]:
+    _check_out(args.out)
     if not os.path.isfile(args.bundle):
         raise InputError(f"bundle not found: {args.bundle}", flag="--bundle")
     try:  # the renderers read every section, so a missing or malformed one raises

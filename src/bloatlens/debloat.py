@@ -141,7 +141,8 @@ def materialize(retained: FileSet, source: ContentSource, out: str | os.PathLike
 
     ``fmt`` is 'dir' or 'tar'. The output contains exactly the retained
     entries with sizes and modes copied from the source image; special
-    (kind=other) entries are not recreated.
+    (kind=other) entries are not recreated. A 'dir' ``out`` must be absent or
+    an empty directory: writes would follow a link left in it.
     A missing source object is fatal and names the offending path.
     """
     bad = check_parent_closure(retained)
@@ -171,6 +172,8 @@ def _contents(retained: FileSet, source: ContentSource) -> Iterator[tuple]:
 
 
 def _write_dir(out: str, contents: Iterator[tuple]) -> None:
+    if os.path.lexists(out) and (os.path.islink(out) or not os.path.isdir(out) or os.listdir(out)):
+        raise MaterializeError(f"rootfs output must be absent or an empty directory: {out}")
     os.makedirs(out, exist_ok=True)
     for path, entry, mode, data in contents:
         target = os.path.join(out, path.lstrip("/"))

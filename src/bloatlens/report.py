@@ -68,14 +68,7 @@ from .packages import (
     size_reduction_R,
 )
 from .trace import parse_trace
-from .vuln import (
-    VulnDiff,
-    VulnMatch,
-    load_report,
-    load_trivy_report,
-    severity_table,
-    surviving_cves,
-)
+from .vuln import VulnDiff, load_any_report, severity_table, surviving_cves
 
 log = logging.getLogger(__name__)
 
@@ -199,10 +192,13 @@ def _sha256_file(path: str) -> str:
 @contextlib.contextmanager
 def open_inputs(config: PipelineConfig, need_trace: bool = True,
                 need_report: bool = False):
-    """Check every input the config names and read the rules, then load the
-    image and parse the trace (if named); yields (fs, source, access, rules)
-    and closes the source. Inputs are checked here alone, before any ingest:
-    a bad or absent required input is an InputError naming its flag."""
+    """Check every input the config names, read the rules and the
+    vulnerability report, then load the image and parse the trace (if named);
+    yields (fs, source, access, rules, matches, partial_errors) and closes the
+    source. Inputs are checked here alone, before any ingest: a bad or absent
+    required input is an InputError naming its flag, and an unreadable report
+    a VulnReportError under ``need_report``. Otherwise the report is optional:
+    an unreadable one gives ``matches`` None and a ``partial_errors`` line."""
     for path, needed, what, flag in (
             (config.trace, need_trace, "trace log", "--trace"),
             (config.vuln_report, need_report, "vulnerability report", "--vuln-report"),
@@ -220,6 +216,15 @@ def open_inputs(config: PipelineConfig, need_trace: bool = True,
         if not os.path.isfile(layer):
             raise InputError(f"layer tar not found: {layer}", flag="--layers")
     rules = load_rules(config.rules)
+    matches, partial_errors = None, []
+    if config.vuln_report:
+        try:
+            matches = load_any_report(config.vuln_report)
+        except VulnReportError as exc:
+            if need_report:
+                raise
+            partial_errors.append(f"vulnerability report ignored: {exc}")
+            log.error("%s", partial_errors[0])
 
     if config.rootfs:
         fs, source = load_rootfs(config.rootfs)
@@ -232,37 +237,7 @@ def open_inputs(config: PipelineConfig, need_trace: bool = True,
         if config.trace:
             access = parse_trace(config.trace, root_prefix=config.root_prefix,
                                  include_failed=config.include_failed)
-        yield fs, source, access, rules
-
-
-def load_any_report(path: str) -> list[VulnMatch]:
-    """Read a scanner report file in the Grype matches[] layout or Trivy's
-    Results[]. Unreadable JSON is a VulnReportError, as a schema error is."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise VulnReportError(str(exc)) from exc
-    if isinstance(doc, dict) and "Results" in doc and "matches" not in doc:
-        return load_trivy_report(doc)
-    return load_report(doc)
-
-
-def vuln_diff(config: PipelineConfig, bloat: FileSet, catalog: list[PackageRecord],
-              partial_errors: list[str]) -> VulnDiff | None:
-    """The config's report as an optional input, resolved against the catalog:
-    None without one, and an unreadable one is recorded in ``partial_errors``
-    and yields None."""
-    if not config.vuln_report:
-        return None
-    try:
-        matches = load_any_report(config.vuln_report)
-    except VulnReportError as exc:
-        msg = f"vulnerability report ignored: {exc}"
-        log.error("%s", msg)
-        partial_errors.append(msg)
-        return None
-    return surviving_cves(matches, bloat, catalog)
+        yield fs, source, access, rules, matches, partial_errors
 
 
 # (record, bloat bytes, d_p) of one catalog package
@@ -292,13 +267,12 @@ def run_pipeline(config: PipelineConfig) -> AnalysisBundle:
     aborting the run.
     """
     generated_at = _timestamp()
-    with open_inputs(config) as (fs, source, access, rules):
-        partial_errors: list[str] = []
+    with open_inputs(config) as (fs, source, access, rules, matches, partial_errors):
         container_id = config.container_id or _default_container_id(config)
         result = debloat(fs, access, keep=config.keep)
         catalog = detect_packages(fs, source, rules)
         rows = package_rows(catalog, result.bloat, fs)
-        diff = vuln_diff(config, result.bloat, catalog, partial_errors)
+        diff = surviving_cves(matches, result.bloat, catalog) if matches is not None else None
         graph = package_graph(catalog, rows, diff)
         node_link = to_node_link(graph)
         document = _build_document(config, container_id, fs, result, catalog, rows,

@@ -1,14 +1,15 @@
 """Vulnerability report ingestion and CVE survival after debloating.
 
-Reports are consumed offline as JSON. The primary schema is the subset of
-Grype's ``matches[]`` layout documented in docs/vuln-reports.md; a
-converter for Trivy's ``Results[]`` layout is provided as well. A CVE
-survives debloating unless every file it is tied to was removed, so the
-reduction numbers stay conservative.
+Reports are consumed offline as JSON. One reader, ``load_report``, takes
+the subset of Grype's ``matches[]`` layout or of Trivy's ``Results[]``
+layout documented in docs/vuln-reports.md. A CVE survives debloating
+unless every file it is tied to was removed, so the reduction numbers stay
+conservative.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
@@ -109,20 +110,33 @@ def _merged(findings: Iterable[tuple]) -> list[VulnMatch]:
 
 
 def load_report(doc: Any) -> list[VulnMatch]:
-    """Parse a scanner report (Grype matches[] subset) into VulnMatch rows.
+    """Parse a decoded scanner report into VulnMatch rows.
 
-    ``doc`` is the decoded JSON document: either {"matches": [...]} or the
-    bare array. Duplicate (cve, package, version) entries are merged with
-    their locations unioned. Schema violations are fatal and name the JSON
-    path of the offending field.
+    A document with ``Results`` and no ``matches`` is read in Trivy's
+    Results[].Vulnerabilities[] layout, which carries no per-file locations,
+    so its matches fall back to package-file coverage during survival
+    analysis. Any other document is Grype's {"matches": [...]} or the bare
+    array. Duplicate (cve, package, version) entries are merged with their
+    locations unioned. Schema violations are fatal and name the JSON path of
+    the offending field in the document's layout.
     """
-    if isinstance(doc, dict):
-        matches = _require(doc, "matches", "$")
-    else:
-        matches = doc
-    if not isinstance(matches, list):
-        raise VulnReportError("$.matches is not an array")
-    return _merged(_grype_findings(matches))
+    trivy = isinstance(doc, dict) and "Results" in doc and "matches" not in doc
+    key, findings = ("Results", _trivy_findings) if trivy else ("matches", _grype_findings)
+    rows = _require(doc, key, "$") if isinstance(doc, dict) else doc
+    if not isinstance(rows, list):
+        raise VulnReportError(f"$.{key} is not an array")
+    return _merged(findings(rows))
+
+
+def load_any_report(path: str) -> list[VulnMatch]:
+    """Read a scanner report file with ``load_report``. Unreadable JSON is a
+    VulnReportError, as a schema error is."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise VulnReportError(str(exc)) from exc
+    return load_report(doc)
 
 
 def _grype_findings(matches: list) -> Iterator[tuple]:
@@ -140,19 +154,6 @@ def _grype_findings(matches: list) -> Iterator[tuple]:
             locs.add(normalize_path("/", str(_require(loc, "path", f"{at}[{j}]"))))
         yield (cve, sev, name, version, locs,
                f"{where}.vulnerability.id", f"{where}.artifact.name")
-
-
-def load_trivy_report(doc: Any) -> list[VulnMatch]:
-    """Convert Trivy's Results[].Vulnerabilities[] layout to VulnMatch rows.
-
-    Trivy reports carry no per-file locations for OS packages, so matches
-    fall back to package-file coverage during survival analysis. Schema
-    violations name the JSON path of the offending field in this layout.
-    """
-    results = _require(doc, "Results", "$")
-    if not isinstance(results, list):
-        raise VulnReportError("$.Results is not an array")
-    return _merged(_trivy_findings(results))
 
 
 def _trivy_findings(results: list) -> Iterator[tuple]:

@@ -423,14 +423,16 @@ MALFORMED_IMAGES = {
 
 
 class TestInputPolicy:
-    @pytest.mark.parametrize("command, flag", [
-        ("analyze", "--rules"),
-        ("packages", "--rules"),
-        ("graph", "--rules"),
-        ("vulns", "--vuln-report"),
-    ])
-    def test_input_errors_before_ingest(self, command, flag, mini_rootfs, mini_trace_path,
-                                        tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command, flag, bad_report", [
+        ("analyze", "--rules", None),
+        ("packages", "--rules", None),
+        ("graph", "--rules", None),
+        ("vulns", "--vuln-report", None),
+        ("vulns", "--vuln-report", '{"matches": 5}'),
+    ], ids=["analyze---rules", "packages---rules", "graph---rules", "vulns---vuln-report",
+            "vulns-malformed-report"])
+    def test_input_errors_before_ingest(self, command, flag, bad_report, mini_rootfs,
+                                        mini_trace_path, tmp_path, capsys, monkeypatch):
         from bloatlens import report
 
         def no_ingest(*args, **kwargs):
@@ -441,6 +443,9 @@ class TestInputPolicy:
         args = [] if command == "packages" else ["--trace", str(mini_trace_path)]
         if flag == "--rules":  # a missing file; vulns is run without its report
             args += ["--rules", str(tmp_path / "missing-rules.txt")]
+        elif bad_report is not None:  # or with one that exists but is malformed
+            (tmp_path / "report.json").write_text(bad_report)
+            args += ["--vuln-report", str(tmp_path / "report.json")]
         code, _, stderr = run_cli(capsys, command, "--rootfs", str(mini_rootfs), *args,
                                   "--out", str(tmp_path / "out"))
         assert code == 2
@@ -606,6 +611,32 @@ class TestInputPolicy:
         assert code == 2
         assert json.loads(stderr)["error"]["flag"] == "--bundle"
         assert not (tmp_path / "out").exists()  # nothing is written before all renders
+
+    @pytest.mark.parametrize("out_at", ["under-a-file", "a-file"])
+    @pytest.mark.parametrize("command", ["analyze", "vulns", "report"])
+    def test_unwritable_out_fails_before_any_input_is_read(self, command, out_at, mini_rootfs,
+                                                            mini_trace_path, mini_vuln_path,
+                                                            tmp_path, capsys, monkeypatch):
+        from bloatlens import report
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input was read before --out was checked")
+
+        for loader in ("load_rootfs", "load_flat_tar", "load_layers", "parse_trace",
+                       "load_rules", "load_any_report"):
+            monkeypatch.setattr(report, loader, no_read)
+        (tmp_path / "file").write_text("kept")
+        out = tmp_path / "file" / "out" if out_at == "under-a-file" else tmp_path / "file"
+        if command == "report":  # a bundle that is not JSON: reading it would name --bundle
+            (tmp_path / "bundle.json").write_text('{"x":')
+            args = ["--bundle", str(tmp_path / "bundle.json")]
+        else:
+            args = ["--rootfs", str(mini_rootfs), "--trace", str(mini_trace_path),
+                    "--vuln-report", str(mini_vuln_path)]
+        code, _, stderr = run_cli(capsys, command, *args, "--out", str(out))
+        assert code == 2
+        assert json.loads(stderr)["error"]["flag"] == "--out"
+        assert (tmp_path / "file").read_text() == "kept"
 
 
 class TestStagesMatchAnalyze:

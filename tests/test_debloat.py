@@ -282,6 +282,29 @@ class TestMaterialize:
         with pytest.raises(ContractViolation):
             materialize(broken, source, tmp_path / "o", fmt="dir")
 
+    def test_second_image_into_one_out_is_refused(self, tmp_path):
+        outside, one, two = (tmp_path / name for name in ("outside", "one", "two"))
+        for d in (outside, one, two / "link"):
+            d.mkdir(parents=True)
+        (one / "link").symlink_to(outside)
+        (two / "link" / "x").write_bytes(b"x")
+        out = tmp_path / "out" / "rootfs"
+        materialize(*load_rootfs(one), out, fmt="dir")
+        with pytest.raises(MaterializeError, match=str(out)):
+            materialize(*load_rootfs(two), out, fmt="dir")
+        assert list(outside.iterdir()) == []
+
+    def test_out_that_is_a_link_is_refused(self, mini_rootfs, tmp_path):
+        fs, source = load_rootfs(mini_rootfs)
+        real, out = tmp_path / "real", tmp_path / "out"
+        real.mkdir()
+        out.symlink_to(real)
+        with pytest.raises(MaterializeError, match=str(out)):
+            materialize(fs, source, out, fmt="dir")
+        assert list(real.iterdir()) == []
+        materialize(fs, source, real, fmt="dir")  # an empty directory is fine
+        assert load_rootfs(real)[0] == fs
+
     def test_deterministic_tar_bytes(self, mini_rootfs, tmp_path):
         fs, source = load_rootfs(mini_rootfs)
         retained = compute_retained(fs, access("/app/cfg.yaml"))

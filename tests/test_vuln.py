@@ -1,20 +1,23 @@
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bloatlens
+from bloatlens import report, vuln
 from bloatlens.debloat import compute_bloat, compute_retained
 from bloatlens.errors import VulnReportError
 from bloatlens.imagefs import FileEntry, FileSet, load_rootfs
 from bloatlens.packages import PackageRecord, detect_packages
 from bloatlens.trace import AccessSet, parse_trace
 from bloatlens.vuln import (
+    SEVERITIES,
     VulnDiff,
     VulnMatch,
     load_report,
-    load_trivy_report,
     severity_table,
     surviving_cves,
 )
@@ -47,6 +50,24 @@ def grype_match(cve, sev, name, version, locations=()):
             "locations": [{"path": p} for p in locations],
         },
     }
+
+
+_LABELS = (*SEVERITIES, "Unknown", "none", "")
+
+
+def _any_case(label: str):
+    flips = st.lists(st.booleans(), min_size=len(label), max_size=len(label))
+    return flips.map(lambda up: "".join(c.upper() if u else c.lower()
+                                        for c, u in zip(label, up)))
+
+
+@st.composite
+def _findings(draw):
+    """(id, severity, name, version) rows: a severity in any letter case, or null."""
+    text = st.text("ab1.-", min_size=1, max_size=3)
+    severity = st.none() | st.sampled_from(_LABELS).flatmap(_any_case)
+    return draw(st.lists(st.tuples(text.map("CVE-".__add__), severity, text, text),
+                         max_size=10))
 
 
 class TestLoadReport:
@@ -97,18 +118,18 @@ class TestLoadReport:
             load_report(doc)
 
     @pytest.mark.parametrize("loader, doc, message", [
-        (load_trivy_report, {"Results": [1]}, "$.Results[0] is not an object"),
-        (load_trivy_report, {"Results": [{"Vulnerabilities": 5}]},
+        (load_report, {"Results": [1]}, "$.Results[0] is not an object"),
+        (load_report, {"Results": [{"Vulnerabilities": 5}]},
          "$.Results[0].Vulnerabilities is not an array"),
-        (load_trivy_report, {"Results": [{"Vulnerabilities": [
+        (load_report, {"Results": [{"Vulnerabilities": [
             {"VulnerabilityID": "CVE-1", "PkgName": "a"},
             {"VulnerabilityID": "CVE-2", "PkgName": "b"},
             {"VulnerabilityID": "CVE-3"}]}]},
          "missing required field at $.Results[0].Vulnerabilities[2].PkgName"),
-        (load_trivy_report, {"Results": [{"Vulnerabilities": [
+        (load_report, {"Results": [{"Vulnerabilities": [
             {"VulnerabilityID": "", "PkgName": "a"}]}]},
          "$.Results[0].Vulnerabilities[0].VulnerabilityID must be a non-empty string"),
-        (load_trivy_report, {"Results": [{"Vulnerabilities": [
+        (load_report, {"Results": [{"Vulnerabilities": [
             {"VulnerabilityID": "CVE-1", "PkgName": ""}]}]},
          "$.Results[0].Vulnerabilities[0].PkgName must be non-empty for a finding "
          "without locations"),
@@ -134,7 +155,7 @@ class TestLoadReport:
          "$.matches[0].artifact.version must not be null"),
         (load_report, grype_doc(grype_match("CVE-1", "High", "a", "1", [None])),
          "$.matches[0].artifact.locations[0].path must not be null"),
-        (load_trivy_report, {"Results": [{"Vulnerabilities": [
+        (load_report, {"Results": [{"Vulnerabilities": [
             {"VulnerabilityID": "CVE-1", "PkgName": None, "InstalledVersion": "1"}]}]},
          "$.Results[0].Vulnerabilities[0].PkgName must not be null"),
     ], ids=["grype-null-name", "grype-null-version", "grype-null-location-path",
@@ -147,7 +168,7 @@ class TestLoadReport:
     @pytest.mark.parametrize("loader, doc, expected", [
         (load_report, grype_doc(grype_match("CVE-1", None, "a", "1")),
          match("CVE-1", "Negligible", "a", "1")),
-        (load_trivy_report, {"Results": [{"Vulnerabilities": [
+        (load_report, {"Results": [{"Vulnerabilities": [
             {"VulnerabilityID": "CVE-1", "PkgName": "a", "Severity": None,
              "InstalledVersion": None}]}]},
          match("CVE-1", "Negligible", "a", "")),
@@ -179,14 +200,38 @@ class TestTrivyConversion:
             {"VulnerabilityID": "CVE-9", "Severity": "HIGH",
              "PkgName": "openssl", "InstalledVersion": "1.1"},
         ]}]}
-        out = load_trivy_report(doc)
+        out = load_report(doc)
         assert out == [match("CVE-9", "High", "openssl", "1.1")]
 
     def test_unknown_severity_defaults(self):
         doc = {"Results": [{"Vulnerabilities": [
             {"VulnerabilityID": "CVE-9", "PkgName": "x", "InstalledVersion": "1"},
         ]}]}
-        assert load_trivy_report(doc)[0].severity == "Negligible"
+        assert load_report(doc)[0].severity == "Negligible"
+
+    @given(_findings(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_trivy_and_grype_layouts_read_alike(self, findings, data):
+        vulns = [{"VulnerabilityID": cve, "Severity": sev, "PkgName": name,
+                  "InstalledVersion": version} for cve, sev, name, version in findings]
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(vulns)), max_size=2)))
+        results = [{"Vulnerabilities": vulns[a:b]}
+                   for a, b in zip([0, *cuts], [*cuts, len(vulns)])]
+        grype = grype_doc(*(grype_match(*f) for f in findings))
+        out = load_report({"Results": results})
+        assert out == load_report(grype)
+        assert len(out) == len({(cve, name, version) for cve, _, name, version in findings})
+
+
+class TestOneReader:
+    def test_report_reads_with_the_vuln_loader(self):
+        assert report.load_any_report is vuln.load_any_report
+
+    def test_src_holds_one_reader_and_one_read(self):
+        src = "".join(p.read_text() for p in Path(bloatlens.__file__).parent.glob("*.py"))
+        assert src.count("def load_any_report(") == 1
+        assert src.count("load_any_report(") == 2  # its definition and open_inputs' call
+        assert "vuln_diff" not in src and "load_trivy_report" not in src
 
 
 class TestSurvivingCves:
