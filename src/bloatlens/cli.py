@@ -19,7 +19,7 @@ import os
 import sys
 
 from ._version import __version__
-from .debloat import debloat, materialize
+from .debloat import check_rootfs_out, debloat, materialize
 from .depgraph import to_node_link
 from .errors import BloatlensError, ContractViolation, InputError
 from .packages import detect_packages
@@ -49,8 +49,8 @@ EXIT_PARTIAL = 4
 def _add_image_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rootfs", help="extracted container rootfs directory")
     p.add_argument("--layers", nargs="+", default=[],
-                   help="layer tars in base-first manifest order (a single "
-                        "tar is treated as a flat image)")
+                   help="layer tars in base-first manifest order (every tar "
+                        "is a layer; a single tar is a one-layer image)")
     p.add_argument("--out", help="output directory")
 
 
@@ -143,13 +143,15 @@ def _cmd_analyze(args) -> list[str]:
 
 def _cmd_debloat(args) -> list[str]:
     config = _config_from(args)
+    rootfs = os.path.join(config.out, "rootfs")
+    if args.emit_rootfs:  # before any input is read, as the --out check is
+        check_rootfs_out(rootfs)
     with open_inputs(config) as (fs, source, access, *_):
         result = debloat(fs, access, keep=config.keep)
         write_debloated(config.out, result.retained, source, config.emit_tar)
         write_text(config.out, "debloat.json", dump_json(debloat_section(fs, result)))
         if args.emit_rootfs:
-            materialize(result.retained, source, os.path.join(config.out, "rootfs"),
-                        fmt="dir")
+            materialize(result.retained, source, rootfs, fmt="dir")
     print(f"d_c={result.d_c:.2f} ({result.s_c} -> {result.s_c_prime} bytes)")
     return []
 

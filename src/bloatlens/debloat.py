@@ -7,6 +7,7 @@ complement. Both are path-level set operations on an immutable FileSet.
 
 from __future__ import annotations
 
+import errno
 import fnmatch
 import logging
 import os
@@ -14,7 +15,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ContractViolation, MaterializeError
+from .errors import ContractViolation, InputError, MaterializeError
 from .imagefs import (
     DIRECTORY,
     REGULAR,
@@ -171,9 +172,24 @@ def _contents(retained: FileSet, source: ContentSource) -> Iterator[tuple]:
         yield path, entry, source.mode(path), data
 
 
-def _write_dir(out: str, contents: Iterator[tuple]) -> None:
+def check_rootfs_out(out: str) -> None:
+    """A 'dir' output must be absent or an empty directory, not a link."""
     if os.path.lexists(out) and (os.path.islink(out) or not os.path.isdir(out) or os.listdir(out)):
         raise MaterializeError(f"rootfs output must be absent or an empty directory: {out}")
+
+
+def create_output(path: str, flags: int) -> int:
+    """``open``'s opener for an output file: it never writes through a link at
+    ``path``; that, or any failure to create the file, is an InputError naming it."""
+    try:
+        return os.open(path, flags | os.O_NOFOLLOW, 0o666)
+    except OSError as exc:
+        reason = "a link is in the way" if exc.errno == errno.ELOOP else exc.strerror
+        raise InputError(f"cannot write {path}: {reason}", flag="--out") from None
+
+
+def _write_dir(out: str, contents: Iterator[tuple]) -> None:
+    check_rootfs_out(out)
     os.makedirs(out, exist_ok=True)
     for path, entry, mode, data in contents:
         target = os.path.join(out, path.lstrip("/"))
@@ -222,7 +238,7 @@ def _tar_header(name: str, typ: bytes, mode: int, size: int = 0, link: str = "")
 
 
 def _write_tar(out: str, contents: Iterator[tuple]) -> None:
-    with open(out, "wb") as f:
+    with open(out, "wb", opener=create_output) as f:
         for path, entry, mode, data in contents:
             typ, default = _TAR_TYPES[entry.kind]
             name = ("." + path).rstrip("/") + ("/" if entry.kind == DIRECTORY else "")

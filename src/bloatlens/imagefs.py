@@ -1,10 +1,10 @@
 """Container filesystem ingestion.
 
-Builds an immutable file inventory (:class:`FileSet`) from one of three
-sources: an extracted rootfs directory, a single flat tar, or an ordered
-stack of image layer tars with OCI whiteout handling. The inventory records
-paths, kinds and apparent sizes only; file content stays in the source and
-is read back through a :class:`ContentSource` when needed. Every stage
+Builds an immutable file inventory (:class:`FileSet`) from an extracted
+rootfs directory or an ordered stack of image layer tars with OCI whiteout
+handling: every tar is a layer; a single tar is a one-layer image. The
+inventory records paths, kinds and apparent sizes only; file content stays
+in the source and is read back through a :class:`ContentSource`. Every stage
 writes the paths it matches against the inventory in the normal form of
 :func:`normalize_path`.
 
@@ -467,13 +467,13 @@ def _tar_members(plain: IO[bytes], label: str) -> Iterator[tuple]:
 
 
 class _TarSource(ContentSource):
-    """Inventory and content of tars that are each read in one pass.
+    """Inventory and content of a stack of layer tars, each read in one pass.
 
-    A regular entry's bytes are at (plain tar stream, data offset, size); a
-    hardlink shares the location its target had then, or None when that
-    target was missing or not a regular file. Each tar's walk feeds
-    ``_add_tar`` as it reads; a tar none of whose bytes are left in the
-    union is then closed.
+    Every tar is a layer; a single tar is a one-layer image. A regular entry's
+    bytes are at (plain tar stream, data offset, size); a hardlink shares the
+    location its target had then, or None when that target was missing or not a
+    regular file. Each tar's walk feeds ``_add_tar`` as it reads; a tar none of
+    whose bytes are left in the union is then closed.
     """
 
     def __init__(self, tars: list[tuple[str | os.PathLike | IO[bytes], str]]):
@@ -504,9 +504,24 @@ class _TarSource(ContentSource):
                 files.close()
 
     def _add_tar(self, plain: IO[bytes], members: Iterable[tuple]) -> None:
-        """Merge one tar's members in order: the last member at a path wins."""
+        union, own, keys = self._union, set(), None  # own: the paths this layer added
         for member in members:
-            self._add(plain, *member)
+            parent, _, base = member[0].rpartition("/")
+            if not base.startswith(WHITEOUT_PREFIX):
+                self._add(plain, *member)
+                own.add(member[0])
+            elif base == WHITEOUT_PREFIX:
+                log.warning("whiteout %s names no path; ignored", member[0])
+            else:
+                # Whiteouts hide lower layers only: each drops a gone d and what sorts in
+                # ['d/', 'd0') for a gone or opaque d ('0' follows '/'), sparing own paths.
+                opaque = base == OPAQUE_MARKER
+                top = parent if opaque else f"{parent}/{base[len(WHITEOUT_PREFIX):]}"
+                keys = sorted(union) if keys is None else keys  # later additions are own
+                hidden = keys[bisect_left(keys, top + "/"):bisect_left(keys, top + "0")]
+                for p in hidden if opaque else [top, *hidden]:
+                    if p not in own:
+                        union.pop(p, None)
 
     def _add(self, plain: IO[bytes], path: str, typ: bytes, linkname: str, size: int,
              mode: int, offset: int) -> None:
@@ -544,7 +559,7 @@ class _TarSource(ContentSource):
 
 
 class FlatTarSource(_TarSource):
-    """Content source over one flat tar: the last member at a path wins."""
+    """Content source over one tar, a one-layer image (see :func:`load_layers`)."""
 
     def __init__(self, source: str | os.PathLike | IO[bytes]):
         super().__init__([(source, "flat tar")])
@@ -559,33 +574,12 @@ class LayeredSource(_TarSource):
             raise IngestError("no layers given")
         super().__init__(layers)
 
-    def _add_tar(self, plain: IO[bytes], members: Iterable[tuple]) -> None:
-        union, own, keys = self._union, set(), None  # own: the paths this layer added
-        for member in members:
-            parent, _, base = member[0].rpartition("/")
-            if not base.startswith(WHITEOUT_PREFIX):
-                self._add(plain, *member)
-                own.add(member[0])
-            elif base == WHITEOUT_PREFIX:
-                log.warning("whiteout %s names no path; ignored", member[0])
-            else:
-                # Whiteouts hide lower layers only: each drops a gone d and what sorts in
-                # ['d/', 'd0') for a gone or opaque d ('0' follows '/'), sparing own paths.
-                opaque = base == OPAQUE_MARKER
-                top = parent if opaque else f"{parent}/{base[len(WHITEOUT_PREFIX):]}"
-                keys = sorted(union) if keys is None else keys  # later additions are own
-                hidden = keys[bisect_left(keys, top + "/"):bisect_left(keys, top + "0")]
-                for p in hidden if opaque else [top, *hidden]:
-                    if p not in own:
-                        union.pop(p, None)
-
 
 def load_flat_tar(source: str | os.PathLike | IO[bytes]) -> tuple[FileSet, FlatTarSource]:
-    """Inventory a flat (non-layered) tar and open it for reads, in one pass.
-
-    Compression (gzip, bzip2, xz, lzma) is auto-detected. The caller closes
-    the returned source.
-    """
+    """Inventory one tar and open it for reads, in one pass. Every tar is a
+    layer; a single tar is a one-layer image, read as :func:`load_layers`
+    reads it but with errors labelled 'flat tar'. Compression (gzip, bzip2,
+    xz, lzma) is auto-detected. The caller closes the returned source."""
     content = FlatTarSource(source)
     return content._fileset(), content
 
@@ -594,16 +588,16 @@ def load_layers(layer_tars: Iterable[str | os.PathLike | IO[bytes]]
                 ) -> tuple[FileSet, LayeredSource]:
     """Union an ordered (base-first) stack of layer tars, in one pass each.
 
-    Returns the union's inventory and a content source over it, which the
-    caller closes. Whiteout entries follow the OCI image layer spec:
-    '.wh.<name>' deletes <name> from the union of the lower layers,
-    '.wh..wh..opq' hides all prior contents of its directory. A bare '.wh.'
-    names no path: it is logged, left out of the union and hides nothing.
-    Members merge in tar order, each whiteout as it is read; whiteouts act
-    on lower layers only, so they spare every path the layer itself adds.
-    A hardlink takes its target as the union holds it when the link is
-    read. Later layers replace earlier entries at the same path; replacing
-    a directory with a non-directory drops the old subtree.
+    Every tar is a layer; a single tar is a one-layer image. Returns the
+    union's inventory and a content source over it, which the caller closes.
+    Whiteout entries follow the OCI image layer spec: '.wh.<name>' deletes
+    <name> from the union of the lower layers, '.wh..wh..opq' hides all prior
+    contents of its directory. A bare '.wh.' names no path: it is logged, left
+    out of the union and hides nothing. Members merge in tar order, each
+    whiteout as it is read; whiteouts act on lower layers only, so they spare
+    every path the layer itself adds. A hardlink takes its target as the union
+    holds it when the link is read. Later members replace earlier entries at
+    the same path; replacing a directory with a non-directory drops its subtree.
     """
     content = LayeredSource(layer_tars)
     return content._fileset(), content

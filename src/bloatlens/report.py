@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 from typing import Sequence
 
 from ._version import __version__
-from .debloat import DebloatResult, debloat, materialize, render_manifest
+from .debloat import DebloatResult, create_output, debloat, materialize, render_manifest
 from .depgraph import (
     PackageAttrGraph,
     build_graph,
@@ -47,7 +47,7 @@ from .imagefs import (
     FlatTarSource,  # noqa: F401  bench/spans.py wraps these names
     LayeredSource,  # noqa: F401
     RootfsSource,  # noqa: F401
-    load_flat_tar,
+    load_flat_tar,  # noqa: F401
     load_layers,
     load_rootfs,
 )
@@ -228,9 +228,7 @@ def open_inputs(config: PipelineConfig, need_trace: bool = True,
 
     if config.rootfs:
         fs, source = load_rootfs(config.rootfs)
-    elif len(config.layers) == 1:
-        fs, source = load_flat_tar(config.layers[0])
-    else:
+    else:  # every tar is a layer; a single tar is a one-layer image
         fs, source = load_layers(config.layers)
     with source:
         access = None
@@ -564,11 +562,12 @@ def dump_json(obj) -> str:
 
 
 def write_text(out: str, name: str, text: str) -> None:
-    """Write ``text`` as ``out/name`` in UTF-8, creating ``out`` as needed; a
-    surrogate escape (a file name that is not UTF-8) is written as its byte."""
+    """Write ``text`` as ``out/name`` in UTF-8, creating ``out`` as needed but
+    never writing through a link at ``out/name``; a surrogate escape (a file
+    name that is not UTF-8) is written as its byte."""
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, name), "w", encoding="utf-8", errors="surrogateescape",
-              newline="") as f:
+              newline="", opener=create_output) as f:
         f.write(text)
 
 
@@ -659,11 +658,16 @@ def plots_from_document(doc: dict) -> dict[str, str]:
 
 
 def write_report_files(doc: dict, out: str, view: dict | None = None) -> None:
-    """tables/ and plots/ from the document; plots from ``view`` if given."""
+    """tables/ and plots/ from the document; plots from ``view`` if given. A
+    subdirectory that is a link is refused, since the files would land outside ``out``."""
     rendered = {"tables": tables_from_document(doc), "plots": plots_from_document(view or doc)}
     for subdir, files in rendered.items():
+        directory = os.path.join(out, subdir)
+        if os.path.islink(directory):
+            raise InputError(f"cannot write under {directory}: a link is in the way",
+                             flag="--out")
         for name, text in files.items():
-            write_text(os.path.join(out, subdir), name, text)
+            write_text(directory, name, text)
 
 
 def write_graph(out: str, graph: PackageAttrGraph, node_link: dict) -> None:

@@ -95,6 +95,27 @@ class TestAnalyze:
         )
         assert code == 0
 
+    def test_single_tar_is_read_as_a_one_layer_image(self, mini_rootfs, mini_trace_path,
+                                                     tmp_path, capsys, monkeypatch):
+        from bloatlens import report
+
+        calls = []
+        for name in ("load_flat_tar", "load_layers"):
+            def spy(*args, _name=name, _real=getattr(report, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(report, name, spy)
+        tar_path = tmp_path / "image.tar"
+        with tarfile.open(tar_path, "w") as tf:
+            tf.add(mini_rootfs, arcname=".")
+        common = ["--trace", str(mini_trace_path), "--out", str(tmp_path / "out")]
+        code, _, _ = run_cli(capsys, "analyze", "--layers", str(tar_path), *common)
+        assert (code, calls) == (0, ["load_layers"])
+        tar_path.write_bytes(b"\xff" * 2048)  # its errors are labelled as a layer's
+        code, _, stderr = run_cli(capsys, "analyze", "--layers", str(tar_path), *common)
+        assert code == 2
+        assert json.loads(stderr)["error"]["message"].startswith("layer 0: ")
+
     def test_layer_stack_with_whiteouts(self, mini_rootfs, mini_trace_path,
                                         tmp_path, capsys):
         import gzip
@@ -346,6 +367,19 @@ class TestStageSubcommands:
         )
         assert code == 2
         assert "error" in json.loads(stderr)
+
+    def test_missing_out_is_input_error(self, mini_rootfs, mini_trace_path, capsys):
+        code, _, stderr = run_cli(capsys, "analyze", "--rootfs", str(mini_rootfs),
+                                  "--trace", str(mini_trace_path))
+        assert code == 2
+        assert json.loads(stderr)["error"]["flag"] == "--out"
+
+    def test_missing_bundle_is_input_error(self, tmp_path, capsys):
+        code, _, stderr = run_cli(capsys, "report", "--bundle", str(tmp_path / "gone.json"),
+                                  "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert json.loads(stderr)["error"]["flag"] == "--bundle"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_rootfs_path(self, mini_trace_path, tmp_path, capsys):
         code, _, stderr = run_cli(
@@ -637,6 +671,71 @@ class TestInputPolicy:
         assert code == 2
         assert json.loads(stderr)["error"]["flag"] == "--out"
         assert (tmp_path / "file").read_text() == "kept"
+
+
+class TestOutputLinks:
+    """No output is written through a link already under --out; --out itself
+    may be a link to a directory."""
+
+    def analyze(self, capsys, mini_rootfs, mini_trace_path, out):
+        return run_cli(capsys, "analyze", "--rootfs", str(mini_rootfs),
+                       "--trace", str(mini_trace_path), "--emit-tar", "--out", str(out))
+
+    @pytest.mark.parametrize("name", ["bundle.json", "debloated.tar"])
+    def test_output_file_that_is_a_link_is_refused(self, name, mini_rootfs, mini_trace_path,
+                                                   tmp_path, capsys):
+        outside, out = tmp_path / "outside.txt", tmp_path / "out"
+        outside.write_text("kept")
+        out.mkdir()
+        (out / name).symlink_to(outside)
+        code, _, stderr = self.analyze(capsys, mini_rootfs, mini_trace_path, out)
+        assert code == 2
+        error = json.loads(stderr)["error"]
+        assert error["flag"] == "--out"
+        assert str(out / name) in error["message"]
+        assert outside.read_text() == "kept"
+
+    def test_report_directory_that_is_a_link_is_refused(self, mini_rootfs, mini_trace_path,
+                                                        tmp_path, capsys):
+        outside, out = tmp_path / "outside", tmp_path / "out"
+        outside.mkdir()
+        out.mkdir()
+        (out / "tables").symlink_to(outside)
+        code, _, stderr = self.analyze(capsys, mini_rootfs, mini_trace_path, out)
+        assert code == 2
+        assert str(out / "tables") in json.loads(stderr)["error"]["message"]
+        assert list(outside.iterdir()) == []
+
+    def test_out_that_is_a_link_to_a_directory_is_written(self, mini_rootfs, mini_trace_path,
+                                                          tmp_path, capsys):
+        real, out = tmp_path / "real", tmp_path / "out"
+        real.mkdir()
+        out.symlink_to(real)
+        code, _, _ = self.analyze(capsys, mini_rootfs, mini_trace_path, out)
+        assert code == 0
+        assert (real / "bundle.json").is_file() and (real / "debloated.tar").is_file()
+        assert len(list((real / "tables").iterdir())) == 7
+
+    def test_rootfs_in_the_way_fails_before_any_input_is_read(self, mini_rootfs,
+                                                              mini_trace_path, tmp_path,
+                                                              capsys, monkeypatch):
+        from bloatlens import report
+
+        argv = ["debloat", "--rootfs", str(mini_rootfs), "--trace", str(mini_trace_path),
+                "--emit-rootfs", "--out", str(tmp_path / "out")]
+        assert run_cli(capsys, *argv)[0] == 0
+        manifest = tmp_path / "out" / "manifest.tsv"
+        before = (manifest.read_bytes(), manifest.stat().st_mtime_ns)
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input was read before rootfs/ was checked")
+
+        for loader in ("load_rootfs", "load_flat_tar", "load_layers", "parse_trace"):
+            monkeypatch.setattr(report, loader, no_read)
+        code, _, stderr = run_cli(capsys, *argv)
+        assert code == 2
+        assert str(tmp_path / "out" / "rootfs") in json.loads(stderr)["error"]["message"]
+        assert (manifest.read_bytes(), manifest.stat().st_mtime_ns) == before
 
 
 class TestStagesMatchAnalyze:

@@ -1,3 +1,4 @@
+import os
 import random
 import tarfile
 
@@ -272,6 +273,20 @@ class TestMaterialize:
         fs = fs_from([FileEntry("/", "directory"), FileEntry("/gone", "regular", 3)])
         with pytest.raises(MaterializeError, match="/gone"):
             materialize(fs, RootfsSource(tmp_path), tmp_path / "out", fmt="dir")
+
+    def test_special_entry_is_skipped_with_a_warning(self, tmp_path, caplog):
+        os.mkfifo(tmp_path / "pipe")
+        fs, source = load_rootfs(tmp_path)
+        materialize(fs, source, tmp_path / "out.tar", fmt="tar")
+        with tarfile.open(tmp_path / "out.tar") as tf:
+            assert tf.getnames() == ["."]
+        assert "skipping special entry during materialization: /pipe" in caplog.text
+
+    def test_size_mismatch_names_the_path(self, tmp_path):
+        (tmp_path / "f").write_bytes(b"abc")
+        fs = fs_from([FileEntry("/", "directory"), FileEntry("/f", "regular", 5)])
+        with pytest.raises(MaterializeError, match="size mismatch for /f: expected 5, got 3"):
+            materialize(fs, RootfsSource(tmp_path), tmp_path / "out.tar", fmt="tar")
 
     def test_non_closed_set_rejected(self, mini_rootfs, tmp_path):
         fs, source = load_rootfs(mini_rootfs)

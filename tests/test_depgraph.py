@@ -154,6 +154,11 @@ class TestBuildGraph:
         g = build_graph(catalog, {"pip:widget-tools": 0.0, "pip:numpy-lite": 1.0})
         assert ("pip:widget-tools", "pip:numpy-lite") in g.edges
 
+    def test_repeated_graph_key_keeps_the_first_version(self, caplog):
+        g = build_graph([apt_pkg("x", version="2"), apt_pkg("x", version="1")], {"apt:x": 0.5})
+        assert g.nodes["apt:x"].version == "1"
+        assert "duplicate apt package name x; keeping version 1" in caplog.text
+
     def test_vuln_counts_default_to_zero(self):
         g = build_graph([pip_pkg("p")], {"pip:p": 0.0})
         assert g.nodes["pip:p"].vuln_count == 0

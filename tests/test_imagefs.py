@@ -147,6 +147,23 @@ class TestLoadRootfs:
         assert src.mode("/x") == stat.S_IMODE(os.lstat(tmp_path / "x").st_mode)
         assert "unreadable entry" in caplog.text
 
+    def test_unlistable_subdirectory_warns_and_the_walk_goes_on(self, tmp_path, monkeypatch,
+                                                              caplog):
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "f").write_bytes(b"f")
+        real = os.scandir
+
+        def scandir(path):  # root may list a mode-000 directory, so fail the call itself
+            if os.path.basename(path) == "a":
+                raise PermissionError(errno.EACCES, "denied", path)
+            return real(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        fs = load_rootfs(tmp_path)[0]
+        assert sorted(fs.entries) == ["/", "/a", "/b", "/b/f"]
+        assert f"unreadable directory {tmp_path / 'a'}" in caplog.text
+
     def test_parent_closure_holds(self, mini_rootfs):
         fs = load_rootfs(mini_rootfs)[0]
         assert check_parent_closure(fs) == []
@@ -179,6 +196,11 @@ class TestOneNormalForm:
         path, normal = imagefs._tar_member_path(name), imagefs.normalize_path("/", name)
         assert path is None or path == normal
         assert (path is None) == (normal == "/" or ".." in name.split("/"))
+
+
+# A single tar is a one-layer image, whichever loader reads it.
+ONE_TAR_LOADERS = pytest.mark.parametrize(
+    "load", [load_flat_tar, lambda tar: load_layers([tar])], ids=["flat", "layers"])
 
 
 class TestLoadFlatTar:
@@ -242,6 +264,23 @@ class TestLoadLayers:
             ("etc/a", "file", b"one"),
         ])
         assert inventory(load_layers([tar])) == inventory(load_flat_tar(tar))
+
+    @ONE_TAR_LOADERS
+    def test_single_tar_markers_leave_the_inventory(self, tmp_path, load):
+        # A tar's whiteouts spare what it adds, so in a one-tar stack they remove nothing.
+        tar = make_tar(tmp_path / "t.tar", [
+            ("etc/a", "file", b"a"), ("etc/.wh.gone", "file", b""),
+            ("var/.wh..wh..opq", "file", b""), ("var/x", "file", b"x")])
+        fs = inventory(load(tar))
+        assert fileset_inventory(fs) == sequential_extract_union([tar], tmp_path / "x")
+        assert sorted(fs.entries) == ["/", "/etc", "/etc/a", "/var", "/var/x"]
+
+    @ONE_TAR_LOADERS
+    def test_single_tar_bare_marker_is_logged_and_left_out(self, tmp_path, load, caplog):
+        tar = make_tar(tmp_path / "t.tar", [("a/.wh.", "file", b""), ("b", "file", b"b")])
+        fs = inventory(load(tar))
+        assert sorted(fs.entries) == ["/", "/b"]  # nor is /a, which only the marker implied
+        assert "whiteout /a/.wh. names no path" in caplog.text
 
     def test_whiteout_deletes_lower_entry(self, tmp_path):
         l1 = make_tar(tmp_path / "l1.tar", [("opt", "dir", None), ("opt/foo", "file", b"f")])
@@ -647,7 +686,13 @@ class TestLayeredUnionOracle:
                 oracle = sequential_extract_union(layers, tmp / "scratch")
                 assert fileset_inventory(fs) == oracle
                 regular = {p for p, e in fs.entries.items() if e.kind == "regular"}
-                assert {p: src.read(p) for p in regular} == file_bytes(tmp / "scratch")
+                reads = {p: src.read(p) for p in regular}
+                assert reads == file_bytes(tmp / "scratch")
+            if len(layers) == 1:  # a single tar is a one-layer image
+                flat, flat_src = load_flat_tar(layers[0])
+                with flat_src:
+                    assert flat == fs
+                    assert {p: flat_src.read(p) for p in regular} == reads
 
 
 class TestFlatTarReplacesDirectory:

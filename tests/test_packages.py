@@ -189,6 +189,40 @@ class TestDetectPackages:
         }
         assert demo.size == 10 + 20 + len("Metadata-Version: 2.1\nName: demo\nVersion: 0.1\n")
 
+    def test_dist_info_falls_back_to_its_directory_name(self, tmp_path, caplog):
+        sp = tmp_path / "site-packages"
+        for dirname, metadata in [("demo-0.1.dist-info", "Name: demo\n"),
+                                  ("other-2.0.dist-info", "Version: 9\n"),
+                                  ("nodash.dist-info", "")]:
+            (sp / dirname).mkdir(parents=True)
+            (sp / dirname / "METADATA").write_text(metadata)
+        caplog.set_level(logging.WARNING, logger="bloatlens.packages")
+        catalog = detect_packages(*load_rootfs(tmp_path))
+        assert [(r.name, r.version) for r in catalog] == [("demo", "0.1"), ("other", "9")]
+        assert "skipping malformed dist-info directory /site-packages/nodash.dist-info" \
+            in caplog.text
+
+    def test_unreadable_record_skips_the_package(self, tmp_path, caplog):
+        sp = tmp_path / "site-packages"
+        for name in ("bad", "good"):
+            (sp / f"{name}-1.dist-info").mkdir(parents=True)
+            (sp / f"{name}-1.dist-info" / "METADATA").write_text(f"Name: {name}\nVersion: 1\n")
+        (sp / "bad-1.dist-info" / "RECORD").mkdir()  # listed, but no regular file to read
+        caplog.set_level(logging.WARNING, logger="bloatlens.packages")
+        catalog = detect_packages(*load_rootfs(tmp_path))
+        assert [r.name for r in catalog] == ["good"]
+        assert "skipping pip package bad: bad RECORD" in caplog.text
+
+    def test_repeated_package_key_keeps_the_first_record(self, tmp_path, caplog):
+        for prefix in ("a", "b"):  # one name and version in two site directories
+            di = tmp_path / prefix / "demo-1.dist-info"
+            di.mkdir(parents=True)
+            (di / "RECORD").write_text(f"{prefix}.py,,\n")
+        caplog.set_level(logging.WARNING, logger="bloatlens.packages")
+        catalog = detect_packages(*load_rootfs(tmp_path))
+        assert [(r.name, r.files) for r in catalog] == [("demo", frozenset({"/a/a.py"}))]
+        assert "duplicate package record ('pip', 'demo', '1'); keeping the first" in caplog.text
+
     def test_conda_empty_files_array(self, tmp_path):
         meta = tmp_path / "env" / "conda-meta"
         meta.mkdir(parents=True)
@@ -361,6 +395,13 @@ class TestCategoryBreakdown:
         b = category_breakdown(fs, index)
         assert b.by_manager["non-package"] == 1.0
         assert b.by_functionality["non-package"] == 1.0
+
+    def test_no_regular_bytes_gives_zero_proportions(self):
+        fs = fs_from([FileEntry("/", "directory"), FileEntry("/empty", "regular", 0),
+                      FileEntry("/d", "directory")])
+        b = category_breakdown(fs, build_owner_index([pkg(files={"/empty"})], fs))
+        assert set(b.by_manager.values()) == set(b.by_functionality.values()) == {0.0}
+        assert b.total_bytes == 0
 
     def test_sixty_forty_split(self):
         fs = fs_from([

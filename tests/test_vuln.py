@@ -102,6 +102,17 @@ class TestLoadReport:
         out = load_report(grype_doc(grype_match("CVE-1", "Unknown", "a", "1")))
         assert out[0].severity == "Negligible"
 
+    def test_label_outside_the_alias_table_reads_as_negligible(self, caplog):
+        out = load_report(grype_doc(grype_match("CVE-1", "Severe", "a", "1")))
+        assert out[0].severity == "Negligible"
+        assert "unknown severity 'Severe'; treating as Negligible" in caplog.text
+
+    def test_conflicting_severities_keep_the_first(self, caplog):
+        out = load_report(grype_doc(grype_match("CVE-1", "High", "a", "1"),
+                                    grype_match("CVE-1", "Low", "a", "1")))
+        assert [m.severity for m in out] == ["High"]
+        assert "conflicting severities for ('CVE-1', 'a', '1'); keeping High" in caplog.text
+
     def test_bare_array_accepted(self):
         out = load_report([grype_match("CVE-1", "High", "a", "1")])
         assert len(out) == 1
