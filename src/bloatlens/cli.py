@@ -211,7 +211,8 @@ def _cmd_report(args) -> list[str]:
     try:  # the renderers read every section, so a missing or malformed one raises
         with open(args.bundle, "r", encoding="utf-8") as f:
             write_report_files(json.load(f), args.out)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
+            RecursionError) as exc:
         raise InputError(f"not a bloatlens bundle ({type(exc).__name__}: {exc})",
                          flag="--bundle") from None
     print(f"regenerated tables and plots under {args.out}")

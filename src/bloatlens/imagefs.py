@@ -73,6 +73,7 @@ _PAX_RECORD = re.compile(rb"(\d+) ([^=]+)=")
 _DIRTYPE, _SYMTYPE, _LNKTYPE = b"5", b"2", b"1"
 _REGULAR_TYPES = (b"0", b"\0", b"7")
 _EXTENSION_TYPES = (b"L", b"K", b"x", b"X", b"g")  # GNU long names, pax, pax global
+_IMPLIED = (DIRECTORY, 0, None, None, None)  # the union record of a directory no member names
 
 
 def normalize_path(cwd: str, raw: str) -> str:
@@ -130,9 +131,11 @@ class FileSet:
     """Immutable map of path -> FileEntry.
 
     Equality compares entries (paths, kinds, sizes, link targets). Loaders
-    guarantee that every non-root entry's parent is present as a directory;
-    derived sets such as the bloat complement do not (see
-    :func:`check_parent_closure`).
+    record every entry's ancestors: one that no tar member names is a
+    directory of the layer that implies it. So every non-root entry's parent
+    is present as a directory, unless a layer puts a member under a lower
+    layer's file or symlink (which extraction cannot do either); derived sets
+    such as the bloat complement do not (see :func:`check_parent_closure`).
     """
 
     __slots__ = ("entries",)
@@ -186,20 +189,6 @@ def total_size(fs: FileSet) -> int:
     return sum(e.size for e in fs.entries.values() if e.kind == REGULAR)
 
 
-def _with_parents(entries: Iterable[FileEntry]) -> FileSet:
-    """A FileSet of entries (later ones win) and the parent directories they imply."""
-    items = {"/": FileEntry("/", DIRECTORY)}
-    for entry in entries:
-        missing, parent = [], parent_of(entry.path)
-        while parent not in items:
-            missing.append(parent)
-            parent = parent_of(parent)
-        items.update((p, FileEntry(p, DIRECTORY)) for p in reversed(missing))
-        if entry.path != "/":
-            items[entry.path] = entry
-    return FileSet(items)
-
-
 def _tar_member_path(name: str) -> str | None:
     """Normalize a tar member name to an absolute path; None for the root."""
     path = "/" + name.removeprefix("./").removesuffix("/")
@@ -235,13 +224,15 @@ class ContentSource:
     ``_union`` maps each inventory path to a plain record ``(kind, size,
     link_target, mode, where)``: its :class:`FileEntry` fields, its permission
     bits (or None) and where a regular entry's bytes are (or None). Subclasses
-    fill it at ingest and fetch those bytes in ``_bytes(path, where)``; links,
-    modes, reads and the inventory's one FileEntry per path come from it.
+    fill it at ingest, an ancestor that no tar member names included (a
+    directory of the layer that implies it, with mode None), and fetch those
+    bytes in ``_bytes(path, where)``; links, modes, reads and the inventory's
+    one FileEntry per path come from it.
     """
 
     def _fileset(self) -> FileSet:
-        return _with_parents(FileEntry(path, kind, size, link)
-                             for path, (kind, size, link, _, _) in self._union.items())
+        return FileSet(FileEntry(path, kind, size, link)
+                       for path, (kind, size, link, _, _) in self._union.items())
 
     def _link(self, path: str) -> str | None:
         hit = self._union.get(path)
@@ -473,13 +464,15 @@ class _TarSource(ContentSource):
     bytes are at (plain tar stream, data offset, size); a hardlink shares the
     location its target had then, or None when that target was missing or not a
     regular file. Each tar's walk feeds ``_add_tar`` as it reads; a tar none of
-    whose bytes are left in the union is then closed.
+    whose bytes are left in the union is then closed. The union starts with
+    '/', and each member adds the ancestors it lacks: an ancestor that no
+    member names is a directory of the layer that implies it.
     """
 
     def __init__(self, tars: list[tuple[str | os.PathLike | IO[bytes], str]]):
         self._stack = contextlib.ExitStack()
         self._files: dict[IO[bytes], contextlib.ExitStack] = {}
-        self._union = {}
+        self._union = {"/": _IMPLIED}
         try:
             for source, label in tars:
                 files = self._stack.enter_context(contextlib.ExitStack())
@@ -504,12 +497,18 @@ class _TarSource(ContentSource):
                 files.close()
 
     def _add_tar(self, plain: IO[bytes], members: Iterable[tuple]) -> None:
-        union, own, keys = self._union, set(), None  # own: the paths this layer added
+        # own: the paths this layer added; implied: the directories above them
+        union, own, implied, keys = self._union, set(), {"/"}, None
         for member in members:
             parent, _, base = member[0].rpartition("/")
             if not base.startswith(WHITEOUT_PREFIX):
                 self._add(plain, *member)
                 own.add(member[0])
+                parent = parent or "/"  # walk up to an ancestor the layer implied and still holds
+                while parent not in implied or parent not in union:
+                    implied.add(parent)
+                    union.setdefault(parent, _IMPLIED)
+                    parent = parent_of(parent)
             elif base == WHITEOUT_PREFIX:
                 log.warning("whiteout %s names no path; ignored", member[0])
             else:
@@ -517,11 +516,11 @@ class _TarSource(ContentSource):
                 # ['d/', 'd0') for a gone or opaque d ('0' follows '/'), sparing own paths.
                 opaque = base == OPAQUE_MARKER
                 top = parent if opaque else f"{parent}/{base[len(WHITEOUT_PREFIX):]}"
-                keys = sorted(union) if keys is None else keys  # later additions are own
+                keys = sorted(union) if keys is None else keys  # later additions are the layer's
                 hidden = keys[bisect_left(keys, top + "/"):bisect_left(keys, top + "0")]
                 for p in hidden if opaque else [top, *hidden]:
-                    if p not in own:
-                        union.pop(p, None)
+                    if p not in own and union.pop(p, None) and p in implied:
+                        union[p] = _IMPLIED  # a directory the layer implies stays one
 
     def _add(self, plain: IO[bytes], path: str, typ: bytes, linkname: str, size: int,
              mode: int, offset: int) -> None:
@@ -538,8 +537,9 @@ class _TarSource(ContentSource):
         elif typ == _LNKTYPE:
             # Hardlink: a regular entry with its target's size and bytes (tar stores them once).
             target = union.get(_tar_member_path(linkname))
-            if target is None:
-                log.warning("hardlink %s points outside archive (%s)", path, linkname)
+            if target is None or target[0] != REGULAR:
+                log.warning("hardlink %s: target %s %s", path, linkname, "is missing" if target
+                            is None else f"is not a regular file (kind {target[0]})")
             size, where = (target[1], target[4]) if target else (0, None)
             union[path] = (REGULAR, size, None, mode, where)
         elif typ in _REGULAR_TYPES:
@@ -598,6 +598,10 @@ def load_layers(layer_tars: Iterable[str | os.PathLike | IO[bytes]]
     every path the layer itself adds. A hardlink takes its target as the union
     holds it when the link is read. Later members replace earlier entries at
     the same path; replacing a directory with a non-directory drops its subtree.
+    An ancestor that no member names is a directory of the layer that implies
+    it, as extraction makes it: that layer's whiteouts spare it, an upper
+    layer's whiteout of its children leaves it, and a later non-directory at
+    its path drops its subtree.
     """
     content = LayeredSource(layer_tars)
     return content._fileset(), content

@@ -186,7 +186,8 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
     ``root_prefix`` (normalized) is the container root as the tracer saw it;
     resolved paths are rebased under it, and those outside it dropped with a
     diagnostic. Failed calls are excluded unless ``include_failed`` is set.
-    Unparseable lines are counted and skipped, never fatal.
+    Unparseable lines are counted and skipped, never fatal; when they are
+    more than half, one warning gives the parsed share and the first of them.
     """
     root = normalize_path("/", root_prefix)
     under_root, cut = root + "/", len(root)
@@ -199,6 +200,7 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
     # one entry per distinct argument text and is dropped on return.
     memos: tuple[dict, dict] = ({}, {})
     lines = unparsed = matched = failed_excluded = unresolvable = outside_root = 0
+    first_unparsed = None
     event, kinds = _EVENT_RE.fullmatch, _KINDS.get
 
     with (open(fspath(log_input), "r", encoding="utf-8", errors="surrogateescape")
@@ -212,6 +214,7 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
             pid = m and _int(m[1])
             if pid is None:
                 unparsed += 1
+                first_unparsed = first_unparsed or line
                 continue
             _, name, unfinished_args, args, ret, resumed, rest = m.groups()
             st = states.get(pid)
@@ -243,6 +246,7 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
                     cm = _CALL_RE.match(f"{resumed}({prev[1]}{rest.lstrip()}")
                 if cm is None:
                     unparsed += 1
+                    first_unparsed = first_unparsed or line
                     continue
                 name, args, ret = cm.groups()
             spec = kinds(name)
@@ -308,6 +312,10 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
 
     # An unfinished call that never resumed is unparsed, not parsed.
     unparsed += len(pending)
+    if unparsed * 2 > lines:  # e.g. a trace without pids, as strace writes it without -f
+        log.warning("only %d of %d trace lines parsed (%.1f%%); first unparsed line: %s",
+                    lines - unparsed, lines, 100 * (lines - unparsed) / lines,
+                    repr(first_unparsed) if first_unparsed else "an unfinished call")
     stats = TraceStats(lines, lines - unparsed, unparsed, matched, failed_excluded,
                        unresolvable, outside_root)
     return AccessSet(frozenset(paths), stats)

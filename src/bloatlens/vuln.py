@@ -129,12 +129,13 @@ def load_report(doc: Any) -> list[VulnMatch]:
 
 
 def load_any_report(path: str) -> list[VulnMatch]:
-    """Read a scanner report file with ``load_report``. Unreadable JSON is a
-    VulnReportError, as a schema error is."""
+    """Read a scanner report file with ``load_report``. Unreadable JSON, or
+    JSON nested deeper than the recursion limit, is a VulnReportError, as a
+    schema error is."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
         raise VulnReportError(str(exc)) from exc
     return load_report(doc)
 

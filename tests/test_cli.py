@@ -414,6 +414,8 @@ BAD_REPORTS = {
                "$.matches[0].artifact"),
     "json": ('{"matches": [',
              "vulnerability report ignored: Expecting value: line 1 column 14 (char 13)"),
+    "too-deep": ("[" * 200_000, "vulnerability report ignored: maximum recursion depth "
+                 "exceeded while decoding a JSON array from a unicode string"),
 }
 
 
@@ -618,8 +620,10 @@ class TestInputPolicy:
         assert json.loads(stderr)["error"]["flag"] == "--rules"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"x":', b"[1, 2]", b"{}"],
-                             ids=["not-utf8", "not-json", "not-object", "no-sections"])
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"x":', b"[1, 2]", b"{}",
+                                         b"[" * 200_000],
+                             ids=["not-utf8", "not-json", "not-object", "no-sections",
+                                  "too-deep"])
     def test_report_rejects_a_bad_bundle(self, content, tmp_path, capsys):
         bundle = tmp_path / "bundle.json"
         bundle.write_bytes(content)
@@ -627,6 +631,20 @@ class TestInputPolicy:
                                   "--out", str(tmp_path / "out"))
         assert code == 2
         assert json.loads(stderr)["error"]["flag"] == "--bundle"
+        assert not (tmp_path / "out").exists()
+
+    def test_report_rejects_a_number_too_large_to_print(self, tmp_path, capsys):
+        with open(os.path.join(os.path.dirname(__file__), "golden", "mini_bundle.json")) as f:
+            doc = json.load(f)
+        doc["debloat"]["d_c"] = 10 ** 400
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(doc))
+        code, _, stderr = run_cli(capsys, "report", "--bundle", str(bundle),
+                                  "--out", str(tmp_path / "out"))
+        assert code == 2
+        error = json.loads(stderr)["error"]
+        assert error["flag"] == "--bundle"
+        assert error["message"].startswith("not a bloatlens bundle (OverflowError: ")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section", ["container_id", "debloat", "packages", "graph",

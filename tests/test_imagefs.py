@@ -541,6 +541,21 @@ class TestHardlinksResolveInTheirOwnTar:
                 with pytest.raises(MaterializeError, match="dangling hardlink"):
                     src.read(path)
 
+    @pytest.mark.parametrize("lower, why", [
+        ([("d/f", "file", b"x")], "is not a regular file (kind directory)"),  # d is implied
+        ([("d", "dir", None)], "is not a regular file (kind directory)"),
+        ([("d", "sym", "f"), ("f", "file", b"x")], "is not a regular file (kind symlink)"),
+        ([("f", "file", b"x")], "is missing"),
+    ], ids=["implied-directory", "named-directory", "symlink", "missing"])
+    def test_link_to_a_non_regular_target_warns_why(self, tmp_path, caplog, lower, why):
+        fs, src = load_layers([make_tar(tmp_path / "l0.tar", lower),
+                               make_tar(tmp_path / "l1.tar", [("h", "lnk", "d")])])
+        with src:
+            assert fs.entries["/h"] == FileEntry("/h", "regular", 0)
+            with pytest.raises(MaterializeError, match="dangling hardlink"):
+                src.read("/h")
+        assert f"hardlink /h: target d {why}" in caplog.text
+
     def test_link_under_directory_replaced_earlier_in_layer_dangles(self, tmp_path):
         l1 = make_tar(tmp_path / "l1.tar", [("d", "dir", None), ("d/x", "file", b"gone")])
         l2 = make_tar(tmp_path / "l2.tar", [("d", "file", b"f"), ("h", "lnk", "d/x")])
@@ -637,21 +652,28 @@ LAYER_OPS = st.lists(st.tuples(
 ), max_size=8)
 
 
-def compile_layer(ops):
+def compile_layer(ops, lower_nondirs=None):
     """make_tar members for one layer, valid the way container tools write
     them: each path once, its ancestors first as directory members, and
-    hardlinks only to regular files earlier in the same tar."""
+    hardlinks only to regular files earlier in the same tar. Given the set of
+    paths that lower layers placed as non-directories, the layer names no
+    ancestor directory, skips any member under one of those paths (extraction
+    cannot make it a directory) and adds its own non-directories to the set."""
     members, kinds = [], {}
+    files_only = lower_nondirs is not None
 
     def place(path, kind, arg):
         parts = path.split("/")
         ancestors = ["/".join(parts[:i]) for i in range(1, len(parts))]
         if path in kinds or any(kinds.get(a, "dir") != "dir" for a in ancestors):
             return
+        if files_only and any(a in lower_nondirs for a in ancestors):
+            return
         for a in ancestors:
             if a not in kinds:
                 kinds[a] = "dir"
-                members.append((a, "dir", None))
+                if not files_only:
+                    members.append((a, "dir", None))
         kinds[path] = kind
         members.append((path, kind, arg))
 
@@ -670,21 +692,24 @@ def compile_layer(ops):
                 place(path, "lnk", files[len(data) % len(files)])
         else:
             place(path, op, {"file": data, "dir": None, "sym": "x/" + base}[op])
+    if files_only:
+        lower_nondirs.update(p for p, k in kinds.items() if k != "dir")
     return members
 
 
 class TestLayeredUnionOracle:
-    @settings(max_examples=60, deadline=None)
-    @given(stack=st.lists(LAYER_OPS, min_size=1, max_size=4))
-    def test_union_and_reads_match_sequential_extraction(self, stack):
+    @staticmethod
+    def check_stack(stack, lower_nondirs=None):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = pathlib.Path(tmp)
-            layers = [make_tar(tmp / f"l{i}.tar", compile_layer(ops))
+            layers = [make_tar(tmp / f"l{i}.tar", compile_layer(ops, lower_nondirs))
                       for i, ops in enumerate(stack)]
             fs, src = load_layers(layers)
             with src:
                 oracle = sequential_extract_union(layers, tmp / "scratch")
                 assert fileset_inventory(fs) == oracle
+                assert check_parent_closure(fs) == []
+                assert set(fs.entries) == set(src._union)
                 regular = {p for p, e in fs.entries.items() if e.kind == "regular"}
                 reads = {p: src.read(p) for p in regular}
                 assert reads == file_bytes(tmp / "scratch")
@@ -693,6 +718,40 @@ class TestLayeredUnionOracle:
                 with flat_src:
                     assert flat == fs
                     assert {p: flat_src.read(p) for p in regular} == reads
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=st.lists(LAYER_OPS, min_size=1, max_size=4))
+    def test_union_and_reads_match_sequential_extraction(self, stack):
+        self.check_stack(stack)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=st.lists(LAYER_OPS, min_size=1, max_size=4))
+    def test_layers_that_list_only_files_match_sequential_extraction(self, stack):
+        # every directory above a member is one its layer implies
+        self.check_stack(stack, lower_nondirs=set())
+
+    @pytest.mark.parametrize("lower, upper, expected", [
+        ([("a/b", "file", b"x")], [("a", "file", b"f")], {"/": "directory", "/a": "regular"}),
+        ([("a/b", "file", b"x")], [("a/.wh.b", "file", b"")],
+         {"/": "directory", "/a": "directory"}),
+        ([("a/b", "file", b"x")], [("a/.wh..wh..opq", "file", b"")],
+         {"/": "directory", "/a": "directory"}),
+        ([("a/b/c", "file", b"x")], [("a/b/.wh.c", "file", b"")],
+         {"/": "directory", "/a": "directory", "/a/b": "directory"}),
+    ], ids=["file-over-implied", "whiteout-under-implied", "opaque-implied",
+            "whiteout-two-deep"])
+    def test_implied_directory_is_one_of_its_layer(self, tmp_path, lower, upper, expected):
+        layers = [make_tar(tmp_path / "l0.tar", lower), make_tar(tmp_path / "l1.tar", upper)]
+        fs, src = load_layers(layers)
+        with src:
+            assert {p: e.kind for p, e in fs.entries.items()} == expected
+            assert fileset_inventory(fs) == sequential_extract_union(layers, tmp_path / "x")
+            assert check_parent_closure(fs) == []
+            assert set(fs.entries) == set(src._union)
+            if expected["/a"] == "directory":
+                assert src.mode("/a") is None
+                with pytest.raises(MaterializeError, match="not a regular file"):
+                    src.read("/a")
 
 
 class TestFlatTarReplacesDirectory:

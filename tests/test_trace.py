@@ -365,6 +365,25 @@ class TestParseTrace:
         assert acc.paths == set()
         assert (acc.stats.lines, acc.stats.parsed, acc.stats.unparsed) == (1, 0, 1)
 
+    def test_trace_mostly_unparsed_warns_once_with_its_first_line(self, caplog):
+        # strace without -f writes no pid, so none of those lines parses
+        acc = parse('openat(AT_FDCWD, "/a", O_RDONLY) = 3\n'
+                    'read(3, "", 4096) = 0\n'
+                    '7 openat(AT_FDCWD, "/b", O_RDONLY) = 3')
+        assert acc.paths == {"/b"}
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            "only 1 of 3 trace lines parsed (33.3%); first unparsed line: "
+            "'openat(AT_FDCWD, \"/a\", O_RDONLY) = 3'"]
+
+    def test_trace_half_parsed_does_not_warn(self, caplog):
+        parse('garbage\n7 openat(AT_FDCWD, "/b", O_RDONLY) = 3')
+        assert "trace lines parsed" not in caplog.text
+
+    def test_trace_of_unfinished_calls_warns_of_them(self, caplog):
+        parse('7 openat(AT_FDCWD, "/slow", O_RDONLY <unfinished ...>')
+        assert ("only 0 of 1 trace lines parsed (0.0%); first unparsed line: "
+                "an unfinished call") in caplog.text
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.binary(min_size=1, max_size=12).filter(
         lambda b: b"/" not in b and b"\0" not in b and b not in (b".", b"..")),
