@@ -1,8 +1,8 @@
 """Retained-set computation, bloat metrics, and debloated image output.
 
 The retained set is the accessed files closed under ancestor directories
-and symlink chains (plus optional keep-list globs); the bloat set is the
-complement. Both are path-level set operations on an immutable FileSet.
+and the image links their resolution crosses (plus optional keep-list
+globs); the bloat set is the complement. Both are path sets of a FileSet.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .imagefs import (
     ContentSource,
     FileSet,
     check_parent_closure,
-    normalize_path,
     parent_of,
+    resolve,
     total_size,
 )
 from .trace import AccessSet
@@ -61,26 +61,42 @@ def compute_retained(fs: FileSet, access: AccessSet,
                      keep: tuple[str, ...] = ()) -> FileSet:
     """Files needed by the workload: accessed paths plus their closure.
 
-    The closure adds (a) every ancestor directory and (b) symlink targets,
-    resolved lexically relative to the link's directory, transitively.
+    An accessed path absent from the inventory, and each retained symlink,
+    is resolved by :func:`imagefs.resolve`: the links crossed and any entry
+    reached are retained, and so is every ancestor directory, transitively.
     ``keep`` globs force-retain matching paths regardless of the trace.
-    Accessed paths absent from the filesystem (tmpfs, runtime mounts) are
-    counted and logged, never fatal. An empty seed set legally yields a
-    root-only FileSet.
+    Accessed paths that reach no entry (tmpfs, runtime mounts) are counted and
+    logged, never fatal. An empty seed set legally yields a root-only FileSet.
     """
     if not fs.entries:
         raise ContractViolation("cannot debloat an empty FileSet")
-    seeds = {p for p in access.paths if p in fs.entries}
-    missing = len(access.paths) - len(seeds)
+
+    def follow(path: str, into: list[str]) -> bool:
+        """Append the links crossed on resolving path to ``into``, then the entry
+        it reaches if any; whether it reaches one."""
+        try:
+            end = resolve(path, fs.link, into)
+        except MaterializeError:
+            return False
+        if end in fs.entries:
+            into.append(end)
+        return end in fs.entries
+
+    work, missing = [], []
+    for path in access.paths:
+        if path in fs.entries:
+            work.append(path)
+        elif not follow(path, work):
+            missing.append(path)
     if missing:
-        log.warning("%d accessed paths are not in the filesystem (runtime files?)", missing)
+        log.warning("%d accessed paths are not in the filesystem (runtime files?); "
+                    "first missing path: %r", len(missing), min(missing))
     for pattern in keep:
-        seeds.update(p for p in fs.entries if fnmatch.fnmatchcase(p, pattern))
-    if not seeds:
+        work.extend(p for p in fs.entries if fnmatch.fnmatchcase(p, pattern))
+    if not work:
         log.warning("empty access set: retaining only the root directory")
 
     retained: set[str] = {"/"} if "/" in fs.entries else set()
-    work = list(seeds)
     while work:
         path = work.pop()
         if path in retained:
@@ -89,14 +105,8 @@ def compute_retained(fs: FileSet, access: AccessSet,
         parent = parent_of(path)
         if parent not in retained and parent in fs.entries:
             work.append(parent)
-        entry = fs.entries[path]
-        if entry.kind == SYMLINK:
-            target = normalize_path(parent_of(path), entry.link_target)
-            if target in fs.entries:
-                if target not in retained:
-                    work.append(target)
-            else:
-                log.debug("symlink %s -> %s dangles outside the filesystem", path, target)
+        if fs.entries[path].kind == SYMLINK:
+            follow(path, work)
     return FileSet({p: fs.entries[p] for p in retained})
 
 

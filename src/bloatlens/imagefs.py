@@ -177,6 +177,11 @@ class FileSet:
     def __repr__(self) -> str:
         return f"FileSet({len(self.entries)} entries)"
 
+    def link(self, path: str) -> str | None:
+        """The target of the symlink at path, else None: the ``link`` of :func:`resolve`."""
+        entry = self.entries.get(path)
+        return entry.link_target if entry else None
+
 
 def check_parent_closure(fs: FileSet) -> list[str]:
     """Paths whose parent is missing or not a directory (empty when closed)."""
@@ -198,11 +203,13 @@ def _tar_member_path(name: str) -> str | None:
     return path
 
 
-def _resolve(path: str, link: Callable[[str], str | None]) -> str:
-    """path with each of its symlinks followed inside the image (at most 40),
-    where link(p) is the target of the symlink at p or None: relative targets
-    from the link's directory, absolute ones from the image root, '..'
-    stopping at '/'."""
+def resolve(path: str, link: Callable[[str], str | None],
+            crossed: list[str] | None = None) -> str:
+    """path with each of its symlinks followed inside the image, as
+    path_resolution(7) does, where link(p) is the target of the symlink at p
+    or None: relative targets from the link's directory, absolute ones from
+    the image root, '..' from where a link led and stopping at '/'. Each link
+    followed is appended to ``crossed``; over 40 is a loop (MaterializeError)."""
     todo, cur, hops = path.split("/")[::-1], "/", 0
     while todo:
         name = todo.pop()
@@ -213,9 +220,21 @@ def _resolve(path: str, link: Callable[[str], str | None]) -> str:
             hops += 1
             if hops > 40:
                 raise MaterializeError(f"cannot read {path}: symlink loop")
+            if crossed is not None:
+                crossed.append(cur)
             todo.extend(target.split("/")[::-1])
             cur = "/" if target.startswith("/") else parent_of(cur)
     return cur
+
+
+def lookup(path: str, link: Callable[[str], str | None]) -> str:
+    """The lstat(2) form of :func:`resolve` for a normal path: the links in its
+    directory part followed, a link it ends in kept; path itself on a loop."""
+    try:
+        directory = resolve(parent_of(path), link)
+    except MaterializeError:
+        return path
+    return f"{directory.rstrip('/')}/{path.rsplit('/', 1)[1]}"
 
 
 class ContentSource:
@@ -241,7 +260,7 @@ class ContentSource:
     def read(self, path: str) -> bytes:
         hit = self._union.get(path)
         if hit is None or hit[0] == SYMLINK:
-            resolved = self._union.get(_resolve(path, self._link))
+            resolved = self._union.get(resolve(path, self._link))
             if resolved is None:
                 raise MaterializeError(f"cannot read {path}: " + (
                     "dangling symlink" if hit else "not present in the image"))
@@ -252,14 +271,8 @@ class ContentSource:
 
     def mode(self, path: str) -> int | None:
         """The entry's own mode; for a path not in the inventory, that of the
-        entry it names once the links in its directory are followed."""
-        hit = self._union.get(path)
-        if hit is None:
-            try:
-                directory = _resolve(parent_of(path), self._link)
-            except MaterializeError:
-                return None
-            hit = self._union.get(f"{directory.rstrip('/')}/{path.rsplit('/', 1)[1]}")
+        entry its :func:`lookup` names."""
+        hit = self._union.get(path) or self._union.get(lookup(path, self._link))
         return hit[3] if hit else None
 
     def close(self) -> None:

@@ -22,7 +22,7 @@ import math
 import os
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Sequence
 
@@ -50,6 +50,7 @@ from .imagefs import (
     load_flat_tar,  # noqa: F401
     load_layers,
     load_rootfs,
+    lookup,
 )
 from .packages import (
     APT,
@@ -193,7 +194,8 @@ def _sha256_file(path: str) -> str:
 def open_inputs(config: PipelineConfig, need_trace: bool = True,
                 need_report: bool = False):
     """Check every input the config names, read the rules and the
-    vulnerability report, then load the image and parse the trace (if named);
+    vulnerability report, then load the image, take each report location to
+    the entry its ``imagefs.lookup`` names, and parse the trace (if named);
     yields (fs, source, access, rules, matches, partial_errors) and closes the
     source. Inputs are checked here alone, before any ingest: a bad or absent
     required input is an InputError naming its flag, and an unreadable report
@@ -231,6 +233,10 @@ def open_inputs(config: PipelineConfig, need_trace: bool = True,
     else:  # every tar is a layer; a single tar is a one-layer image
         fs, source = load_layers(config.layers)
     with source:
+        if matches:  # rebuild only a match whose locations move, as replace() revalidates
+            matches = [m if all(p in fs.entries for p in m.locations) else replace(
+                m, locations=frozenset(p if p in fs.entries else lookup(p, fs.link)
+                                       for p in m.locations)) for m in matches]
         access = None
         if config.trace:
             access = parse_trace(config.trace, root_prefix=config.root_prefix,

@@ -249,13 +249,65 @@ def parse_trace_oracle(lines, root_prefix: str = "/", include_failed: bool = Fal
     return AccessSet(frozenset(paths), stats)
 
 
+class ResolveLoop(Exception):
+    """More than 40 links on one resolution (the kernel's ELOOP)."""
+
+
+def resolve_oracle(path, link, crossed=None):
+    """path_resolution(7) by recursion: each component is looked up in the
+    directory reached so far; a link is replaced by the resolution of its
+    target (from the root if absolute, else from the link's directory), and
+    the remaining components continue from there. As ``imagefs.resolve``
+    takes only ``link``, a name that is no link is walked into as a
+    directory. Appends each link met to ``crossed``; raises ResolveLoop on
+    a 41st."""
+    met = []
+
+    def walk(directory, components):
+        if not components:
+            return directory
+        name, rest = components[0], components[1:]
+        if name in ("", "."):
+            return walk(directory, rest)
+        if name == "..":
+            return walk(posixpath.dirname(directory), rest)
+        here = posixpath.join(directory, name)
+        target = link(here)
+        if target is None:
+            return walk(here, rest)
+        if len(met) == 40:
+            raise ResolveLoop(path)
+        met.append(here)
+        return walk(walk("/" if target.startswith("/") else directory, target.split("/")), rest)
+
+    try:
+        return walk("/", path.split("/"))
+    finally:
+        if crossed is not None:
+            crossed.extend(met)
+
+
 def naive_retained_closure(fs, access_paths, keep_paths=()) -> set[str]:
-    """Fixed-point iteration over the two closure rules."""
-    from bloatlens.trace import normalize_path
+    """Fixed-point iteration over the two closure rules: ancestors, and the
+    links crossed and the entry reached by resolve_oracle from an accessed
+    path absent from the inventory or from a retained symlink."""
+
+    def link(path):
+        entry = fs.entries.get(path)
+        return entry.link_target if entry is not None else None
+
+    def followed(path):
+        crossed = []
+        try:
+            end = resolve_oracle(path, link, crossed)
+        except ResolveLoop:
+            return set(crossed)
+        return set(crossed) | ({end} if end in fs.entries else set())
 
     retained = {"/"}
-    retained.update(p for p in access_paths if p in fs.entries)
     retained.update(p for p in keep_paths if p in fs.entries)
+    for p in access_paths:
+        retained.update({p} if p in fs.entries else followed(p))
     while True:
         new = set(retained)
         for path in retained:
@@ -264,12 +316,8 @@ def naive_retained_closure(fs, access_paths, keep_paths=()) -> set[str]:
                 cur = cur.rsplit("/", 1)[0] or "/"
                 if cur in fs.entries:
                     new.add(cur)
-            entry = fs.entries[path]
-            if entry.kind == "symlink":
-                parent = path.rsplit("/", 1)[0] or "/"
-                target = normalize_path(parent, entry.link_target)
-                if target in fs.entries:
-                    new.add(target)
+            if fs.entries[path].kind == "symlink":
+                new |= followed(path)
         if new == retained:
             return retained
         retained = new

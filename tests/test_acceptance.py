@@ -41,7 +41,7 @@ from oracles import (
     reachability_oracle,
     sequential_extract_union,
 )
-from test_debloat import random_fileset
+from test_debloat import random_fileset, through_dir_links
 from test_depgraph import pip_pkg, random_dag
 from test_imagefs import make_tar
 
@@ -222,6 +222,8 @@ def test_criterion_06_debloat_closure_oracle_equivalence():
         fs = random_fileset(rng, 500)
         candidates = [p for p in fs.entries if p != "/"]
         accessed = set(rng.sample(candidates, rng.randint(0, len(candidates) // 3)))
+        spelled = through_dir_links(fs)
+        accessed |= set(rng.sample(spelled, rng.randint(0, min(20, len(spelled)))))
         missing = {f"/runtime-only-{i}" for i in range(rng.randint(0, 3))}
         retained = compute_retained(fs, AccessSet(frozenset(accessed | missing)))
         assert set(retained.entries) == naive_retained_closure(fs, accessed)

@@ -6,6 +6,8 @@ import pytest
 
 from bloatlens.cli import main
 
+from fixtures import mergedusr
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -812,3 +814,54 @@ class TestStagesMatchAnalyze:
         diff = json.loads((outputs / "vulns" / "vulndiff.json").read_text())
         assert diff == {**vuln, "removed": len(vuln["removed"]),
                         "retained": len(vuln["retained"])}
+
+
+@pytest.fixture(params=["rootfs", "layers"])
+def merged_usr(request, tmp_path):
+    """(image flags, trace, report) of the merged-/usr fixture, as a rootfs
+    and as two layer tars."""
+    trace, report = mergedusr.write_inputs(tmp_path)
+    if request.param == "rootfs":
+        return ["--rootfs", str(mergedusr.build_rootfs(tmp_path / "rootfs"))], trace, report
+    return ["--layers", *map(str, mergedusr.build_layers(tmp_path / "layers"))], trace, report
+
+
+class TestMergedUsr:
+    """/bin and /lib are links into /usr; the trace, the dpkg file lists and
+    the scanner report name files through them."""
+
+    def test_analyze_follows_the_links(self, merged_usr, tmp_path, capsys):
+        image, trace, report = merged_usr
+        out = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "analyze", *image, "--trace", str(trace),
+                             "--vuln-report", str(report), "--out", str(out))
+        assert code == 0
+        doc = json.loads((out / "bundle.json").read_text())
+        assert doc["debloat"]["d_c"] == 0.800373
+        assert doc["debloat"]["files_retained"] == 10
+        manifest = (out / "manifest.tsv").read_text().splitlines()
+        assert {line.split("\t")[2] for line in manifest} == mergedusr.RETAINED
+        assert {r["name"]: (r["size"], r["d_p"]) for r in doc["packages"]["catalog"]} == {
+            "libc6": (3000, 0.0), "libunused1": (7000, 1.0), "python3": (100, 0.0)}
+        assert doc["vuln"]["reduction"] == 0.5
+        # Locations are written as the entries they name.
+        assert [(m["cve_id"], m["locations"]) for m in doc["vuln"]["removed"]] == [
+            ("CVE-2", ["/usr/lib/x86_64-linux-gnu/libunused.so.1"])]
+        assert [(m["cve_id"], m["locations"]) for m in doc["vuln"]["retained"]] == [
+            ("CVE-1", ["/usr/lib/x86_64-linux-gnu/libc.so.6"])]
+
+    def test_debloated_rootfs_keeps_the_links(self, merged_usr, tmp_path, capsys):
+        image, trace, _ = merged_usr
+        out = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "debloat", *image, "--trace", str(trace),
+                             "--emit-rootfs", "--out", str(out))
+        assert code == 0
+        rootfs = out / "rootfs"
+        assert os.readlink(rootfs / "lib") == "usr/lib"
+        assert os.readlink(rootfs / "bin") == "usr/bin"
+        assert os.readlink(rootfs / "usr" / "bin" / "python3") == "python3.11"
+        libdir = rootfs / "usr" / "lib" / "x86_64-linux-gnu"
+        assert not (libdir / "libc.so.6").is_symlink()
+        assert (libdir / "libc.so.6").stat().st_size == 3000
+        assert sorted(os.listdir(libdir)) == ["libc.so.6"]
+        assert sorted(os.listdir(rootfs)) == ["bin", "lib", "usr"]

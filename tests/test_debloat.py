@@ -24,11 +24,12 @@ from bloatlens.imagefs import (
     RootfsSource,
     load_flat_tar,
     load_rootfs,
+    parent_of,
     total_size,
 )
 from bloatlens.trace import AccessSet
 
-from oracles import naive_retained_closure, write_tar_oracle
+from oracles import ResolveLoop, naive_retained_closure, resolve_oracle, write_tar_oracle
 
 
 def fs_from(entries):
@@ -40,9 +41,12 @@ def access(*paths):
 
 
 def random_fileset(rng: random.Random, max_entries: int = 500) -> FileSet:
-    """Random tree with regular files and symlinks (some dangling chains)."""
+    """Random tree with regular files and symlinks (some dangling chains).
+    Some links name directories, and some targets are spelled through those
+    links, '..' after one included; :func:`through_dir_links` spells
+    accessed paths the same way."""
     entries = {"/": FileEntry("/", "directory")}
-    dirs = ["/"]
+    dirs, dir_links = ["/"], []  # dir_links: (link, the directory it names)
     n = rng.randint(2, max_entries)
     for i in range(n):
         parent = rng.choice(dirs)
@@ -58,11 +62,38 @@ def random_fileset(rng: random.Random, max_entries: int = 500) -> FileSet:
             # Mix of relative/absolute targets, some dangling, some chains.
             candidates = list(entries)
             target = rng.choice(candidates + ["missing", "../gone", "/absent"])
-            if rng.random() < 0.5 and target.startswith("/"):
-                depth = parent.count("/") if parent != "/" else 0
+            depth = parent.count("/") if parent != "/" else 0
+            if dir_links and rng.random() < 0.4:
+                link, directory = rng.choice(dir_links)
+                inside = [p for p in candidates if p.startswith(directory.rstrip("/") + "/")]
+                beside = [p for p in candidates if parent_of(p) == parent_of(directory)]
+                if inside and rng.random() < 0.7:
+                    target = link + rng.choice(inside)[len(directory.rstrip("/")):]
+                elif beside:
+                    target = f"{link}/../{rng.choice(beside).rsplit('/', 1)[1]}"
+                if rng.random() < 0.5:  # the same path, relative to the link's directory
+                    target = "../" * depth + target.lstrip("/")
+            elif rng.random() < 0.5 and target.startswith("/"):
                 target = "../" * rng.randint(0, depth) + target.lstrip("/")
+            elif target in dirs:
+                dir_links.append((path, target))
             entries[path] = FileEntry(path, "symlink", 0, target or ".")
     return FileSet(entries)
+
+
+def through_dir_links(fs: FileSet) -> list[str]:
+    """Each entry below a directory that a symlink names, spelled through the
+    link, in sorted order."""
+    spelled, links = [], {p: e.link_target for p, e in fs.entries.items() if e.kind == "symlink"}
+    for path in sorted(links):
+        try:
+            directory = resolve_oracle(path, links.get)
+        except ResolveLoop:
+            continue
+        if getattr(fs.entries.get(directory), "kind", None) == "directory":
+            spelled += [path + p[len(directory.rstrip("/")):] for p in fs.entries
+                        if p.startswith(directory.rstrip("/") + "/")]
+    return spelled
 
 
 class TestComputeRetained:
@@ -99,6 +130,50 @@ class TestComputeRetained:
         retained = compute_retained(fs, access("/usr/bin/tool"))
         assert "/usr/lib/tool-real" in retained.entries
 
+    def test_dot_dot_after_a_link_leaves_the_links_target(self):
+        fs = fs_from([
+            FileEntry("/", "directory"),
+            FileEntry("/opt", "directory"),
+            FileEntry("/opt/a", "directory"),
+            FileEntry("/opt/a/lib", "directory"),
+            FileEntry("/opt/a/conf", "regular", 4),
+            FileEntry("/conf", "regular", 8),
+            FileEntry("/lib", "symlink", 0, "opt/a/lib"),
+            FileEntry("/tool", "symlink", 0, "lib/../conf"),
+        ])
+        retained = set(compute_retained(fs, access("/tool")).entries)
+        assert retained == {"/", "/tool", "/lib", "/opt", "/opt/a", "/opt/a/lib", "/opt/a/conf"}
+
+    def test_paths_through_directory_links_reach_their_entries(self):
+        fs = fs_from([
+            FileEntry("/", "directory"),
+            FileEntry("/usr", "directory"),
+            FileEntry("/usr/lib", "directory"),
+            FileEntry("/usr/lib/libc.so.6", "regular", 3),
+            FileEntry("/usr/lib/unused.so", "regular", 5),
+            FileEntry("/lib", "symlink", 0, "usr/lib"),
+            FileEntry("/gone", "symlink", 0, "lib/missing"),
+        ])
+        retained = compute_retained(fs, access("/lib/libc.so.6", "/gone", "/lib/nope"))
+        # A link crossed on the way to no entry is kept, as the lookup met it.
+        assert set(retained.entries) == {"/", "/lib", "/usr", "/usr/lib",
+                                         "/usr/lib/libc.so.6", "/gone"}
+
+    def test_missing_paths_are_counted_and_the_first_is_named(self, caplog):
+        fs = fs_from([
+            FileEntry("/", "directory"),
+            FileEntry("/a", "regular", 1),
+            FileEntry("/d", "directory"),
+            FileEntry("/d/f", "regular", 1),
+            FileEntry("/l", "symlink", 0, "d"),
+            FileEntry("/loop", "symlink", 0, "loop"),
+        ])
+        retained = compute_retained(fs, access("/a", "/l/f", "/tmp/z", "/run/x", "/l/x",
+                                               "/loop/x"))
+        assert "/d/f" in retained.entries
+        assert ("4 accessed paths are not in the filesystem (runtime files?); "
+                "first missing path: '/l/x'") in caplog.text
+
     def test_missing_accessed_path_not_fatal(self):
         fs = fs_from([FileEntry("/", "directory"), FileEntry("/a", "regular", 1)])
         retained = compute_retained(fs, access("/a", "/tmp/runtime-only"))
@@ -129,7 +204,9 @@ class TestComputeRetained:
         rng = random.Random(42)
         fs = random_fileset(rng, 200)
         candidates = [p for p, e in fs.entries.items() if e.kind != "directory"]
-        accessed = set(rng.sample(candidates, min(40, len(candidates))))
+        spelled = through_dir_links(fs)
+        accessed = set(rng.sample(candidates, min(40, len(candidates))) +
+                       rng.sample(spelled, min(20, len(spelled))))
         retained = compute_retained(fs, AccessSet(frozenset(accessed)))
         assert set(retained.entries) == naive_retained_closure(fs, accessed)
 

@@ -5,6 +5,7 @@ import io
 import lzma
 import os
 import pathlib
+import posixpath
 import stat
 import struct
 import tarfile
@@ -32,8 +33,10 @@ from bloatlens.imagefs import (
 )
 
 from oracles import (
+    ResolveLoop,
     file_bytes,
     fileset_inventory,
+    resolve_oracle,
     sequential_extract_union,
     tarfile_contents,
     walk_inventory,
@@ -849,6 +852,93 @@ class TestSymlinkReads:
             assert src.mode("/abslib/real") == 0o640
             assert src.mode("/abslib/rel") == src.mode("/etc/rel") != 0o640  # the link's own
             assert src.mode("/loop/real") is None
+
+
+LINK_NAMES = st.sampled_from(["a", "b", "l"])
+LINK_TARGETS = st.tuples(st.sampled_from(["", "/"]), st.lists(
+    st.sampled_from(["a", "b", "l", "..", "."]), min_size=1, max_size=4).map("/".join))
+LINK_TREES = st.lists(st.tuples(
+    st.lists(LINK_NAMES, min_size=1, max_size=3).map("/".join),
+    st.sampled_from(["dir", "file", "sym"]), LINK_TARGETS.map("".join)), max_size=14)
+LINK_QUERIES = st.lists(st.lists(LINK_NAMES, min_size=1, max_size=4).map(
+    lambda names: "/" + "/".join(names)), max_size=8)
+
+
+def link_tree(ops):
+    """Members (name, kind, arg) from ops, each name once and under a
+    directory, with the missing ancestors made directories: links to
+    directories, relative and absolute targets, '..' after a link, loops and
+    dangling links all occur. A file holds its name."""
+    kinds, members = {"": "dir"}, []
+    for name, kind, target in ops:
+        parts = name.split("/")
+        ancestors = ["/".join(parts[:i]) for i in range(1, len(parts))]
+        if name in kinds or any(kinds.get(a, "dir") != "dir" for a in ancestors):
+            continue
+        for a in ancestors:
+            if a not in kinds:
+                kinds[a] = "dir"
+                members.append((a, "dir", None))
+        kinds[name] = kind
+        members.append((name, kind, name.encode() if kind == "file" else target))
+    return members
+
+
+def link_queries(members, queries):
+    """queries, every member's path, and each member's name spelled under each link."""
+    names = {name.rsplit("/", 1)[-1] for name, _, _ in members}
+    return [*queries, *("/" + name for name, _, _ in members),
+            *(f"/{link}/{name}" for link, kind, _ in members if kind == "sym" for name in names)]
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except (MaterializeError, ResolveLoop):
+        return "loop or unreadable"
+
+
+class TestOneResolver:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=LINK_TREES, queries=LINK_QUERIES)
+    def test_resolve_and_lookup_match_path_resolution(self, ops, queries):
+        members = link_tree(ops)
+        link = {"/" + name: arg for name, kind, arg in members if kind == "sym"}.get
+        for path in ["/", *link_queries(members, queries)]:
+            crossed, expected_crossed = [], []
+            assert outcome(imagefs.resolve, path, link, crossed) == \
+                outcome(resolve_oracle, path, link, expected_crossed), path
+            assert crossed == expected_crossed, path
+            directory = outcome(resolve_oracle, posixpath.dirname(path), link)
+            assert imagefs.lookup(path, link) == (
+                path if directory == "loop or unreadable"
+                else posixpath.join(directory, posixpath.basename(path))), path
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=LINK_TREES, queries=LINK_QUERIES)
+    def test_reads_and_modes_follow_the_oracle_on_a_rootfs_and_a_tar(self, ops, queries):
+        members = link_tree(ops)
+        kinds = {"/" + name: kind for name, kind, _ in members}
+        link = {"/" + name: arg for name, kind, arg in members if kind == "sym"}.get
+        with tempfile.TemporaryDirectory() as tmp:
+            root = pathlib.Path(tmp) / "root"
+            root.mkdir()
+            for name, kind, arg in members:
+                if kind == "dir":
+                    (root / name).mkdir()
+                elif kind == "file":
+                    (root / name).write_bytes(arg)
+                else:
+                    os.symlink(arg, root / name)
+            fs, tar = load_flat_tar(make_tar(pathlib.Path(tmp) / "t.tar", members))
+            with tar:
+                for src in (RootfsSource(root), tar):
+                    modes = {p: src.mode(p) for p in fs.entries}
+                    for path in link_queries(members, queries):
+                        end = outcome(resolve_oracle, path, link)
+                        assert outcome(src.read, path) == (
+                            end[1:].encode() if kinds.get(end) == "file" else "loop or unreadable")
+                        assert src.mode(path) == modes.get(imagefs.lookup(path, link)), path
 
 
 SEGMENTS = st.sampled_from(["a", "b", "caf\u00e9", "\u65e5\u672c", "x" * 60, "\u00fc" * 40])

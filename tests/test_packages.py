@@ -105,6 +105,22 @@ class TestDetectPackages:
         catalog = detect_packages(fs, source)
         assert [r.name for r in catalog] == ["fine"]
 
+    def test_listed_files_are_taken_through_directory_links(self, tmp_path):
+        lib = tmp_path / "usr" / "lib"
+        lib.mkdir(parents=True)
+        (lib / "libc.so.6").write_bytes(b"x" * 30)
+        (lib / "libc.so").symlink_to("libc.so.6")
+        (tmp_path / "lib").symlink_to("usr/lib")
+        dbdir = tmp_path / "var" / "lib" / "dpkg"
+        (dbdir / "info").mkdir(parents=True)
+        (dbdir / "status").write_text("Package: libc6\nStatus: install ok installed\nVersion: 1\n")
+        (dbdir / "info" / "libc6.list").write_text(
+            "/lib\n/lib/libc.so.6\n/usr/lib/libc.so.6\n/lib/libc.so\n/lib/gone\n")
+        [rec] = detect_packages(*load_rootfs(tmp_path))
+        # Two spellings of libc.so.6 name one entry; a link the path ends in stays.
+        assert rec.files == {"/lib", "/usr/lib/libc.so.6", "/usr/lib/libc.so", "/usr/lib/gone"}
+        assert rec.size == 30
+
     @pytest.mark.parametrize("target,names", [("status.real", ["fine"]), ("gone", [])])
     def test_symlinked_status_reads_alike_from_dir_and_tar(self, tmp_path, caplog, target, names):
         root = tmp_path / "rootfs"
