@@ -61,7 +61,8 @@ def _add_trace_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--root-prefix", default="/",
                    help="container root as seen by the tracer")
     p.add_argument("--keep", action="append", default=[], metavar="GLOB",
-                   help="always retain paths matching this glob (repeatable)")
+                   help="always retain paths matching this glob (repeatable); the "
+                        "directory part before its first wildcard follows the image's links")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,7 @@ import errno
 import fnmatch
 import logging
 import os
+import re
 import struct
 from dataclasses import dataclass
 from typing import Iterator
@@ -24,7 +25,6 @@ from .imagefs import (
     FileSet,
     check_parent_closure,
     parent_of,
-    resolve,
     total_size,
 )
 from .trace import AccessSet
@@ -62,9 +62,12 @@ def compute_retained(fs: FileSet, access: AccessSet,
     """Files needed by the workload: accessed paths plus their closure.
 
     An accessed path absent from the inventory, and each retained symlink,
-    is resolved by :func:`imagefs.resolve`: the links crossed and any entry
+    is resolved by :meth:`FileSet.resolve`: the links crossed and any entry
     reached are retained, and so is every ancestor directory, transitively.
-    ``keep`` globs force-retain matching paths regardless of the trace.
+    ``keep`` globs force-retain matching paths regardless of the trace: the
+    directory part before a glob's first wildcard is resolved as the trace's
+    paths are, its links crossed retained, and the rest matched under the
+    directory it reaches (so '/lib/*' keeps '/usr/lib/*' where /lib -> usr/lib).
     Accessed paths that reach no entry (tmpfs, runtime mounts) are counted and
     logged, never fatal. An empty seed set legally yields a root-only FileSet.
     """
@@ -75,12 +78,12 @@ def compute_retained(fs: FileSet, access: AccessSet,
         """Append the links crossed on resolving path to ``into``, then the entry
         it reaches if any; whether it reaches one."""
         try:
-            end = resolve(path, fs.link, into)
+            end = fs.resolve(path, into)
         except MaterializeError:
             return False
-        if end in fs.entries:
+        if end is not None:
             into.append(end)
-        return end in fs.entries
+        return end is not None
 
     work, missing = [], []
     for path in access.paths:
@@ -92,6 +95,15 @@ def compute_retained(fs: FileSet, access: AccessSet,
         log.warning("%d accessed paths are not in the filesystem (runtime files?); "
                     "first missing path: %r", len(missing), min(missing))
     for pattern in keep:
+        head = re.match(r"[^*?[]*(?=/)", pattern)  # the directory part before any wildcard
+        if head and head[0]:
+            try:
+                directory = fs.resolve(head[0], work)  # the links it crosses are retained
+            except MaterializeError:
+                continue
+            if directory is None:
+                continue
+            pattern = directory.rstrip("/") + pattern[head.end():]
         work.extend(p for p in fs.entries if fnmatch.fnmatchcase(p, pattern))
     if not work:
         log.warning("empty access set: retaining only the root directory")

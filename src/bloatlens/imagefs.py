@@ -42,7 +42,7 @@ import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import IO, Callable, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import IngestError, MaterializeError
 
@@ -128,7 +128,10 @@ class FileEntry:
 
 
 class FileSet:
-    """Immutable map of path -> FileEntry.
+    """Immutable map of path -> FileEntry, and the one resolver of image paths:
+    :meth:`resolve` and its lstat(2) form :meth:`lookup` see each entry's kind,
+    so a missing component (ENOENT), a non-directory before the last (ENOTDIR)
+    and an empty link target reach nothing, as in the kernel.
 
     Equality compares entries (paths, kinds, sizes, link targets). Loaders
     record every entry's ancestors: one that no tar member names is a
@@ -177,10 +180,43 @@ class FileSet:
     def __repr__(self) -> str:
         return f"FileSet({len(self.entries)} entries)"
 
-    def link(self, path: str) -> str | None:
-        """The target of the symlink at path, else None: the ``link`` of :func:`resolve`."""
-        entry = self.entries.get(path)
-        return entry.link_target if entry else None
+    def resolve(self, path: str, crossed: list[str] | None = None) -> str | None:
+        """The entry path names, its links followed inside the image as path_resolution(7)
+        does: relative targets from the link's directory, absolute ones from the root,
+        '..' from where a link led and stopping at '/'. None on a missing component, a
+        non-directory before the last one or an empty link target. Each link followed
+        is appended to ``crossed``; over 40 is a loop (MaterializeError)."""
+        entries, todo, cur, hops = self.entries, path.split("/")[::-1], "/", 0
+        while todo:
+            if getattr(entries.get(cur), "kind", None) != DIRECTORY:
+                return None  # only a directory has components
+            name = todo.pop()
+            cur = parent_of(cur) if name == ".." else cur if name in ("", ".") else \
+                f"{cur.rstrip('/')}/{name}"
+            target = getattr(entries.get(cur), "link_target", None)
+            if target is not None:
+                hops += 1
+                if hops > 40:
+                    raise MaterializeError(f"cannot read {path}: symlink loop")
+                if crossed is not None:
+                    crossed.append(cur)
+                if not target:
+                    return None
+                todo.extend(target.split("/")[::-1])
+                cur = "/" if target.startswith("/") else parent_of(cur)
+        return cur if cur in entries else None
+
+    def lookup(self, path: str) -> str:
+        """The lstat(2) form of :meth:`resolve` for a normal path: the links in
+        its directory part followed, a link it ends in kept. path itself when it
+        is in the inventory, or its directory part loops or reaches no directory."""
+        if path in self.entries:
+            return path
+        try:
+            directory = self.resolve(parent_of(path) + "/.")  # '.' only in a directory
+        except MaterializeError:
+            return path
+        return path if directory is None else f"{directory.rstrip('/')}/{path.rsplit('/', 1)[1]}"
 
 
 def check_parent_closure(fs: FileSet) -> list[str]:
@@ -203,76 +239,40 @@ def _tar_member_path(name: str) -> str | None:
     return path
 
 
-def resolve(path: str, link: Callable[[str], str | None],
-            crossed: list[str] | None = None) -> str:
-    """path with each of its symlinks followed inside the image, as
-    path_resolution(7) does, where link(p) is the target of the symlink at p
-    or None: relative targets from the link's directory, absolute ones from
-    the image root, '..' from where a link led and stopping at '/'. Each link
-    followed is appended to ``crossed``; over 40 is a loop (MaterializeError)."""
-    todo, cur, hops = path.split("/")[::-1], "/", 0
-    while todo:
-        name = todo.pop()
-        cur = parent_of(cur) if name == ".." else cur if name in ("", ".") else \
-            f"{cur.rstrip('/')}/{name}"
-        target = link(cur)
-        if target is not None:
-            hops += 1
-            if hops > 40:
-                raise MaterializeError(f"cannot read {path}: symlink loop")
-            if crossed is not None:
-                crossed.append(cur)
-            todo.extend(target.split("/")[::-1])
-            cur = "/" if target.startswith("/") else parent_of(cur)
-    return cur
-
-
-def lookup(path: str, link: Callable[[str], str | None]) -> str:
-    """The lstat(2) form of :func:`resolve` for a normal path: the links in its
-    directory part followed, a link it ends in kept; path itself on a loop."""
-    try:
-        directory = resolve(parent_of(path), link)
-    except MaterializeError:
-        return path
-    return f"{directory.rstrip('/')}/{path.rsplit('/', 1)[1]}"
-
-
 class ContentSource:
-    """Reads file bytes and modes back out of the image a FileSet came from.
+    """Reads file bytes and modes back out of an image, whose inventory is ``fs``.
 
     ``_union`` maps each inventory path to a plain record ``(kind, size,
     link_target, mode, where)``: its :class:`FileEntry` fields, its permission
     bits (or None) and where a regular entry's bytes are (or None). Subclasses
     fill it at ingest, an ancestor that no tar member names included (a
-    directory of the layer that implies it, with mode None), and fetch those
-    bytes in ``_bytes(path, where)``; links, modes, reads and the inventory's
-    one FileEntry per path come from it.
+    directory of the layer that implies it, with mode None), then call
+    ``__init__``, which builds ``fs`` from it once, and fetch those bytes in
+    ``_bytes(path, where)``. Reads resolve through :meth:`FileSet.resolve` and
+    modes through :meth:`FileSet.lookup`, so a path that reaches no entry
+    (a missing or non-directory component, an empty link target) reads nothing.
     """
 
-    def _fileset(self) -> FileSet:
-        return FileSet(FileEntry(path, kind, size, link)
-                       for path, (kind, size, link, _, _) in self._union.items())
-
-    def _link(self, path: str) -> str | None:
-        hit = self._union.get(path)
-        return hit[2] if hit else None  # None unless a symlink
+    def __init__(self):
+        self.fs = FileSet(FileEntry(path, kind, size, link)
+                          for path, (kind, size, link, _, _) in self._union.items())
 
     def read(self, path: str) -> bytes:
         hit = self._union.get(path)
         if hit is None or hit[0] == SYMLINK:
-            resolved = self._union.get(resolve(path, self._link))
-            if resolved is None:
+            end = self.fs.resolve(path)
+            if end is None:
                 raise MaterializeError(f"cannot read {path}: " + (
                     "dangling symlink" if hit else "not present in the image"))
-            hit = resolved
+            hit = self._union[end]
         if hit[0] != REGULAR:
             raise MaterializeError(f"cannot read {path}: not a regular file")
         return self._bytes(path, hit[4])
 
     def mode(self, path: str) -> int | None:
-        """The entry's own mode; for a path not in the inventory, that of the
-        entry its :func:`lookup` names."""
-        hit = self._union.get(path) or self._union.get(lookup(path, self._link))
+        """The mode of the entry :meth:`FileSet.lookup` names: path's own when it
+        is in the inventory."""
+        hit = self._union.get(self.fs.lookup(path))
         return hit[3] if hit else None
 
     def close(self) -> None:
@@ -298,6 +298,7 @@ class RootfsSource(ContentSource):
             raise IngestError(f"rootfs is not a readable directory: {root}")
         self._union = {"/": (DIRECTORY, 0, None, stat.S_IMODE(os.stat(root).st_mode), None)}
         self._walk(root)
+        super().__init__()
 
     def _walk(self, root: str) -> None:
         """Record the entries under host directory root, keeping the directories
@@ -508,6 +509,7 @@ class _TarSource(ContentSource):
         for plain, files in self._files.items():
             if plain not in used:
                 files.close()
+        super().__init__()
 
     def _add_tar(self, plain: IO[bytes], members: Iterable[tuple]) -> None:
         # own: the paths this layer added; implied: the directories above them
@@ -594,7 +596,7 @@ def load_flat_tar(source: str | os.PathLike | IO[bytes]) -> tuple[FileSet, FlatT
     reads it but with errors labelled 'flat tar'. Compression (gzip, bzip2,
     xz, lzma) is auto-detected. The caller closes the returned source."""
     content = FlatTarSource(source)
-    return content._fileset(), content
+    return content.fs, content
 
 
 def load_layers(layer_tars: Iterable[str | os.PathLike | IO[bytes]]
@@ -617,11 +619,11 @@ def load_layers(layer_tars: Iterable[str | os.PathLike | IO[bytes]]
     its path drops its subtree.
     """
     content = LayeredSource(layer_tars)
-    return content._fileset(), content
+    return content.fs, content
 
 
 def load_rootfs(dir_path: str | os.PathLike) -> tuple[FileSet, RootfsSource]:
     """Inventory a rootfs directory, rebased onto '/', and open it for reads,
     in one walk (see :class:`RootfsSource`)."""
     content = RootfsSource(dir_path)
-    return content._fileset(), content
+    return content.fs, content

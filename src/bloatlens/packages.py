@@ -28,7 +28,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, MaterializeError
-from .imagefs import REGULAR, ContentSource, FileSet, lookup, normalize_path
+from .imagefs import REGULAR, ContentSource, FileSet, normalize_path
 
 log = logging.getLogger(__name__)
 
@@ -330,7 +330,7 @@ def detect_packages(fs: FileSet, source: ContentSource,
 
     ``fs`` must be the original (pre-debloat) inventory and ``source`` a
     content reader over the same image. A listed file that is not in the
-    inventory is taken as the entry its :func:`imagefs.lookup` names.
+    inventory is taken as the entry its :meth:`FileSet.lookup` names.
     Malformed metadata skips the one package with a diagnostic; a missing
     package database simply yields no packages for that manager.
     """
@@ -342,7 +342,7 @@ def detect_packages(fs: FileSet, source: ContentSource,
         if key in seen:
             log.warning("duplicate package record %s; keeping the first", key)
             continue
-        files = frozenset(f if f in fs.entries else lookup(f, fs.link) for f in files)
+        files = frozenset(map(fs.lookup, files))
         seen[key] = PackageRecord(
             manager=manager, name=name, version=version, files=files,
             declared_deps=deps, provides=provides,

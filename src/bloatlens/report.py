@@ -50,7 +50,6 @@ from .imagefs import (
     load_flat_tar,  # noqa: F401
     load_layers,
     load_rootfs,
-    lookup,
 )
 from .packages import (
     APT,
@@ -195,7 +194,7 @@ def open_inputs(config: PipelineConfig, need_trace: bool = True,
                 need_report: bool = False):
     """Check every input the config names, read the rules and the
     vulnerability report, then load the image, take each report location to
-    the entry its ``imagefs.lookup`` names, and parse the trace (if named);
+    the entry its ``FileSet.lookup`` names, and parse the trace (if named);
     yields (fs, source, access, rules, matches, partial_errors) and closes the
     source. Inputs are checked here alone, before any ingest: a bad or absent
     required input is an InputError naming its flag, and an unreadable report
@@ -235,8 +234,7 @@ def open_inputs(config: PipelineConfig, need_trace: bool = True,
     with source:
         if matches:  # rebuild only a match whose locations move, as replace() revalidates
             matches = [m if all(p in fs.entries for p in m.locations) else replace(
-                m, locations=frozenset(p if p in fs.entries else lookup(p, fs.link)
-                                       for p in m.locations)) for m in matches]
+                m, locations=frozenset(map(fs.lookup, m.locations))) for m in matches]
         access = None
         if config.trace:
             access = parse_trace(config.trace, root_prefix=config.root_prefix,

@@ -77,10 +77,10 @@ def _members() -> list[tuple[str, bytes | str | None]]:
     return [(d, None) for d in dirs] + files + BASE_LINKS
 
 
-def build_rootfs(root) -> pathlib.Path:
+def build_rootfs(root, links=MERGED_LINKS) -> pathlib.Path:
     root = pathlib.Path(root)
     root.mkdir(parents=True)
-    for path, content in _members() + MERGED_LINKS:
+    for path, content in _members() + links:
         if content is None:
             (root / path).mkdir()
         elif isinstance(content, str):
@@ -104,12 +104,12 @@ def _write_tar(path: pathlib.Path, members) -> pathlib.Path:
     return path
 
 
-def build_layers(directory) -> list[pathlib.Path]:
-    """The base layer tar, then the layer that adds /bin and /lib."""
+def build_layers(directory, links=MERGED_LINKS) -> list[pathlib.Path]:
+    """The base layer tar, then the layer that adds /bin and /lib (or ``links``)."""
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     return [_write_tar(directory / "base.tar", _members()),
-            _write_tar(directory / "merged.tar", MERGED_LINKS)]
+            _write_tar(directory / "merged.tar", links)]
 
 
 def write_inputs(directory) -> tuple[pathlib.Path, pathlib.Path]:

@@ -253,32 +253,39 @@ class ResolveLoop(Exception):
     """More than 40 links on one resolution (the kernel's ELOOP)."""
 
 
-def resolve_oracle(path, link, crossed=None):
-    """path_resolution(7) by recursion: each component is looked up in the
-    directory reached so far; a link is replaced by the resolution of its
-    target (from the root if absolute, else from the link's directory), and
-    the remaining components continue from there. As ``imagefs.resolve``
-    takes only ``link``, a name that is no link is walked into as a
-    directory. Appends each link met to ``crossed``; raises ResolveLoop on
-    a 41st."""
+def resolve_oracle(path, entries, crossed=None):
+    """path_resolution(7) by recursion over ``entries`` (path -> an object
+    with ``kind`` and ``link_target``, such as ``FileSet.entries``): each
+    component is looked up in the directory reached so far, which must be a
+    directory; a missing name reaches nothing (ENOENT), and so does a name
+    under a non-directory (ENOTDIR) or an empty link target. A link is
+    replaced by the resolution of its target (from the root if absolute, else
+    from the link's directory), and the remaining components continue from
+    there. Returns the entry reached or None. Appends each link met to
+    ``crossed``; raises ResolveLoop on a 41st."""
     met = []
 
     def walk(directory, components):
-        if not components:
+        if directory is None or not components:
             return directory
+        if getattr(entries.get(directory), "kind", None) != "directory":
+            return None
         name, rest = components[0], components[1:]
         if name in ("", "."):
             return walk(directory, rest)
         if name == "..":
             return walk(posixpath.dirname(directory), rest)
         here = posixpath.join(directory, name)
-        target = link(here)
-        if target is None:
-            return walk(here, rest)
+        entry = entries.get(here)
+        if entry is None or entry.kind != "symlink":
+            return walk(None if entry is None else here, rest)
         if len(met) == 40:
             raise ResolveLoop(path)
         met.append(here)
-        return walk(walk("/" if target.startswith("/") else directory, target.split("/")), rest)
+        target = entry.link_target
+        start = walk("/" if target.startswith("/") else directory,
+                     target.split("/")) if target else None
+        return walk(start, rest)
 
     try:
         return walk("/", path.split("/"))
@@ -292,17 +299,13 @@ def naive_retained_closure(fs, access_paths, keep_paths=()) -> set[str]:
     links crossed and the entry reached by resolve_oracle from an accessed
     path absent from the inventory or from a retained symlink."""
 
-    def link(path):
-        entry = fs.entries.get(path)
-        return entry.link_target if entry is not None else None
-
     def followed(path):
         crossed = []
         try:
-            end = resolve_oracle(path, link, crossed)
+            end = resolve_oracle(path, fs.entries, crossed)
         except ResolveLoop:
             return set(crossed)
-        return set(crossed) | ({end} if end in fs.entries else set())
+        return set(crossed) | ({end} if end is not None else set())
 
     retained = {"/"}
     retained.update(p for p in keep_paths if p in fs.entries)

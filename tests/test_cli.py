@@ -816,14 +816,18 @@ class TestStagesMatchAnalyze:
                         "retained": len(vuln["retained"])}
 
 
+def merged_usr_inputs(kind, tmp_path, links=mergedusr.MERGED_LINKS):
+    """(image flags, trace, report) of the merged-/usr fixture with these
+    links, as a rootfs or as two layer tars."""
+    trace, report = mergedusr.write_inputs(tmp_path)
+    if kind == "rootfs":
+        return ["--rootfs", str(mergedusr.build_rootfs(tmp_path / "rootfs", links))], trace, report
+    return ["--layers", *map(str, mergedusr.build_layers(tmp_path / "layers", links))], trace, report
+
+
 @pytest.fixture(params=["rootfs", "layers"])
 def merged_usr(request, tmp_path):
-    """(image flags, trace, report) of the merged-/usr fixture, as a rootfs
-    and as two layer tars."""
-    trace, report = mergedusr.write_inputs(tmp_path)
-    if request.param == "rootfs":
-        return ["--rootfs", str(mergedusr.build_rootfs(tmp_path / "rootfs"))], trace, report
-    return ["--layers", *map(str, mergedusr.build_layers(tmp_path / "layers"))], trace, report
+    return merged_usr_inputs(request.param, tmp_path)
 
 
 class TestMergedUsr:
@@ -865,3 +869,35 @@ class TestMergedUsr:
         assert (libdir / "libc.so.6").stat().st_size == 3000
         assert sorted(os.listdir(libdir)) == ["libc.so.6"]
         assert sorted(os.listdir(rootfs)) == ["bin", "lib", "usr"]
+
+    def test_keep_globs_follow_the_links_in_their_directory_part(self, merged_usr, tmp_path,
+                                                                 capsys):
+        image, trace, _ = merged_usr
+        trace.write_text("100 exit_group(0) = ?\n")
+        out = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "debloat", *image, "--trace", str(trace),
+                             "--keep", "/lib/x86_64-linux-gnu/*", "--out", str(out))
+        assert code == 0
+        manifest = (out / "manifest.tsv").read_text().splitlines()
+        assert {line.split("\t")[2] for line in manifest} == {
+            "/", "/lib", "/usr", "/usr/lib", "/usr/lib/x86_64-linux-gnu",
+            "/usr/lib/x86_64-linux-gnu/libc.so.6", "/usr/lib/x86_64-linux-gnu/libunused.so.1"}
+
+    @pytest.mark.parametrize("kind", ["rootfs", "layers"])
+    def test_paths_through_a_link_into_no_directory_keep_their_spelling(self, kind, tmp_path,
+                                                                         capsys):
+        # /lib -> gone/../usr/lib reaches nothing (ENOENT at gone), so the dpkg
+        # list paths and scanner locations under /lib name no entry.
+        image, trace, report = merged_usr_inputs(
+            kind, tmp_path, [("bin", "usr/bin"), ("lib", "gone/../usr/lib")])
+        out = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "analyze", *image, "--trace", str(trace),
+                             "--vuln-report", str(report), "--out", str(out))
+        assert code == 0
+        doc = json.loads((out / "bundle.json").read_text())
+        assert {r["name"]: r["size"] for r in doc["packages"]["catalog"]} == {
+            "libc6": 0, "libunused1": 0, "python3": 100}
+        assert doc["vuln"]["removed"] == []
+        assert [(m["cve_id"], m["locations"]) for m in doc["vuln"]["retained"]] == [
+            ("CVE-1", ["/lib/x86_64-linux-gnu/libc.so.6"]),
+            ("CVE-2", ["/lib/x86_64-linux-gnu/libunused.so.1"])]

@@ -84,10 +84,10 @@ def random_fileset(rng: random.Random, max_entries: int = 500) -> FileSet:
 def through_dir_links(fs: FileSet) -> list[str]:
     """Each entry below a directory that a symlink names, spelled through the
     link, in sorted order."""
-    spelled, links = [], {p: e.link_target for p, e in fs.entries.items() if e.kind == "symlink"}
-    for path in sorted(links):
+    spelled = []
+    for path in sorted(p for p, e in fs.entries.items() if e.kind == "symlink"):
         try:
-            directory = resolve_oracle(path, links.get)
+            directory = resolve_oracle(path, fs.entries)
         except ResolveLoop:
             continue
         if getattr(fs.entries.get(directory), "kind", None) == "directory":
@@ -195,6 +195,26 @@ class TestComputeRetained:
         retained = compute_retained(fs, access(), keep=("/etc/*",))
         assert {"/etc/passwd", "/etc/group", "/etc"} <= set(retained.entries)
         assert "/bin" not in retained.entries
+
+    def test_keep_globs_follow_the_links_in_their_directory_part(self):
+        fs = fs_from([
+            FileEntry("/", "directory"),
+            FileEntry("/usr", "directory"),
+            FileEntry("/usr/lib", "directory"),
+            FileEntry("/usr/lib/x", "directory"),
+            FileEntry("/usr/lib/x/libc.so.6", "regular", 3),
+            FileEntry("/usr/lib/x/libm.so.6", "regular", 5),
+            FileEntry("/usr/lib/other", "regular", 7),
+            FileEntry("/lib", "symlink", 0, "usr/lib"),
+            FileEntry("/dangling", "symlink", 0, "gone"),
+        ])
+        retained = compute_retained(fs, access(), keep=("/lib/x/*", "/dangling/*"))
+        assert set(retained.entries) == {"/", "/lib", "/dangling", "/usr", "/usr/lib",
+                                         "/usr/lib/x", "/usr/lib/x/libc.so.6",
+                                         "/usr/lib/x/libm.so.6"}
+        # A glob without a link in its directory part matches as written.
+        assert set(compute_retained(fs, access(), keep=("/usr/lib/x/libc*",)).entries) == {
+            "/", "/usr", "/usr/lib", "/usr/lib/x", "/usr/lib/x/libc.so.6"}
 
     def test_empty_fs_rejected(self):
         with pytest.raises(ContractViolation):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bloatlens import imagefs
-from bloatlens.debloat import materialize
+from bloatlens.debloat import compute_retained, materialize
 from bloatlens.errors import IngestError, MaterializeError
 from bloatlens.imagefs import (
     FileEntry,
@@ -31,6 +31,7 @@ from bloatlens.imagefs import (
     load_rootfs,
     total_size,
 )
+from bloatlens.trace import AccessSet
 
 from oracles import (
     ResolveLoop,
@@ -75,6 +76,21 @@ def make_tar(path, members, mode="w"):
                 info.type = tarfile.FIFOTYPE
                 tf.addfile(info)
     return path
+
+
+def write_tree(root, members):
+    """Create root and, under it, the dir, file and sym members (name, kind,
+    payload-or-target) in order; returns root."""
+    root = pathlib.Path(root)
+    root.mkdir()
+    for name, kind, arg in members:
+        if kind == "dir":
+            (root / name).mkdir()
+        elif kind == "file":
+            (root / name).write_bytes(arg)
+        else:
+            os.symlink(arg, root / name)
+    return root
 
 
 class TestFileEntry:
@@ -782,16 +798,7 @@ class TestSymlinkReads:
                 "/etc/link": b"image-os\n", "/lib/deep": b"image-os\n"}
 
     def tree(self, tmp_path):
-        root = tmp_path / "root"
-        root.mkdir()
-        for name, kind, arg in self.MEMBERS:
-            if kind == "dir":
-                (root / name).mkdir()
-            elif kind == "file":
-                (root / name).write_bytes(arg)
-            else:
-                os.symlink(arg, root / name)
-        return root
+        return write_tree(tmp_path / "root", self.MEMBERS)
 
     def rootfs(self, tmp_path):
         return RootfsSource(self.tree(tmp_path))
@@ -855,13 +862,16 @@ class TestSymlinkReads:
 
 
 LINK_NAMES = st.sampled_from(["a", "b", "l"])
+# Targets and queries also name "gone", which no tree holds, and a target may
+# be empty (only a tar can hold that link).
+LINK_STEPS = st.sampled_from(["a", "b", "l", "gone", "..", "."])
 LINK_TARGETS = st.tuples(st.sampled_from(["", "/"]), st.lists(
-    st.sampled_from(["a", "b", "l", "..", "."]), min_size=1, max_size=4).map("/".join))
+    LINK_STEPS, max_size=4).map("/".join))
 LINK_TREES = st.lists(st.tuples(
     st.lists(LINK_NAMES, min_size=1, max_size=3).map("/".join),
     st.sampled_from(["dir", "file", "sym"]), LINK_TARGETS.map("".join)), max_size=14)
-LINK_QUERIES = st.lists(st.lists(LINK_NAMES, min_size=1, max_size=4).map(
-    lambda names: "/" + "/".join(names)), max_size=8)
+LINK_QUERIES = st.lists(st.lists(st.sampled_from(["a", "b", "l", "gone"]), min_size=1,
+                                 max_size=4).map(lambda names: "/" + "/".join(names)), max_size=8)
 
 
 def link_tree(ops):
@@ -884,11 +894,21 @@ def link_tree(ops):
     return members
 
 
+def link_fileset(members):
+    """The FileSet of link_tree members under '/'."""
+    kinds = {"dir": "directory", "file": "regular", "sym": "symlink"}
+    return FileSet([FileEntry("/", "directory"), *(
+        FileEntry("/" + name, kinds[kind], len(arg) if kind == "file" else 0,
+                  arg if kind == "sym" else None) for name, kind, arg in members)])
+
+
 def link_queries(members, queries):
-    """queries, every member's path, and each member's name spelled under each link."""
+    """queries, every member's path, and each member's name spelled under each
+    link and under each file (a name under a file reaches nothing)."""
     names = {name.rsplit("/", 1)[-1] for name, _, _ in members}
     return [*queries, *("/" + name for name, _, _ in members),
-            *(f"/{link}/{name}" for link, kind, _ in members if kind == "sym" for name in names)]
+            *(f"/{under}/{name}" for under, kind, _ in members if kind in ("sym", "file")
+              for name in names)]
 
 
 def outcome(call, *args):
@@ -898,47 +918,182 @@ def outcome(call, *args):
         return "loop or unreadable"
 
 
+def lookup_oracle(path, entries):
+    """lstat(2) by resolve_oracle: the directory part resolved, the last name
+    kept; path itself when it is an entry, or when that part loops or reaches
+    no directory."""
+    directory = outcome(resolve_oracle, posixpath.dirname(path), entries)
+    if path in entries or getattr(entries.get(directory), "kind", None) != "directory":
+        return path
+    return posixpath.join(directory, posixpath.basename(path))
+
+
 class TestOneResolver:
     @settings(max_examples=150, deadline=None)
     @given(ops=LINK_TREES, queries=LINK_QUERIES)
     def test_resolve_and_lookup_match_path_resolution(self, ops, queries):
         members = link_tree(ops)
-        link = {"/" + name: arg for name, kind, arg in members if kind == "sym"}.get
+        fs = link_fileset(members)
         for path in ["/", *link_queries(members, queries)]:
             crossed, expected_crossed = [], []
-            assert outcome(imagefs.resolve, path, link, crossed) == \
-                outcome(resolve_oracle, path, link, expected_crossed), path
+            assert outcome(fs.resolve, path, crossed) == \
+                outcome(resolve_oracle, path, fs.entries, expected_crossed), path
             assert crossed == expected_crossed, path
-            directory = outcome(resolve_oracle, posixpath.dirname(path), link)
-            assert imagefs.lookup(path, link) == (
-                path if directory == "loop or unreadable"
-                else posixpath.join(directory, posixpath.basename(path))), path
+            assert fs.lookup(path) == lookup_oracle(path, fs.entries), path
 
     @settings(max_examples=40, deadline=None)
     @given(ops=LINK_TREES, queries=LINK_QUERIES)
     def test_reads_and_modes_follow_the_oracle_on_a_rootfs_and_a_tar(self, ops, queries):
-        members = link_tree(ops)
-        kinds = {"/" + name: kind for name, kind, _ in members}
-        link = {"/" + name: arg for name, kind, arg in members if kind == "sym"}.get
+        # A rootfs cannot hold a link with an empty target (symlink(2) refuses it).
+        members = [m for m in link_tree(ops) if m[1:] != ("sym", "")]
+        fs = link_fileset(members)
         with tempfile.TemporaryDirectory() as tmp:
-            root = pathlib.Path(tmp) / "root"
-            root.mkdir()
-            for name, kind, arg in members:
-                if kind == "dir":
-                    (root / name).mkdir()
-                elif kind == "file":
-                    (root / name).write_bytes(arg)
-                else:
-                    os.symlink(arg, root / name)
-            fs, tar = load_flat_tar(make_tar(pathlib.Path(tmp) / "t.tar", members))
+            root = write_tree(pathlib.Path(tmp) / "root", members)
+            loaded, tar = load_flat_tar(make_tar(pathlib.Path(tmp) / "t.tar", members))
+            assert loaded == fs
             with tar:
                 for src in (RootfsSource(root), tar):
                     modes = {p: src.mode(p) for p in fs.entries}
                     for path in link_queries(members, queries):
-                        end = outcome(resolve_oracle, path, link)
+                        end = outcome(resolve_oracle, path, fs.entries)
+                        kind = getattr(fs.entries.get(end), "kind", None)
                         assert outcome(src.read, path) == (
-                            end[1:].encode() if kinds.get(end) == "file" else "loop or unreadable")
-                        assert src.mode(path) == modes.get(imagefs.lookup(path, link)), path
+                            end[1:].encode() if kind == "regular" else "loop or unreadable")
+                        assert src.mode(path) == modes.get(lookup_oracle(path, fs.entries)), path
+
+
+class TestKernelFailures:
+    """Where path_resolution(7) fails, reads and the closure reach nothing: a
+    missing component (ENOENT), a non-directory before the last one (ENOTDIR),
+    an empty link target. Each case runs on a rootfs and on two layer tars."""
+
+    # The base layer, then the links layer.
+    PROBE = ([("usr", "dir", None), ("usr/lib", "dir", None), ("usr/lib/f", "file", b"lib-f")],
+             [("lib", "sym", "gone/../usr/lib"), ("viafile", "sym", "usr/lib/f/../f")])
+
+    def load(self, tmp_path, kind, layers):
+        if kind == "layers":
+            return load_layers([make_tar(tmp_path / f"l{i}.tar", members)
+                                for i, members in enumerate(layers)])
+        return load_rootfs(write_tree(tmp_path / "root", [m for ms in layers for m in ms]))
+
+    @pytest.mark.parametrize("kind", ["rootfs", "layers"])
+    def test_reads_stop_at_a_missing_or_non_directory_component(self, tmp_path, kind):
+        fs, src = self.load(tmp_path, kind, self.PROBE)
+        with src:
+            assert src.read("/usr/lib/f") == b"lib-f"
+            with pytest.raises(MaterializeError,
+                               match="^cannot read /lib/f: not present in the image$"):
+                src.read("/lib/f")
+            with pytest.raises(MaterializeError, match="^cannot read /viafile: dangling symlink$"):
+                src.read("/viafile")
+            assert src.mode("/lib/f") is None
+        assert fs.resolve("/lib/f") is None and fs.lookup("/lib/f") == "/lib/f"
+
+    @pytest.mark.parametrize("kind", ["rootfs", "layers"])
+    def test_closure_counts_the_path_missing_and_keeps_the_links(self, tmp_path, kind, caplog):
+        fs, src = self.load(tmp_path, kind, self.PROBE)
+        src.close()
+        retained = compute_retained(fs, AccessSet(frozenset({"/lib/f", "/viafile"})))
+        assert set(retained.entries) == {"/", "/lib", "/viafile"}
+        assert "1 accessed paths are not in the filesystem (runtime files?); " \
+               "first missing path: '/lib/f'" in caplog.text
+
+    def test_an_empty_link_target_reaches_nothing(self, tmp_path):
+        # Only a tar can hold the link: symlink(2) refuses an empty target.
+        fs, src = self.load(tmp_path, "layers", ([("x", "dir", None), ("x/f", "file", b"x-f")],
+                                                 [("x/empty", "sym", "")]))
+        with src:
+            assert fs["/x/empty"].link_target == ""
+            with pytest.raises(MaterializeError, match="not present in the image"):
+                src.read("/x/empty/f")
+            with pytest.raises(MaterializeError, match="dangling symlink"):
+                src.read("/x/empty")
+        assert fs.lookup("/x/empty/f") == "/x/empty/f"
+        retained = compute_retained(fs, AccessSet(frozenset({"/x/empty/f"})))
+        assert set(retained.entries) == {"/", "/x", "/x/empty"}
+
+
+# Kernel oracle trees: a name's kind is fixed by the name, so a generated
+# relative target can be checked never to climb above the root, where the
+# host would leave the rootfs and the image stops at '/'.
+KERNEL_KINDS = {"d": "dir", "e": "dir", "f": "file", "l": "sym", "m": "sym"}
+KERNEL_STEPS = st.sampled_from([*KERNEL_KINDS, "gone", "..", "."])
+KERNEL_TREES = st.lists(st.tuples(
+    st.lists(st.sampled_from(sorted(KERNEL_KINDS)), min_size=1, max_size=3),
+    st.lists(KERNEL_STEPS, min_size=1, max_size=5)), max_size=14)
+KERNEL_QUERIES = st.lists(st.lists(st.sampled_from([*KERNEL_KINDS, "gone", "."]),
+                                   min_size=1, max_size=4), max_size=8)
+
+
+def stays_in_root(steps, depth):
+    """Whether a relative target of these steps, read in a directory ``depth``
+    levels below the root, never climbs above the root: a link may lead to
+    the root, so after one only the names after it may be climbed back."""
+    for step in steps:
+        if step == "..":
+            if depth == 0:
+                return False
+            depth -= 1
+        elif KERNEL_KINDS.get(step) == "sym":
+            depth = 0
+        elif step != ".":
+            depth += 1
+    return True
+
+
+def kernel_tree(ops):
+    """Members (name, kind, arg) under directories, each name once; a link
+    whose target could climb above the root is left out."""
+    seen, members = set(), []
+    for parts, steps in ops:
+        name, kind = "/".join(parts), KERNEL_KINDS[parts[-1]]
+        if name in seen or any(KERNEL_KINDS[p] != "dir" for p in parts[:-1]) or (
+                kind == "sym" and not stays_in_root(steps, len(parts) - 1)):
+            continue
+        for i in range(1, len(parts)):
+            if "/".join(parts[:i]) not in seen:
+                seen.add("/".join(parts[:i]))
+                members.append(("/".join(parts[:i]), "dir", None))
+        seen.add(name)
+        members.append((name, kind, {"dir": None, "file": name.encode(),
+                                     "sym": "/".join(steps)}[kind]))
+    return members
+
+
+class TestKernelOracle:
+    """The host kernel as an oracle written independently of this code: on a
+    rootfs, RootfsSource.read(p) returns what open(root + p) reads, and fails
+    exactly when that open fails."""
+
+    REASONS = {"ENOENT": ("not present in the image", "dangling symlink"),
+               "ENOTDIR": ("not present in the image", "dangling symlink"),
+               "ELOOP": ("symlink loop",), "EISDIR": ("not a regular file",)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=KERNEL_TREES, queries=KERNEL_QUERIES)
+    def test_rootfs_reads_what_the_kernel_opens(self, ops, queries):
+        members = kernel_tree(ops)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = str(write_tree(pathlib.Path(tmp) / "root", members))
+            src = RootfsSource(root)
+            names = {name.rsplit("/", 1)[-1] for name, _, _ in members}
+            # Each member, each name under each, '.' after each, and '..' after each but
+            # a link (which may lead to the root, where '..' would leave the rootfs).
+            paths = ["/" + "/".join(q) for q in queries] + [
+                f"/{under}{name}" for under, _, _ in members
+                for name in ["", *(f"/{n}" for n in names), "/."]] + [
+                f"/{under}/.." for under, kind, _ in members if kind != "sym"]
+            for path in paths:
+                try:
+                    with open(root + path, "rb") as f:
+                        expected = f.read()
+                except OSError as exc:
+                    expected = errno.errorcode[exc.errno]
+                try:
+                    assert src.read(path) == expected, path
+                except MaterializeError as exc:
+                    assert str(exc).rsplit(": ", 1)[1] in self.REASONS[expected], path
 
 
 SEGMENTS = st.sampled_from(["a", "b", "caf\u00e9", "\u65e5\u672c", "x" * 60, "\u00fc" * 40])
