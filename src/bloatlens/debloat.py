@@ -218,7 +218,10 @@ def _write_dir(out: str, contents: Iterator[tuple]) -> None:
         if entry.kind == SYMLINK:
             if os.path.lexists(target):
                 os.unlink(target)
-            os.symlink(entry.link_target, target)
+            try:
+                os.symlink(entry.link_target, target)
+            except OSError as exc:  # symlink(2) refuses an empty target, which a tar can hold
+                raise MaterializeError(f"cannot write symlink {path}: {exc.strerror}") from None
             continue
         if entry.kind == DIRECTORY:
             os.makedirs(target, exist_ok=True)

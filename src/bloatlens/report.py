@@ -24,7 +24,7 @@ import statistics
 import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._version import __version__
 from .debloat import DebloatResult, create_output, debloat, materialize, render_manifest
@@ -233,7 +233,7 @@ def open_inputs(config: PipelineConfig, need_trace: bool = True,
         fs, source = load_layers(config.layers)
     with source:
         if matches:  # rebuild only a match whose locations move, as replace() revalidates
-            matches = [m if all(p in fs.entries for p in m.locations) else replace(
+            matches = [m if m.locations <= fs.entries.keys() else replace(
                 m, locations=frozenset(map(fs.lookup, m.locations))) for m in matches]
         access = None
         if config.trace:
@@ -446,6 +446,19 @@ def _match_rows(matches) -> list[dict]:
     } for m in matches]
 
 
+def _match_rows_text(rows: list[dict]) -> Rendered:
+    """``dump_json(rows)[:-1]`` for rows built by _match_rows: each fills one template."""
+    quote = json.encoder.encode_basestring_ascii
+    row = ('{\n    "cve_id": %s,\n    "locations": %s,\n    "pkg_name": %s,\n'
+           '    "pkg_version": %s,\n    "severity": %s\n  }')
+    items = [row % (quote(r["cve_id"]),
+                    "[\n      " + ",\n      ".join(map(quote, r["locations"])) + "\n    ]"
+                    if r["locations"] else "[]",
+                    quote(r["pkg_name"]), quote(r["pkg_version"]), quote(r["severity"]))
+             for r in rows]
+    return Rendered("[\n  " + ",\n  ".join(items) + "\n]" if items else "[]")
+
+
 def vuln_section(diff: VulnDiff, partition=_match_rows) -> dict:
     """bundle.json's vuln section. ``partition`` renders the removed and the
     retained matches; the vulns command passes ``len`` for vulndiff.json."""
@@ -515,18 +528,25 @@ class Rendered(str):
     dump_json indents every line to splice it in (no JSON string holds a raw newline)."""
 
 
-def dump_json(obj) -> str:
+def dump_json(obj, sink: Callable[[str], object] | None = None) -> str | None:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte, in
     half the time: with ``indent`` set, ``json`` passes every chunk up
-    through pure-Python generators, one per level of nesting."""
+    through pure-Python generators, one per level of nesting. Given a
+    ``sink``, the text goes to it block by block and is never held whole."""
     blocks, parts = [], []
+    emit = sink or blocks.append
     append, containers = parts.append, (dict, list, tuple)
     quote = json.encoder.encode_basestring_ascii  # the C function json uses
 
     def write(o, inner: str) -> None:
         # ``inner`` starts each item's line. A loop shared by dicts and lists is 5-8% slower.
+        if type(o) is Rendered:  # a block of its own: joined into one, it would be held twice
+            emit("".join(parts))
+            parts.clear()
+            emit(o.replace("\n", inner[:-2]))
+            return
         if not isinstance(o, containers):
-            append(o.replace("\n", inner[:-2]) if type(o) is Rendered else _scalar(o))
+            append(_scalar(o))
             return
         comma, deeper = "," + inner, inner + "  "
         if isinstance(o, dict):
@@ -557,21 +577,26 @@ def dump_json(obj) -> str:
                 sep = comma
             append(inner[:-2] + "]" if o else "[]")
         if len(parts) >= 4096:  # one block in place of many small live strings
-            blocks.append("".join(parts))
+            emit("".join(parts))
             parts.clear()
 
     write(obj, "\n  ")
     del write  # it holds itself, so the cycle would keep every block alive until a GC pass
-    return "".join([*blocks, *parts, "\n"])
+    emit("".join([*parts, "\n"]))
+    return None if sink else "".join(blocks)
+
+
+def open_output(out: str, name: str) -> io.TextIOWrapper:
+    """``out/name`` opened to write UTF-8, creating ``out`` as needed but never through a link
+    at ``out/name``; a surrogate escape (a file name that is not UTF-8) is written as its byte."""
+    os.makedirs(out, exist_ok=True)
+    return open(os.path.join(out, name), "w", encoding="utf-8", errors="surrogateescape",
+                newline="", opener=create_output)
 
 
 def write_text(out: str, name: str, text: str) -> None:
-    """Write ``text`` as ``out/name`` in UTF-8, creating ``out`` as needed but
-    never writing through a link at ``out/name``; a surrogate escape (a file
-    name that is not UTF-8) is written as its byte."""
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, name), "w", encoding="utf-8", errors="surrogateescape",
-              newline="", opener=create_output) as f:
+    """Write ``text`` as ``out/name`` through ``open_output``."""
+    with open_output(out, name) as f:
         f.write(text)
 
 
@@ -694,7 +719,11 @@ def write_outputs(bundle: AnalysisBundle, config: PipelineConfig,
     for section, key in [("graph", "nodes"), ("graph", "edges"), *_PLOT_SECTIONS.values()]:
         if view[section] is not None:
             view[section] = {**view[section], key: Rendered(dump_json(view[section][key])[:-1])}
-    write_text(config.out, "bundle.json", dump_json(view))
+    if view["vuln"] is not None:
+        view["vuln"] = {**view["vuln"], "removed": _match_rows_text(view["vuln"]["removed"]),
+                        "retained": _match_rows_text(view["vuln"]["retained"])}
+    with open_output(config.out, "bundle.json") as f:
+        dump_json(view, f.write)
     write_graph(config.out, bundle.graph, {k: view["graph"][k] for k in bundle.node_link})
     write_report_files(bundle.document, config.out, view)
     write_debloated(config.out, bundle.debloat.retained, source, config.emit_tar)

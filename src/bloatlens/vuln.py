@@ -31,7 +31,7 @@ _SEVERITY_ALIASES = {s.lower(): s for s in SEVERITIES} | {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VulnMatch:
     """One scanner finding tied to a package and optionally to files."""
 
@@ -67,46 +67,28 @@ def normalize_severity(label: str) -> str:
     return sev
 
 
-def _require(obj: Any, key: str, where: str, nullable: bool = False) -> Any:
-    if not isinstance(obj, dict) or key not in obj:
-        raise VulnReportError(f"missing required field at {where}.{key}")
-    if obj[key] is None and not nullable:
-        raise VulnReportError(f"{where}.{key} must not be null")
-    return obj[key]
-
-
-def _array(value: Any, where: str) -> list:
-    """An optional array field: null or absent reads as empty."""
-    if value is None:
-        return []
-    if not isinstance(value, list):
-        raise VulnReportError(f"{where} is not an array")
-    return value
+def _fault(obj: Any, keys: tuple[str, ...], where: str, nullable: str = "") -> VulnReportError:
+    """The error for the first of ``keys`` that ``obj``, at JSON path ``where``, lacks or holds
+    as null (bar ``nullable``). Readers call it only to raise: a valid finding formats no path."""
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            return VulnReportError(f"missing required field at {where}.{key}")
+        if obj[key] is None and key != nullable:
+            return VulnReportError(f"{where}.{key} must not be null")
 
 
 def _merged(findings: Iterable[tuple]) -> list[VulnMatch]:
-    """One VulnMatch per (id, package, version), locations unioned. Each
-    finding is (id, severity, name, version, locations, id_at, name_at); the
-    last two are the JSON paths of its id and name in the report's layout."""
+    """One VulnMatch per (id, name, version) of the findings, locations unioned, in key order."""
     merged: dict[tuple[str, str, str], tuple[str, set[str]]] = {}
-    for cve, sev, name, version, locs, id_at, name_at in findings:
-        if not isinstance(cve, str) or not cve:
-            raise VulnReportError(f"{id_at} must be a non-empty string")
-        if not name and not locs:
-            raise VulnReportError(f"{name_at} must be non-empty for a finding without locations")
-        sev = normalize_severity(sev)
-        key = (cve, name, version)
-        if key in merged:
-            old_sev, old_locs = merged[key]
-            if old_sev != sev:
-                log.warning("conflicting severities for %s; keeping %s", key, old_sev)
-            old_locs |= locs
-        else:
-            merged[key] = (sev, locs)
-    out = [VulnMatch(cve_id=cve, severity=sev, pkg_name=name, pkg_version=version,
-                     locations=frozenset(locs))
-           for (cve, name, version), (sev, locs) in merged.items()]
-    return sorted(out, key=lambda v: (v.cve_id, v.pkg_name, v.pkg_version))
+    for cve, sev, name, version, locs in findings:
+        if sev not in SEVERITIES:
+            sev = normalize_severity(sev)
+        first, kept = merged.setdefault((cve, name, version), (sev, locs))
+        if first != sev:
+            log.warning("conflicting severities for %s; keeping %s", (cve, name, version), first)
+        kept |= locs
+    return [VulnMatch(cve, sev, name, version, frozenset(locs))
+            for (cve, name, version), (sev, locs) in sorted(merged.items())]
 
 
 def load_report(doc: Any) -> list[VulnMatch]:
@@ -122,7 +104,9 @@ def load_report(doc: Any) -> list[VulnMatch]:
     """
     trivy = isinstance(doc, dict) and "Results" in doc and "matches" not in doc
     key, findings = ("Results", _trivy_findings) if trivy else ("matches", _grype_findings)
-    rows = _require(doc, key, "$") if isinstance(doc, dict) else doc
+    rows = doc.get(key) if isinstance(doc, dict) else doc
+    if rows is None and isinstance(doc, dict):
+        raise _fault(doc, (key,), "$")
     if not isinstance(rows, list):
         raise VulnReportError(f"$.{key} is not an array")
     return _merged(findings(rows))
@@ -142,33 +126,52 @@ def load_any_report(path: str) -> list[VulnMatch]:
 
 def _grype_findings(matches: list) -> Iterator[tuple]:
     for i, m in enumerate(matches):
-        where = f"$.matches[{i}]"
-        vul = _require(m, "vulnerability", where)
-        art = _require(m, "artifact", where)
-        cve = _require(vul, "id", f"{where}.vulnerability")
-        sev = str(_require(vul, "severity", f"{where}.vulnerability", nullable=True) or "")
-        name = str(_require(art, "name", f"{where}.artifact"))
-        version = str(_require(art, "version", f"{where}.artifact"))
-        locs = set()
-        at = f"{where}.artifact.locations"
-        for j, loc in enumerate(_array(art.get("locations"), at)):
-            locs.add(normalize_path("/", str(_require(loc, "path", f"{at}[{j}]"))))
-        yield (cve, sev, name, version, locs,
-               f"{where}.vulnerability.id", f"{where}.artifact.name")
+        if not (isinstance(m, dict) and m.get("vulnerability") is not None
+                and m.get("artifact") is not None):
+            raise _fault(m, ("vulnerability", "artifact"), f"$.matches[{i}]")
+        vul, art = m["vulnerability"], m["artifact"]
+        if not (isinstance(vul, dict) and vul.get("id") is not None and "severity" in vul):
+            raise _fault(vul, ("id", "severity"), f"$.matches[{i}].vulnerability", "severity")
+        if not (isinstance(art, dict) and art.get("name") is not None
+                and art.get("version") is not None):
+            raise _fault(art, ("name", "version"), f"$.matches[{i}].artifact")
+        locs, rows = set(), art.get("locations")
+        if rows is not None and not isinstance(rows, list):
+            raise VulnReportError(f"$.matches[{i}].artifact.locations is not an array")
+        for j, loc in enumerate(rows or ()):
+            if not isinstance(loc, dict) or loc.get("path") is None:
+                raise _fault(loc, ("path",), f"$.matches[{i}].artifact.locations[{j}]")
+            locs.add(normalize_path("/", str(loc["path"])))
+        cve, name = vul["id"], str(art["name"])
+        if not isinstance(cve, str) or not cve:
+            raise VulnReportError(f"$.matches[{i}].vulnerability.id must be a non-empty string")
+        if not name and not locs:
+            raise VulnReportError(f"$.matches[{i}].artifact.name must be non-empty "
+                                  "for a finding without locations")
+        yield cve, str(vul["severity"] or ""), name, str(art["version"]), locs
 
 
 def _trivy_findings(results: list) -> Iterator[tuple]:
     for i, res in enumerate(results):
         if not isinstance(res, dict):
             raise VulnReportError(f"$.Results[{i}] is not an object")
-        at = f"$.Results[{i}].Vulnerabilities"
-        for j, v in enumerate(_array(res.get("Vulnerabilities"), at)):
-            where = f"{at}[{j}]"
-            cve = _require(v, "VulnerabilityID", where)
-            name = str(_require(v, "PkgName", where))
+        vulns = res.get("Vulnerabilities")
+        if vulns is not None and not isinstance(vulns, list):
+            raise VulnReportError(f"$.Results[{i}].Vulnerabilities is not an array")
+        for j, v in enumerate(vulns or ()):
+            if not (isinstance(v, dict) and v.get("VulnerabilityID") is not None
+                    and v.get("PkgName") is not None):
+                raise _fault(v, ("VulnerabilityID", "PkgName"),
+                             f"$.Results[{i}].Vulnerabilities[{j}]")
+            cve, name = v["VulnerabilityID"], str(v["PkgName"])
+            if not isinstance(cve, str) or not cve:
+                raise VulnReportError(f"$.Results[{i}].Vulnerabilities[{j}].VulnerabilityID "
+                                      "must be a non-empty string")
+            if not name:
+                raise VulnReportError(f"$.Results[{i}].Vulnerabilities[{j}].PkgName must be "
+                                      "non-empty for a finding without locations")
             yield (cve, str(v.get("Severity") or "Unknown"), name,
-                   str(v.get("InstalledVersion") or ""), set(),
-                   f"{where}.VulnerabilityID", f"{where}.PkgName")
+                   str(v.get("InstalledVersion") or ""), set())
 
 
 def surviving_cves(matches: Iterable[VulnMatch], bloat: FileSet,
@@ -189,14 +192,19 @@ def surviving_cves(matches: Iterable[VulnMatch], bloat: FileSet,
         exact.setdefault((rec.name, rec.version), rec)
         normalized.setdefault((canonical_pip_name(rec.name), rec.version), rec)
     removed, retained = [], []
+    bloat_paths = bloat.entries.keys()
     by_package: dict[str, int] = {}
+    resolved: dict[tuple[str, str], tuple[PackageRecord | None, str | None]] = {}
     for match in matches:
-        rec = exact.get((match.pkg_name, match.pkg_version)) or \
-            normalized.get((canonical_pip_name(match.pkg_name), match.pkg_version))
-        if rec is not None:
-            by_package[rec.graph_key] = by_package.get(rec.graph_key, 0) + 1
+        pkg = (match.pkg_name, match.pkg_version)
+        if pkg not in resolved:
+            rec = exact.get(pkg) or normalized.get((canonical_pip_name(pkg[0]), pkg[1]))
+            resolved[pkg] = (rec, rec and rec.graph_key)
+        rec, key = resolved[pkg]
+        if key is not None:
+            by_package[key] = by_package.get(key, 0) + 1
         if match.locations:
-            gone = all(loc in bloat.entries for loc in match.locations)
+            gone = match.locations <= bloat_paths
         elif rec is None:
             log.debug("no catalog package for %s %s; retaining %s conservatively",
                       match.pkg_name, match.pkg_version, match.cve_id)
@@ -206,7 +214,7 @@ def surviving_cves(matches: Iterable[VulnMatch], bloat: FileSet,
                       match.pkg_name, match.cve_id)
             gone = False
         else:
-            gone = all(f in bloat.entries for f in rec.files)
+            gone = rec.files <= bloat_paths
         (removed if gone else retained).append(match)
     total = len(removed) + len(retained)
     reduction = len(removed) / total if total else None

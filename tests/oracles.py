@@ -437,6 +437,88 @@ def vuln_survival_oracle(match, bloat_paths: set[str], files_by_pkg: dict) -> bo
     return all(f in bloat_paths for f in files)
 
 
+# The scanner-report reader as it was before it checked fields in place: each
+# field fetched by a _require walk that spells its JSON path up front, and the
+# identity checks after each finding's fields.
+def _require_oracle(obj, key: str, where: str, nullable: bool = False):
+    from bloatlens.errors import VulnReportError
+
+    if not isinstance(obj, dict) or key not in obj:
+        raise VulnReportError(f"missing required field at {where}.{key}")
+    if obj[key] is None and not nullable:
+        raise VulnReportError(f"{where}.{key} must not be null")
+    return obj[key]
+
+
+def _array_oracle(value, where: str) -> list:
+    from bloatlens.errors import VulnReportError
+
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise VulnReportError(f"{where} is not an array")
+    return value
+
+
+def _grype_oracle(matches: list):
+    for i, m in enumerate(matches):
+        where = f"$.matches[{i}]"
+        vul = _require_oracle(m, "vulnerability", where)
+        art = _require_oracle(m, "artifact", where)
+        cve = _require_oracle(vul, "id", f"{where}.vulnerability")
+        sev = str(_require_oracle(vul, "severity", f"{where}.vulnerability", nullable=True) or "")
+        name = str(_require_oracle(art, "name", f"{where}.artifact"))
+        version = str(_require_oracle(art, "version", f"{where}.artifact"))
+        at = f"{where}.artifact.locations"
+        locs = {normalize_oracle("/", str(_require_oracle(loc, "path", f"{at}[{j}]")))
+                for j, loc in enumerate(_array_oracle(art.get("locations"), at))}
+        yield (cve, sev, name, version, locs, f"{where}.vulnerability.id",
+               f"{where}.artifact.name")
+
+
+def _trivy_oracle(results: list):
+    from bloatlens.errors import VulnReportError
+
+    for i, res in enumerate(results):
+        if not isinstance(res, dict):
+            raise VulnReportError(f"$.Results[{i}] is not an object")
+        at = f"$.Results[{i}].Vulnerabilities"
+        for j, v in enumerate(_array_oracle(res.get("Vulnerabilities"), at)):
+            where = f"{at}[{j}]"
+            cve = _require_oracle(v, "VulnerabilityID", where)
+            name = str(_require_oracle(v, "PkgName", where))
+            yield (cve, str(v.get("Severity") or "Unknown"), name,
+                   str(v.get("InstalledVersion") or ""), set(),
+                   f"{where}.VulnerabilityID", f"{where}.PkgName")
+
+
+_SEVERITY_ORACLE = {s.lower(): s for s in ("Critical", "High", "Medium", "Low", "Negligible")}
+
+
+def report_oracle(doc) -> list[tuple]:
+    """A decoded scanner report read step by step as docs/vuln-reports.md
+    states it: sorted (id, severity, name, version, locations) rows, one per
+    (id, name, version) with its locations unioned and its first severity,
+    or the VulnReportError naming the first fault's JSON path."""
+    from bloatlens.errors import VulnReportError
+
+    trivy = isinstance(doc, dict) and "Results" in doc and "matches" not in doc
+    key, findings = ("Results", _trivy_oracle) if trivy else ("matches", _grype_oracle)
+    rows = _require_oracle(doc, key, "$") if isinstance(doc, dict) else doc
+    if not isinstance(rows, list):
+        raise VulnReportError(f"$.{key} is not an array")
+    merged: dict[tuple, tuple[str, set]] = {}
+    for cve, sev, name, version, locs, id_at, name_at in findings(rows):
+        if not isinstance(cve, str) or not cve:
+            raise VulnReportError(f"{id_at} must be a non-empty string")
+        if not name and not locs:
+            raise VulnReportError(f"{name_at} must be non-empty for a finding without locations")
+        sev = _SEVERITY_ORACLE.get(sev.strip().lower(), "Negligible")
+        merged.setdefault((cve, name, version), (sev, set()))[1].update(locs)
+    return [(cve, sev, name, version, frozenset(locs))
+            for (cve, name, version), (sev, locs) in sorted(merged.items())]
+
+
 def tarfile_contents(tar_path):
     """What tarfile reads from a tar whose member paths are unique:
     (path -> (kind, size, link_target), path -> mode, path -> bytes of each

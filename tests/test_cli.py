@@ -757,6 +757,24 @@ class TestOutputLinks:
         assert str(tmp_path / "out" / "rootfs") in json.loads(stderr)["error"]["message"]
         assert (manifest.read_bytes(), manifest.stat().st_mtime_ns) == before
 
+    def test_link_symlink_refuses_exits_2_naming_it(self, tmp_path, capsys):
+        # A tar holds a link with an empty target; symlink(2) refuses to make one.
+        tar = tmp_path / "t.tar"
+        with tarfile.open(tar, "w") as tf:
+            for name, typ in (("x", tarfile.DIRTYPE), ("x/empty", tarfile.SYMTYPE)):
+                info = tarfile.TarInfo(name)
+                info.type = typ
+                tf.addfile(info)
+        trace = tmp_path / "trace.log"
+        trace.write_text('100 openat(AT_FDCWD, "/x/empty", O_RDONLY) = -1 ENOENT '
+                         "(No such file or directory)\n")
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(capsys, "debloat", "--layers", str(tar), "--trace", str(trace),
+                                  "--include-failed", "--emit-rootfs", "--out", str(out))
+        assert code == 2
+        assert json.loads(stderr)["error"]["message"].startswith(
+            "cannot write symlink /x/empty: ")
+
 
 class TestStagesMatchAnalyze:
     """Each stage subcommand writes the same bytes analyze writes for the

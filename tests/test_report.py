@@ -2,8 +2,11 @@ import gc
 import json
 import math
 import tarfile
+import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,12 @@ from bloatlens.report import (
     pareto_files,
     run_pipeline,
     tables_from_document,
+    vuln_section,
+    write_outputs,
 )
+from bloatlens.vuln import SEVERITIES, VulnDiff, VulnMatch
+
+from fixtures import minicontainer
 
 
 def fs_with_sizes(sizes: dict[str, int]) -> FileSet:
@@ -315,7 +323,9 @@ class TestDumpJson:
     @settings(max_examples=200, deadline=None)
     @given(_VALUES)
     def test_matches_stdlib_indent_2(self, value):
-        assert dump_json(value) == stdlib_json(value)
+        blocks = []
+        assert dump_json(value, blocks.append) is None
+        assert dump_json(value) == "".join(blocks) == stdlib_json(value)
 
     @pytest.mark.parametrize("value", [
         {}, [], (), {"a": {}, "b": [], "c": [[], {}]},
@@ -365,6 +375,21 @@ class TestDumpJson:
             gc.enable()
         assert grown < 1.2 * len(text)
 
+    def test_a_sink_holds_no_more_than_a_few_blocks(self):
+        doc = {"rows": [{"path": f"/p/{i}", "size": i} for i in range(25000)]}
+        sizes = []
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dump_json(doc, lambda block: sizes.append(len(block)))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert sum(sizes) == len(stdlib_json(doc)) and len(sizes) > 16
+        assert peak < 8 * max(sizes)
+
     def test_large_document_crosses_block_joins(self):
         rows = [{"path": f"/opt/é/{i}", "size": i * 7919, "ratio": i / 7,
                  "tags": [str(i), None, i % 2 == 0]} for i in range(3000)]
@@ -379,3 +404,31 @@ class TestDumpJson:
             stdlib_json(value)
         with pytest.raises(TypeError):
             dump_json(value)
+
+
+@pytest.fixture(scope="module")
+def mini_bundle(tmp_path_factory):
+    root = tmp_path_factory.mktemp("mini") / "rootfs"
+    minicontainer.build_rootfs(root)
+    fixtures = Path(__file__).parent / "fixtures"
+    return run_pipeline(PipelineConfig(rootfs=str(root), trace=str(fixtures / "mini_trace.log"),
+                                       vuln_report=str(fixtures / "mini_vuln.json")))
+
+
+_MATCHES = st.tuples(_TEXT, st.sampled_from(SEVERITIES), _TEXT, _TEXT,
+                     st.frozensets(_TEXT, max_size=3)).filter(lambda m: m[2] or m[4])
+
+
+class TestVulnRows:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_MATCHES, max_size=4), st.lists(_MATCHES, max_size=4))
+    def test_bundle_json_writes_the_rows_as_json_does(self, mini_bundle, removed, retained):
+        removed, retained = ([VulnMatch(*m) for m in ms] for ms in (removed, retained))
+        total = len(removed) + len(retained)
+        diff = VulnDiff(tuple(removed), tuple(retained), len(removed) / total if total else None)
+        bundle = replace(mini_bundle, vuln=diff,
+                         document={**mini_bundle.document, "vuln": vuln_section(diff)})
+        with tempfile.TemporaryDirectory() as out:
+            write_outputs(bundle, PipelineConfig(out=out), None)
+            text = (Path(out) / "bundle.json").read_text(encoding="ascii")
+        assert text == stdlib_json(bundle.document)

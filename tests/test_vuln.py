@@ -1,3 +1,5 @@
+import ast
+import copy
 import json
 from collections import Counter
 from pathlib import Path
@@ -22,7 +24,7 @@ from bloatlens.vuln import (
     surviving_cves,
 )
 
-from oracles import catalog_match_oracle, vuln_survival_oracle
+from oracles import catalog_match_oracle, report_oracle, vuln_survival_oracle
 
 
 def match(cve="CVE-1", sev="High", name="pkg", version="1", locations=()):
@@ -234,6 +236,86 @@ class TestTrivyConversion:
         assert len(out) == len({(cve, name, version) for cve, _, name, version in findings})
 
 
+_IDS = st.sampled_from(["CVE-1", "CVE-2", "GHSA-1"])
+_NAMES = st.sampled_from(["a", "b", "é"])
+_VERSIONS = st.sampled_from(["1", "2.0", ""])
+_SEVERITY = st.sampled_from(["High", "low", "CRITICAL", "Unknown", "", "Severe"])
+# Optional fields are present in a valid report; faults delete or null them.
+_GRYPE_MATCH = st.fixed_dictionaries({  # the artifact first: its fields are the deepest
+    "artifact": st.fixed_dictionaries({
+        "locations": st.lists(st.fixed_dictionaries(
+            {"path": st.sampled_from(["/usr/lib/x", "usr//lib/x/", "/a/../b", "/c"])}),
+            min_size=1, max_size=3),
+        "name": _NAMES, "version": _VERSIONS}),
+    "vulnerability": st.fixed_dictionaries({"id": _IDS, "severity": st.none() | _SEVERITY}),
+})
+_TRIVY_VULN = st.fixed_dictionaries({
+    "VulnerabilityID": _IDS, "PkgName": _NAMES, "Severity": st.none() | _SEVERITY,
+    "InstalledVersion": st.none() | _VERSIONS})
+_REPORTS = st.one_of(
+    st.lists(_GRYPE_MATCH, min_size=2, max_size=4).map(lambda ms: {"matches": ms}),
+    st.lists(_GRYPE_MATCH, min_size=2, max_size=4),
+    st.lists(st.fixed_dictionaries({"Vulnerabilities": st.lists(_TRIVY_VULN, min_size=1,
+                                                                max_size=3)}),
+             min_size=2, max_size=3).map(lambda results: {"Results": results}),
+)
+# A fault: the field an empty string (an empty name may lose its locations too),
+# deleted, nulled or of a wrong type.
+_FAULTS = st.sampled_from(["", "delete", None, 7, "text", [], {}, True])
+
+
+def _sites(node, label="$"):
+    """(label, container, key) of every value in a decoded document, deepest
+    first; the label is the value's field name, or its list's label with "[]"."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        inner = key if isinstance(key, str) else label + "[]"
+        if isinstance(value, (dict, list)):
+            yield from _sites(value, inner)
+        yield inner, node, key
+
+
+@st.composite
+def _faulty_reports(draw):
+    """A valid report with up to two faults, and how many it has. A fault picks
+    a field name first, so that a deep field is hit as often as the document."""
+    holder = [draw(_REPORTS)]
+    faults = draw(st.sampled_from([1, 2, 0]))
+    for _ in range(faults):
+        sites = {}
+        for label, node, key in _sites(holder):
+            sites.setdefault(label, []).append((node, key))
+        # The last site of a name first, as its indexes differ more often than the first's.
+        node, key = draw(st.sampled_from(sites[draw(st.sampled_from(list(sites)))][::-1]))
+        fault = copy.copy(draw(_FAULTS))
+        if fault == "" and key == "name" and draw(st.booleans()):
+            node.pop("locations", None)
+        if fault == "delete" and isinstance(node, dict):
+            del node[key]
+        else:
+            node[key] = None if fault == "delete" else fault
+    return holder[0], faults
+
+
+def _outcome(read, doc):
+    """The rows a reader gives, or the message of its VulnReportError."""
+    try:
+        return read(doc)
+    except VulnReportError as exc:
+        return str(exc)
+
+
+class TestReaderOracle:
+    @given(_faulty_reports())
+    @settings(max_examples=250, deadline=None)
+    def test_reader_agrees_with_the_step_by_step_oracle(self, case):
+        doc, faults = case
+        rows = _outcome(lambda d: [(m.cve_id, m.severity, m.pkg_name, m.pkg_version,
+                                    m.locations) for m in load_report(d)], doc)
+        assert rows == _outcome(report_oracle, doc)
+        assert faults or isinstance(rows, list)  # a valid report reads
+
+
 class TestOneReader:
     def test_report_reads_with_the_vuln_loader(self):
         assert report.load_any_report is vuln.load_any_report
@@ -243,6 +325,20 @@ class TestOneReader:
         assert src.count("def load_any_report(") == 1
         assert src.count("load_any_report(") == 2  # its definition and open_inputs' call
         assert "vuln_diff" not in src and "load_trivy_report" not in src
+
+    def test_one_reader_per_layout_spells_json_paths_only_to_raise(self):
+        tree = ast.parse(Path(vuln.__file__).read_text())
+
+        def readers(key):
+            return [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                    and any(isinstance(n, ast.Constant) and n.value == key for n in ast.walk(f))]
+
+        assert readers("artifact") == ["_grype_findings"]
+        assert readers("VulnerabilityID") == ["_trivy_findings"]
+        raised = {id(n) for r in ast.walk(tree) if isinstance(r, ast.Raise) for n in ast.walk(r)}
+        paths = [n for n in ast.walk(tree) if isinstance(n, ast.JoinedStr) and any(
+            isinstance(v, ast.Constant) and "$" in v.value for v in n.values)]
+        assert paths and all(id(n) in raised for n in paths)
 
 
 class TestSurvivingCves:
