@@ -163,9 +163,10 @@ def materialize(retained: FileSet, source: ContentSource, out: str | os.PathLike
     """Write a debloated rootfs directory or tar.
 
     ``fmt`` is 'dir' or 'tar'. The output contains exactly the retained
-    entries with sizes and modes copied from the source image; special
-    (kind=other) entries are not recreated. A 'dir' ``out`` must be absent or
-    an empty directory: writes would follow a link left in it.
+    entries, with the sizes and modes their records hold and the bytes
+    ``source`` reads; special (kind=other) entries are not recreated. A 'dir'
+    ``out`` must be absent or an empty directory: writes would follow a link
+    left in it.
     A missing source object is fatal and names the offending path.
     """
     bad = check_parent_closure(retained)
@@ -191,7 +192,7 @@ def _contents(retained: FileSet, source: ContentSource) -> Iterator[tuple]:
             if len(data) != entry.size:
                 raise MaterializeError(
                     f"source size mismatch for {path}: expected {entry.size}, got {len(data)}")
-        yield path, entry, source.mode(path), data
+        yield path, entry, entry.mode, data
 
 
 def check_rootfs_out(out: str) -> None:

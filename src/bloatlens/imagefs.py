@@ -2,16 +2,15 @@
 
 Builds an immutable file inventory (:class:`FileSet`) from an extracted
 rootfs directory or an ordered stack of image layer tars with OCI whiteout
-handling: every tar is a layer; a single tar is a one-layer image. The
-inventory records paths, kinds and apparent sizes only; file content stays
-in the source and is read back through a :class:`ContentSource`. Every stage
-writes the paths it matches against the inventory in the normal form of
-:func:`normalize_path`.
+handling: every tar is a layer; a single tar is a one-layer image. File
+content stays in the source and is read back through a :class:`ContentSource`.
+Every stage writes the paths it matches against the inventory in the normal
+form of :func:`normalize_path`.
 
 Every loader returns (FileSet, ContentSource) from one pass over its input,
-and the caller closes the source. The pass records each entry with its mode
-and where its bytes are, so links, modes and reads resolve through the
-inventory alike for every kind: only the fetch of a regular file's bytes
+and the caller closes the source. The pass writes one record per path, with
+its mode and where its bytes are, so links, modes and reads resolve through
+the inventory alike for every kind: only the fetch of a regular file's bytes
 differs (an ``O_NOFOLLOW`` open under the rootfs, a seek into a plain tar).
 A gzip, bzip2, xz or lzma tar is decompressed once into an anonymous temp
 file, which takes disk space equal to the uncompressed tar until the source
@@ -40,7 +39,7 @@ import sys
 import tempfile
 import zlib
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping
 
@@ -73,7 +72,6 @@ _PAX_RECORD = re.compile(rb"(\d+) ([^=]+)=")
 _DIRTYPE, _SYMTYPE, _LNKTYPE = b"5", b"2", b"1"
 _REGULAR_TYPES = (b"0", b"\0", b"7")
 _EXTENSION_TYPES = (b"L", b"K", b"x", b"X", b"g")  # GNU long names, pax, pax global
-_IMPLIED = (DIRECTORY, 0, None, None, None)  # the union record of a directory no member names
 
 
 def normalize_path(cwd: str, raw: str) -> str:
@@ -106,13 +104,17 @@ class FileEntry:
 
     Only regular files carry a size; directories, symlinks and special files
     count zero bytes. ``link_target`` is the raw (possibly relative) target
-    string and is present exactly for symlinks.
+    string and is present exactly for symlinks. A loader also records the
+    permission bits (``mode``) and where its source finds a regular entry's
+    bytes (``where``), or None; neither takes part in equality, hashing or repr.
     """
 
     path: str
     kind: str
     size: int = 0
     link_target: str | None = None
+    mode: int | None = field(default=None, compare=False, repr=False)
+    where: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if normalize_path("/", self.path) != self.path:
@@ -136,9 +138,9 @@ class FileSet:
     Equality compares entries (paths, kinds, sizes, link targets). Loaders
     record every entry's ancestors: one that no tar member names is a
     directory of the layer that implies it. So every non-root entry's parent
-    is present as a directory, unless a layer puts a member under a lower
-    layer's file or symlink (which extraction cannot do either); derived sets
-    such as the bloat complement do not (see :func:`check_parent_closure`).
+    is present as a directory, unless a member's directory part loops or
+    reaches a file (which extraction cannot place either); derived sets such
+    as the bloat complement do not (see :func:`check_parent_closure`).
     """
 
     __slots__ = ("entries",)
@@ -156,6 +158,13 @@ class FileSet:
             if path != entry.path:
                 raise ValueError(f"key {path!r} does not match entry path {entry.path!r}")
         object.__setattr__(self, "entries", MappingProxyType(items))
+
+    @classmethod
+    def _over(cls, table: dict[str, FileEntry]) -> FileSet:
+        """The set over ``table`` itself, which a loader fills before it hands the set out."""
+        fs = object.__new__(cls)
+        object.__setattr__(fs, "entries", MappingProxyType(table))
+        return fs
 
     def __setattr__(self, name, value):
         raise AttributeError("FileSet is immutable")
@@ -186,10 +195,17 @@ class FileSet:
         '..' from where a link led and stopping at '/'. None on a missing component, a
         non-directory before the last one or an empty link target. Each link followed
         is appended to ``crossed``; over 40 is a loop (MaterializeError)."""
+        end, rest = self._walk(path, crossed)
+        return None if rest or end not in self.entries else end
+
+    def _walk(self, path: str, crossed: list[str] | None = None) -> tuple[str, list[str]]:
+        """Where :meth:`resolve` stops and the components it has left, last first:
+        none once it has taken them all (to the entry it returns, or a missing
+        path), else some, at a missing path, a non-directory or an empty link."""
         entries, todo, cur, hops = self.entries, path.split("/")[::-1], "/", 0
         while todo:
             if getattr(entries.get(cur), "kind", None) != DIRECTORY:
-                return None  # only a directory has components
+                break  # only a directory has components
             name = todo.pop()
             cur = parent_of(cur) if name == ".." else cur if name in ("", ".") else \
                 f"{cur.rstrip('/')}/{name}"
@@ -201,10 +217,10 @@ class FileSet:
                 if crossed is not None:
                     crossed.append(cur)
                 if not target:
-                    return None
+                    return cur, [*todo, "."]  # leads nowhere: stop at the link
                 todo.extend(target.split("/")[::-1])
                 cur = "/" if target.startswith("/") else parent_of(cur)
-        return cur if cur in entries else None
+        return cur, todo
 
     def lookup(self, path: str) -> str:
         """The lstat(2) form of :meth:`resolve` for a normal path: the links in
@@ -242,38 +258,31 @@ def _tar_member_path(name: str) -> str | None:
 class ContentSource:
     """Reads file bytes and modes back out of an image, whose inventory is ``fs``.
 
-    ``_union`` maps each inventory path to a plain record ``(kind, size,
-    link_target, mode, where)``: its :class:`FileEntry` fields, its permission
-    bits (or None) and where a regular entry's bytes are (or None). Subclasses
-    fill it at ingest, an ancestor that no tar member names included (a
-    directory of the layer that implies it, with mode None), then call
-    ``__init__``, which builds ``fs`` from it once, and fetch those bytes in
-    ``_bytes(path, where)``. Reads resolve through :meth:`FileSet.resolve` and
-    modes through :meth:`FileSet.lookup`, so a path that reaches no entry
-    (a missing or non-directory component, an empty link target) reads nothing.
+    Each inventory path has one record, its :class:`FileEntry`, with the
+    entry's mode and where a regular entry's bytes are. A subclass fills the
+    table behind ``fs`` at ingest (a directory that no tar member names has
+    mode None) and fetches those bytes in ``_bytes(path, where)``. Reads
+    resolve through :meth:`FileSet.resolve` and modes through
+    :meth:`FileSet.lookup`, so a path that reaches no entry (a missing or
+    non-directory component, an empty link target) reads nothing.
     """
 
-    def __init__(self):
-        self.fs = FileSet(FileEntry(path, kind, size, link)
-                          for path, (kind, size, link, _, _) in self._union.items())
-
     def read(self, path: str) -> bytes:
-        hit = self._union.get(path)
-        if hit is None or hit[0] == SYMLINK:
+        hit = self.fs.entries.get(path)
+        if hit is None or hit.kind == SYMLINK:
             end = self.fs.resolve(path)
             if end is None:
                 raise MaterializeError(f"cannot read {path}: " + (
                     "dangling symlink" if hit else "not present in the image"))
-            hit = self._union[end]
-        if hit[0] != REGULAR:
+            hit = self.fs.entries[end]
+        if hit.kind != REGULAR:
             raise MaterializeError(f"cannot read {path}: not a regular file")
-        return self._bytes(path, hit[4])
+        return self._bytes(path, hit.where)
 
     def mode(self, path: str) -> int | None:
         """The mode of the entry :meth:`FileSet.lookup` names: path's own when it
         is in the inventory."""
-        hit = self._union.get(self.fs.lookup(path))
-        return hit[3] if hit else None
+        return getattr(self.fs.entries.get(self.fs.lookup(path)), "mode", None)
 
     def close(self) -> None:
         pass
@@ -296,14 +305,9 @@ class RootfsSource(ContentSource):
         root = os.fspath(root)
         if not os.path.isdir(root):
             raise IngestError(f"rootfs is not a readable directory: {root}")
-        self._union = {"/": (DIRECTORY, 0, None, stat.S_IMODE(os.stat(root).st_mode), None)}
-        self._walk(root)
-        super().__init__()
-
-    def _walk(self, root: str) -> None:
-        """Record the entries under host directory root, keeping the directories
-        still to list, as (host path, image path or '' for '/'), on a stack."""
-        todo = [(root, "")]
+        table = {"/": FileEntry("/", DIRECTORY, mode=stat.S_IMODE(os.stat(root).st_mode))}
+        self.fs = FileSet._over(table)
+        todo = [(root, "")]  # the directories still to list: (host path, image path or '')
         while todo:
             directory, prefix = todo.pop()
             try:
@@ -328,7 +332,7 @@ class RootfsSource(ContentSource):
                         kind, size, where = REGULAR, st.st_size, child.path
                 except OSError as exc:
                     log.warning("unreadable entry %s: %s", child.path, exc)
-                self._union[path] = (kind, size, link, mode, where)
+                table[path] = FileEntry(path, kind, size, link, mode, where)
                 if kind == DIRECTORY:
                     todo.append((child.path, path))
 
@@ -465,6 +469,8 @@ def _tar_members(plain: IO[bytes], label: str) -> Iterator[tuple]:
         path = _tar_member_path(name)
         if path is not None:
             yield path, typ, linkname, size, mode, offset
+        elif ".." in name.split("/"):
+            log.warning("%s: member %s has a '..' component; refused", label, name)
     # A legitimate end of archive leaves only zero padding behind.
     seek(at)
     if any(block.strip(b"\0") for block in iter(lambda: read(1 << 16), b"")):
@@ -474,19 +480,19 @@ def _tar_members(plain: IO[bytes], label: str) -> Iterator[tuple]:
 class _TarSource(ContentSource):
     """Inventory and content of a stack of layer tars, each read in one pass.
 
-    Every tar is a layer; a single tar is a one-layer image. A regular entry's
-    bytes are at (plain tar stream, data offset, size); a hardlink shares the
-    location its target had then, or None when that target was missing or not a
-    regular file. Each tar's walk feeds ``_add_tar`` as it reads; a tar none of
-    whose bytes are left in the union is then closed. The union starts with
-    '/', and each member adds the ancestors it lacks: an ancestor that no
-    member names is a directory of the layer that implies it.
+    A regular entry's bytes are at (plain tar stream, data offset, size); a
+    hardlink shares the location its target had then, or None when that
+    target was missing or not a regular file. Each tar's walk feeds
+    ``_add_tar`` as it reads; a tar none of whose bytes are left in the union
+    is then closed. The union starts with '/', and each member adds the
+    ancestors it lacks, each a directory of the layer that implies it.
     """
 
     def __init__(self, tars: list[tuple[str | os.PathLike | IO[bytes], str]]):
         self._stack = contextlib.ExitStack()
         self._files: dict[IO[bytes], contextlib.ExitStack] = {}
-        self._union = {"/": _IMPLIED}
+        table = {"/": FileEntry("/", DIRECTORY)}
+        self.fs = FileSet._over(table)
         try:
             for source, label in tars:
                 files = self._stack.enter_context(contextlib.ExitStack())
@@ -501,66 +507,91 @@ class _TarSource(ContentSource):
                     raise IngestError(
                         f"{label}: malformed tar at byte offset 0: cannot open: {exc}") from exc
                 self._files[plain] = files
-                self._add_tar(plain, _tar_members(plain, label))
+                self._add_tar(table, plain, _tar_members(plain, label), label)
         except BaseException:
             self.close()
             raise
-        used = {record[4][0] for record in self._union.values() if record[4]}
+        used = {entry.where[0] for entry in table.values() if entry.where}
         for plain, files in self._files.items():
             if plain not in used:
                 files.close()
-        super().__init__()
 
-    def _add_tar(self, plain: IO[bytes], members: Iterable[tuple]) -> None:
+    def _add_tar(self, table: dict[str, FileEntry], plain: IO[bytes],
+                 members: Iterable[tuple], label: str) -> None:
         # own: the paths this layer added; implied: the directories above them
-        union, own, implied, keys = self._union, set(), {"/"}, None
-        for member in members:
-            parent, _, base = member[0].rpartition("/")
+        own, implied, keys = set(), {"/"}, None
+        for path, typ, linkname, size, mode, offset in members:
+            parent, _, base = path.rpartition("/")
+            if base == WHITEOUT_PREFIX:
+                log.warning("whiteout %s names no path; ignored", path)
+                continue
+            if getattr(table.get(parent or "/"), "kind", None) != DIRECTORY:
+                path = self._place(path, label)  # no link lies above a directory in the table
+                parent, _, base = path.rpartition("/")
             if not base.startswith(WHITEOUT_PREFIX):
-                self._add(plain, *member)
-                own.add(member[0])
+                path = getattr(table.get(path), "path", path)  # the table's key: no second copy
+                self._add(table, plain, path, typ, linkname, size, mode, offset, label)
+                own.add(path)
                 parent = parent or "/"  # walk up to an ancestor the layer implied and still holds
-                while parent not in implied or parent not in union:
+                while parent not in implied or parent not in table:
                     implied.add(parent)
-                    union.setdefault(parent, _IMPLIED)
+                    table[parent] = table.get(parent) or FileEntry(parent, DIRECTORY)
                     parent = parent_of(parent)
-            elif base == WHITEOUT_PREFIX:
-                log.warning("whiteout %s names no path; ignored", member[0])
             else:
                 # Whiteouts hide lower layers only: each drops a gone d and what sorts in
                 # ['d/', 'd0') for a gone or opaque d ('0' follows '/'), sparing own paths.
                 opaque = base == OPAQUE_MARKER
                 top = parent if opaque else f"{parent}/{base[len(WHITEOUT_PREFIX):]}"
-                keys = sorted(union) if keys is None else keys  # later additions are the layer's
+                keys = sorted(table) if keys is None else keys  # later additions are the layer's
                 hidden = keys[bisect_left(keys, top + "/"):bisect_left(keys, top + "0")]
                 for p in hidden if opaque else [top, *hidden]:
-                    if p not in own and union.pop(p, None) and p in implied:
-                        union[p] = _IMPLIED  # a directory the layer implies stays one
+                    if p not in own and table.pop(p, None) and p in implied:
+                        table[p] = FileEntry(p, DIRECTORY)  # a directory the layer implies stays one
 
-    def _add(self, plain: IO[bytes], path: str, typ: bytes, linkname: str, size: int,
-             mode: int, offset: int) -> None:
+    def _place(self, path: str, label: str) -> str:
+        """Where member ``path`` lands, as containerd's applier puts it (continuity's
+        RootPath): the links in its directory part followed inside the image, and
+        from a missing component on, a dangling link's target too, the rest taken
+        as spelled. A directory part that loops or reaches a non-directory leaves
+        path as it is, with a warning."""
+        directory, _, base = path.rpartition("/")
+        try:
+            end, rest = self.fs._walk(directory + "/.")
+        except MaterializeError:
+            reason = "is a symlink loop"
+        else:
+            if end not in self.fs.entries:  # missing from here on
+                end, rest = normalize_path(end, "/".join(rest[::-1])), []
+            if not rest:
+                return f"{end.rstrip('/')}/{base}"
+            reason = f"reaches {end}, which is not a directory"
+        log.warning("%s: member %s: its directory %s; kept at its own path", label, path, reason)
+        return path
+
+    def _add(self, table: dict[str, FileEntry], plain: IO[bytes], path: str, typ: bytes,
+             linkname: str, size: int, mode: int, offset: int, label: str) -> None:
         """Put one member in the union, dropping the subtree of a directory it replaces."""
-        union = self._union
-        old = union.get(path)
-        if old is not None and old[0] == DIRECTORY and typ != _DIRTYPE:
-            for p in [p for p in union if p.startswith(path + "/")]:
-                del union[p]
+        old = table.get(path)
+        if old is not None and old.kind == DIRECTORY and typ != _DIRTYPE:
+            for p in [p for p in table if p.startswith(path + "/")]:
+                del table[p]
         if typ == _DIRTYPE:
-            union[path] = (DIRECTORY, 0, None, mode, None)
+            table[path] = FileEntry(path, DIRECTORY, mode=mode)
         elif typ == _SYMTYPE:
-            union[path] = (SYMLINK, 0, linkname, mode, None)
+            table[path] = FileEntry(path, SYMLINK, 0, linkname, mode)
         elif typ == _LNKTYPE:
             # Hardlink: a regular entry with its target's size and bytes (tar stores them once).
-            target = union.get(_tar_member_path(linkname))
-            if target is None or target[0] != REGULAR:
+            link = _tar_member_path(linkname)
+            target = table.get(self._place(link, label)) if link else None
+            if target is None or target.kind != REGULAR:
                 log.warning("hardlink %s: target %s %s", path, linkname, "is missing" if target
-                            is None else f"is not a regular file (kind {target[0]})")
-            size, where = (target[1], target[4]) if target else (0, None)
-            union[path] = (REGULAR, size, None, mode, where)
+                            is None else f"is not a regular file (kind {target.kind})")
+            size, where = (target.size, target.where) if target else (0, None)
+            table[path] = FileEntry(path, REGULAR, size, None, mode, where)
         elif typ in _REGULAR_TYPES:
-            union[path] = (REGULAR, size, None, mode, (plain, offset, size))
+            table[path] = FileEntry(path, REGULAR, size, None, mode, (plain, offset, size))
         else:
-            union[path] = (OTHER, 0, None, mode, None)
+            table[path] = FileEntry(path, OTHER, mode=mode)
 
     def _bytes(self, path: str, where: tuple[IO[bytes], int, int] | None) -> bytes:
         if where is None:
@@ -616,7 +647,12 @@ def load_layers(layer_tars: Iterable[str | os.PathLike | IO[bytes]]
     An ancestor that no member names is a directory of the layer that implies
     it, as extraction makes it: that layer's whiteouts spare it, an upper
     layer's whiteout of its children leaves it, and a later non-directory at
-    its path drops its subtree.
+    its path drops its subtree. A member, whiteout or hardlink target under a
+    directory link (a merged-/usr 'lib -> usr/lib') lands where the link leads,
+    as containerd applies a layer; a missing component on the way, a dangling
+    link's target included, becomes such an implied directory. A name whose
+    directory part loops or reaches a file stays as named, and one with a '..'
+    component is refused; each is logged as a warning naming it and its layer.
     """
     content = LayeredSource(layer_tars)
     return content.fs, content

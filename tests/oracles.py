@@ -326,49 +326,82 @@ def naive_retained_closure(fs, access_paths, keep_paths=()) -> set[str]:
         retained = new
 
 
+def root_path(root, rel) -> str:
+    """continuity's ``fs.RootPath`` on disk: ``rel`` (relative to host
+    directory ``root``) with the links in it followed by os.readlink inside
+    root, absolute targets from root and '..' stopping at it. A missing
+    component, a dangling link's target included, is kept as spelled, as is
+    whatever follows a non-directory. Returns a path relative to root ('' for
+    root itself); raises ResolveLoop past 255 links, as RootPath does."""
+    done, todo, links = [], rel.split("/")[::-1], 0
+    while todo:
+        name = todo.pop()
+        if name == "..":
+            del done[-1:]
+        elif name not in ("", "."):
+            host = os.path.join(root, *done, name)
+            if not os.path.islink(host):
+                done.append(name)
+                continue
+            links += 1
+            if links > 255:
+                raise ResolveLoop(rel)
+            target = os.readlink(host)
+            if target.startswith("/"):
+                done = []
+            todo.extend(target.split("/")[::-1])
+    return "/".join(done)
+
+
+def _remove_lower(root, rel, own) -> None:
+    """Delete rel under root and what lies below it, sparing the paths in
+    ``own`` and the directories above them."""
+    full = os.path.join(root, rel)
+    if os.path.isdir(full) and not os.path.islink(full):
+        for child in os.listdir(full):
+            _remove_lower(root, posixpath.join(rel, child), own)
+        if rel not in own and not os.listdir(full):
+            os.rmdir(full)
+    elif rel not in own and os.path.lexists(full):
+        os.unlink(full)
+
+
 def sequential_extract_union(layer_paths, scratch) -> dict[str, tuple[str, int, str | None]]:
-    """Reference layered-union semantics by actually extracting to disk."""
+    """Reference layered-union semantics by actually extracting to disk, one
+    member at a time in tar order, as containerd's applier does: each name's
+    directory part (a hardlink's target's too) goes through root_path inside
+    scratch, and a whiteout hides lower layers only, sparing what its own
+    layer placed."""
     scratch = os.fspath(scratch)
     os.makedirs(scratch, exist_ok=True)
     for layer in layer_paths:
+        own = set()  # the paths, relative to scratch, this layer placed
         with tarfile.open(layer, "r:*") as tf:
-            members = tf.getmembers()
-        whiteout_members = []
-        add_members = []
-        for m in members:
-            base = os.path.basename(m.name.rstrip("/"))
-            if base == ".wh.":  # names no path (the spec's <name> is never empty)
-                continue
-            if base == ".wh..wh..opq" or base.startswith(".wh."):
-                whiteout_members.append(m)
-            else:
-                add_members.append(m)
-        for m in whiteout_members:
-            base = os.path.basename(m.name.rstrip("/"))
-            rel_dir = os.path.dirname(m.name.lstrip("./").strip("/"))
-            if base == ".wh..wh..opq":
-                target_dir = os.path.join(scratch, rel_dir)
-                if os.path.isdir(target_dir):
-                    for child in os.listdir(target_dir):
-                        full = os.path.join(target_dir, child)
-                        if os.path.isdir(full) and not os.path.islink(full):
-                            shutil.rmtree(full)
-                        else:
-                            os.unlink(full)
-            else:
-                target = os.path.join(scratch, rel_dir, base[len(".wh."):])
+            for m in tf.getmembers():
+                head, base = posixpath.split(m.name.removeprefix("./").strip("/"))
+                if base == ".wh.":  # names no path (the spec's <name> is never empty)
+                    continue
+                directory = root_path(scratch, head)
+                if base == ".wh..wh..opq":
+                    if os.path.isdir(os.path.join(scratch, directory)):
+                        for child in os.listdir(os.path.join(scratch, directory)):
+                            _remove_lower(scratch, posixpath.join(directory, child), own)
+                    continue
+                if base.startswith(".wh."):
+                    _remove_lower(scratch, posixpath.join(directory, base[len(".wh."):]), own)
+                    continue
+                m.name = posixpath.join(directory, base)
+                target = os.path.join(scratch, m.name)
                 if os.path.isdir(target) and not os.path.islink(target):
-                    shutil.rmtree(target)
+                    if not m.isdir():
+                        shutil.rmtree(target)
                 elif os.path.lexists(target):
                     os.unlink(target)
-        with tarfile.open(layer, "r:*") as tf:
-            for m in add_members:
-                target = os.path.join(scratch, m.name.lstrip("./").strip("/"))
-                if os.path.lexists(target) and not os.path.isdir(target):
-                    os.unlink(target)
-                elif os.path.isdir(target) and not m.isdir():
-                    shutil.rmtree(target)
+                if m.islnk():
+                    link_head, link_base = posixpath.split(m.linkname.strip("/"))
+                    m.linkname = posixpath.join(root_path(scratch, link_head), link_base)
                 tf.extract(m, scratch)
+                own.add(m.name)
     return walk_inventory(scratch)
 
 

@@ -8,9 +8,11 @@ import pathlib
 import posixpath
 import stat
 import struct
+import sys
 import tarfile
 import tempfile
 import tracemalloc
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,12 @@ def make_tar(path, members, mode="w"):
                 info.type = tarfile.FIFOTYPE
                 tf.addfile(info)
     return path
+
+
+def one_table(fs, src):
+    """The source keeps no table of image paths beside the inventory it returned."""
+    return src.fs is fs and not [value for value in vars(src).values()
+                                 if isinstance(value, Mapping) and "/" in value]
 
 
 def write_tree(root, members):
@@ -671,22 +679,27 @@ LAYER_OPS = st.lists(st.tuples(
 ), max_size=8)
 
 
-def compile_layer(ops, lower_nondirs=None):
+def compile_layer(ops, lower_files=None):
     """make_tar members for one layer, valid the way container tools write
     them: each path once, its ancestors first as directory members, and
     hardlinks only to regular files earlier in the same tar. Given the set of
-    paths that lower layers placed as non-directories, the layer names no
-    ancestor directory, skips any member under one of those paths (extraction
-    cannot make it a directory) and adds its own non-directories to the set."""
-    members, kinds = [], {}
-    files_only = lower_nondirs is not None
+    names that lower layers gave regular files, the layer names no ancestor
+    directory, skips any member under one of those names (extraction cannot
+    place it) and adds its own regular files to the set. A member under a
+    lower link lands where the link leads; every link target starts with an
+    'x' that no name holds, so only a file at one of the member's ancestor
+    names can block it. A hardlink then targets no file under a name whose
+    lower link a whiteout earlier in the layer took, as that name no longer
+    leads to the file."""
+    members, kinds, hidden = [], {}, []  # hidden: the prefixes this layer's whiteouts name
+    files_only = lower_files is not None
 
     def place(path, kind, arg):
         parts = path.split("/")
         ancestors = ["/".join(parts[:i]) for i in range(1, len(parts))]
         if path in kinds or any(kinds.get(a, "dir") != "dir" for a in ancestors):
             return
-        if files_only and any(a in lower_nondirs for a in ancestors):
+        if files_only and any(a in lower_files for a in ancestors):
             return
         for a in ancestors:
             if a not in kinds:
@@ -701,34 +714,37 @@ def compile_layer(ops, lower_nondirs=None):
         prefix = head + "/" if head else ""
         if op == "wh":
             place(f"{prefix}.wh.{base}", "file", b"")
+            hidden.append(f"{path}/")
         elif op == "opq":
             place(f"{prefix}.wh..wh..opq", "file", b"")
+            hidden.append(prefix)
         elif op == "bare":  # a marker naming no path, at the root for a one-name path
             place(f"{prefix}.wh.", "file", b"")
         elif op == "lnk":
-            files = [p for p, k in kinds.items() if k == "file" and ".wh." not in p]
+            files = [p for p, k in kinds.items() if k == "file" and ".wh." not in p
+                     and not (files_only and p.startswith(tuple(hidden)))]
             if files:
                 place(path, "lnk", files[len(data) % len(files)])
         else:
             place(path, op, {"file": data, "dir": None, "sym": "x/" + base}[op])
     if files_only:
-        lower_nondirs.update(p for p, k in kinds.items() if k != "dir")
+        lower_files.update(p for p, k in kinds.items() if k in ("file", "lnk"))
     return members
 
 
 class TestLayeredUnionOracle:
     @staticmethod
-    def check_stack(stack, lower_nondirs=None):
+    def check_stack(stack, lower_files=None):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = pathlib.Path(tmp)
-            layers = [make_tar(tmp / f"l{i}.tar", compile_layer(ops, lower_nondirs))
+            layers = [make_tar(tmp / f"l{i}.tar", compile_layer(ops, lower_files))
                       for i, ops in enumerate(stack)]
             fs, src = load_layers(layers)
             with src:
                 oracle = sequential_extract_union(layers, tmp / "scratch")
                 assert fileset_inventory(fs) == oracle
                 assert check_parent_closure(fs) == []
-                assert set(fs.entries) == set(src._union)
+                assert one_table(fs, src)
                 regular = {p for p, e in fs.entries.items() if e.kind == "regular"}
                 reads = {p: src.read(p) for p in regular}
                 assert reads == file_bytes(tmp / "scratch")
@@ -747,7 +763,7 @@ class TestLayeredUnionOracle:
     @given(stack=st.lists(LAYER_OPS, min_size=1, max_size=4))
     def test_layers_that_list_only_files_match_sequential_extraction(self, stack):
         # every directory above a member is one its layer implies
-        self.check_stack(stack, lower_nondirs=set())
+        self.check_stack(stack, lower_files=set())
 
     @pytest.mark.parametrize("lower, upper, expected", [
         ([("a/b", "file", b"x")], [("a", "file", b"f")], {"/": "directory", "/a": "regular"}),
@@ -766,11 +782,88 @@ class TestLayeredUnionOracle:
             assert {p: e.kind for p, e in fs.entries.items()} == expected
             assert fileset_inventory(fs) == sequential_extract_union(layers, tmp_path / "x")
             assert check_parent_closure(fs) == []
-            assert set(fs.entries) == set(src._union)
+            assert one_table(fs, src)
             if expected["/a"] == "directory":
                 assert src.mode("/a") is None
                 with pytest.raises(MaterializeError, match="not a regular file"):
                     src.read("/a")
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=st.lists(LAYER_OPS, min_size=1, max_size=3))
+    def test_layers_over_links_match_sequential_extraction(self, stack):
+        # a base layer that makes every top-level name a link, so most later
+        # members and whiteouts land where a link leads
+        self.check_stack([[("sym", name, b"") for name in NAMES], *stack], lower_files=set())
+
+
+class TestMembersUnderLowerLinks:
+    """A member or whiteout under a lower layer's directory link lands where
+    the link leads, as containerd's applier puts it (continuity's RootPath)."""
+
+    BASE = [("usr", "dir", None), ("usr/lib", "dir", None), ("usr/lib/libc.so.6", "file", b"c"),
+            ("lib", "sym", "usr/lib"), ("abs", "sym", "/usr/lib"), ("up", "sym", "../../usr/./lib"),
+            ("chain", "sym", "lib"), ("gone", "sym", "opt/none"), ("f", "file", b"f"),
+            ("tofile", "sym", "f"), ("loop", "sym", "loop")]
+
+    def load(self, tmp_path, upper):
+        layers = [make_tar(tmp_path / "l0.tar", self.BASE), make_tar(tmp_path / "l1.tar", upper)]
+        fs, src = load_layers(layers)
+        return layers, fs, src
+
+    def test_merged_usr_member_and_whiteout(self, tmp_path):
+        layers, fs, src = self.load(tmp_path, [("lib/libssl.so.3", "file", b"ssl"),
+                                               ("lib/.wh.libc.so.6", "file", b"")])
+        with src:
+            assert sorted(p for p in fs.entries if p.startswith(("/lib", "/usr"))) == [
+                "/lib", "/usr", "/usr/lib", "/usr/lib/libssl.so.3"]
+            assert fs.entries["/lib"].kind == "symlink"
+            assert check_parent_closure(fs) == []
+            assert src.read("/lib/libssl.so.3") == b"ssl"
+            assert fileset_inventory(fs) == sequential_extract_union(layers, tmp_path / "x")
+
+    @pytest.mark.parametrize("upper, landed", [
+        ([("abs/a", "file", b"a")], "/usr/lib/a"),
+        ([("up/a", "file", b"a")], "/usr/lib/a"),
+        ([("chain/a", "file", b"a")], "/usr/lib/a"),
+        ([("lib/sub/a", "file", b"a")], "/usr/lib/sub/a"),
+        ([("gone/a", "file", b"a")], "/opt/none/a"),
+        ([("lib/.wh..wh..opq", "file", b""), ("lib/a", "file", b"a")], "/usr/lib/a"),
+        ([("lib/a", "lnk", "abs/libc.so.6")], "/usr/lib/a"),
+    ], ids=["absolute", "dotdot", "chain", "implied", "dangling", "opaque", "hardlink"])
+    def test_lands_where_the_link_leads(self, tmp_path, upper, landed):
+        layers, fs, src = self.load(tmp_path, upper)
+        with src:
+            assert fs.entries[landed].kind == "regular"
+            assert check_parent_closure(fs) == []
+            assert fileset_inventory(fs) == sequential_extract_union(layers, tmp_path / "x")
+            assert src.read(landed) == file_bytes(tmp_path / "x")[landed]
+
+    @pytest.mark.parametrize("name, reason", [
+        ("loop/a", "its directory is a symlink loop"),
+        ("f/a", "its directory reaches /f, which is not a directory"),
+        ("tofile/a", "its directory reaches /f, which is not a directory"),
+    ])
+    def test_loop_or_file_keeps_the_member_where_it_is_named(self, tmp_path, caplog, name,
+                                                             reason):
+        _, fs, src = self.load(tmp_path, [(name, "file", b"a")])
+        src.close()
+        assert fs.entries["/" + name].kind == "regular"
+        assert f"layer 1: member /{name}: {reason}; kept at its own path" in caplog.text
+
+
+class TestRefusedMemberNames:
+    @pytest.mark.parametrize("members, refused", [
+        ([("ok.txt", "file", b"x"), ("../escape.txt", "file", b"e"),
+          ("a/../../b.txt", "file", b"b")], ["../escape.txt", "a/../../b.txt"]),
+        ([("a", "dir", None), ("a/../b.txt", "file", b"b")], ["a/../b.txt"]),
+    ], ids=["escaping", "inside"])
+    def test_each_is_one_warning_naming_it_and_its_layer(self, tmp_path, caplog, members,
+                                                         refused):
+        tar = make_tar(tmp_path / "t.tar", members)
+        fs = inventory(load_layers([tar]))
+        assert sorted(fs.entries) == ["/", "/" + members[0][0]]
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            f"layer 0: member {name} has a '..' component; refused" for name in refused]
 
 
 class TestFlatTarReplacesDirectory:
@@ -1284,6 +1377,32 @@ class TestStreamedWalk:
 
     def test_layer_walk_holds_no_member_list(self):
         self.assert_walk_holds_no_member_list(lambda data: load_layers([data]))
+
+    def test_layer_stack_peak_stays_near_its_table(self):
+        # Every layer rewrites the same 2,000 files; layer 1 whites out half of
+        # what layer 0 put beside them, and layer 2 makes a directory opaque. A
+        # per-layer member list or a second per-path table would take the peak
+        # past twice what the final table holds.
+        def layer(i):
+            blocks = [header(f"d{k % 20}/f{k}", 0) for k in range(2000)]
+            blocks += {0: [header(f"e/f{k}", 0) for k in range(200)],
+                       1: [header(f"e/.wh.f{k}", 0) for k in range(0, 200, 2)],
+                       2: [header("d3/.wh..wh..opq", 0)]}.get(i, [])
+            return io.BytesIO(b"".join(blocks) + b"\0" * 1024)
+
+        layers = [layer(i) for i in range(4)]
+        tracemalloc.start()
+        try:
+            fs, src = load_layers(layers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        src.close()
+        assert len(fs) == 1 + 20 + 2000 + 1 + 100
+        table = sys.getsizeof(dict(fs.entries)) + sum(
+            sys.getsizeof(path) + sys.getsizeof(entry) + sys.getsizeof(entry.where)
+            for path, entry in fs.entries.items())
+        assert peak < 2 * table, f"peak {peak} bytes, table {table} bytes"
 
     @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
     def test_truncated_member_after_good_ones_closes_every_file(self, tmp_path, monkeypatch, gz):
