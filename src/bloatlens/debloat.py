@@ -164,7 +164,8 @@ def materialize(retained: FileSet, source: ContentSource, out: str | os.PathLike
 
     ``fmt`` is 'dir' or 'tar'. The output contains exactly the retained
     entries, with the sizes and modes their records hold and the bytes
-    ``source`` reads; special (kind=other) entries are not recreated. A 'dir'
+    ``source`` reads; a record without a mode (one a caller built) takes
+    ``source.mode``. Special (kind=other) entries are not recreated. A 'dir'
     ``out`` must be absent or an empty directory: writes would follow a link
     left in it.
     A missing source object is fatal and names the offending path.
@@ -192,7 +193,7 @@ def _contents(retained: FileSet, source: ContentSource) -> Iterator[tuple]:
             if len(data) != entry.size:
                 raise MaterializeError(
                     f"source size mismatch for {path}: expected {entry.size}, got {len(data)}")
-        yield path, entry, entry.mode, data
+        yield path, entry, source.mode(path) if entry.mode is None else entry.mode, data
 
 
 def check_rootfs_out(out: str) -> None:

@@ -246,12 +246,16 @@ def total_size(fs: FileSet) -> int:
     return sum(e.size for e in fs.entries.values() if e.kind == REGULAR)
 
 
-def _tar_member_path(name: str) -> str | None:
-    """Normalize a tar member name to an absolute path; None for the root."""
+def _tar_member_path(name: str, label: str | None = None) -> str | None:
+    """Normalize a tar member name to an absolute path; None for the root and
+    for a name with a '..' component, which is refused: the member named in
+    layer ``label``, when given, is logged as a warning."""
     path = "/" + name.removeprefix("./").removesuffix("/")
     if "//" in path or "/." in path or path.endswith("/"):  # else it is already normal
         parts = [p for p in name.split("/") if p not in ("", ".")]
         path = "/" + "/".join(parts) if parts and ".." not in parts else None
+        if ".." in parts and label is not None:
+            log.warning("%s: member %s has a '..' component; refused", label, name)
     return path
 
 
@@ -466,11 +470,9 @@ def _tar_members(plain: IO[bytes], label: str) -> Iterator[tuple]:
         if size and typ not in b"123456":  # regular and unknown types carry data
             pos = seek(data_end(size))
         ext, at = ext and {}, None  # a new dict only when the last one was used
-        path = _tar_member_path(name)
+        path = _tar_member_path(name, label)
         if path is not None:
             yield path, typ, linkname, size, mode, offset
-        elif ".." in name.split("/"):
-            log.warning("%s: member %s has a '..' component; refused", label, name)
     # A legitimate end of archive leaves only zero padding behind.
     seek(at)
     if any(block.strip(b"\0") for block in iter(lambda: read(1 << 16), b"")):
@@ -552,11 +554,21 @@ class _TarSource(ContentSource):
         """Where member ``path`` lands, as containerd's applier puts it (continuity's
         RootPath): the links in its directory part followed inside the image, and
         from a missing component on, a dangling link's target too, the rest taken
-        as spelled. A directory part that loops or reaches a non-directory leaves
-        path as it is, with a warning."""
+        as spelled until a '..' climbs back out of it. A directory part that loops
+        or reaches a non-directory leaves path as it is, with a warning."""
         directory, _, base = path.rpartition("/")
+        crossed: list[str] = []
         try:
-            end, rest = self.fs._walk(directory + "/.")
+            end, rest = self.fs._walk(directory + "/.", crossed)
+            while end not in self.fs.entries and ".." in rest:
+                # A missing name and the '..' that climbs back out of it; the walk
+                # goes on from there, through any links the rest holds.
+                todo = rest[::-1]
+                up = todo.index("..") + 1
+                end = normalize_path(end, "/".join(todo[:up]))
+                end, rest = self.fs._walk(f"{end.rstrip('/')}/{'/'.join(todo[up:])}", crossed)
+                if len(crossed) > 40:
+                    raise MaterializeError(f"cannot place {path}: symlink loop")
         except MaterializeError:
             reason = "is a symlink loop"
         else:

@@ -679,20 +679,21 @@ LAYER_OPS = st.lists(st.tuples(
 ), max_size=8)
 
 
-def compile_layer(ops, lower_files=None):
+def compile_layer(ops, lower=None):
     """make_tar members for one layer, valid the way container tools write
     them: each path once, its ancestors first as directory members, and
-    hardlinks only to regular files earlier in the same tar. Given the set of
-    names that lower layers gave regular files, the layer names no ancestor
-    directory, skips any member under one of those names (extraction cannot
-    place it) and adds its own regular files to the set. A member under a
-    lower link lands where the link leads; every link target starts with an
-    'x' that no name holds, so only a file at one of the member's ancestor
-    names can block it. A hardlink then targets no file under a name whose
-    lower link a whiteout earlier in the layer took, as that name no longer
-    leads to the file."""
-    members, kinds, hidden = [], {}, []  # hidden: the prefixes this layer's whiteouts name
-    files_only = lower_files is not None
+    hardlinks only to regular files earlier in the same tar. Given ``lower``,
+    the sets of names that lower layers gave regular files and symlinks, the
+    layer names no ancestor directory, skips any member under one of those
+    files (extraction cannot place it) and adds its own files and links to
+    the sets. A member under a lower link lands where the link leads; every
+    link target starts with an 'x' that no name holds, so only a file at one
+    of the member's ancestor names can block it. A hardlink then targets no
+    file under a lower link that a whiteout earlier in the layer took, as
+    that name no longer leads to the file."""
+    members, kinds, hidden = [], {}, set()  # hidden: the lower links this layer's whiteouts took
+    files_only = lower is not None
+    lower_files, lower_links = lower or (set(), set())
 
     def place(path, kind, arg):
         parts = path.split("/")
@@ -714,30 +715,32 @@ def compile_layer(ops, lower_files=None):
         prefix = head + "/" if head else ""
         if op == "wh":
             place(f"{prefix}.wh.{base}", "file", b"")
-            hidden.append(f"{path}/")
+            hidden.update(f"{link}/" for link in lower_links
+                          if link == path or link.startswith(path + "/"))
         elif op == "opq":
             place(f"{prefix}.wh..wh..opq", "file", b"")
-            hidden.append(prefix)
+            hidden.update(f"{link}/" for link in lower_links if link.startswith(prefix))
         elif op == "bare":  # a marker naming no path, at the root for a one-name path
             place(f"{prefix}.wh.", "file", b"")
         elif op == "lnk":
             files = [p for p, k in kinds.items() if k == "file" and ".wh." not in p
-                     and not (files_only and p.startswith(tuple(hidden)))]
+                     and not p.startswith(tuple(hidden))]
             if files:
                 place(path, "lnk", files[len(data) % len(files)])
         else:
             place(path, op, {"file": data, "dir": None, "sym": "x/" + base}[op])
-    if files_only:
-        lower_files.update(p for p, k in kinds.items() if k in ("file", "lnk"))
+    lower_files.update(p for p, k in kinds.items() if k in ("file", "lnk"))
+    lower_links.update(p for p, k in kinds.items() if k == "sym")
     return members
 
 
 class TestLayeredUnionOracle:
     @staticmethod
-    def check_stack(stack, lower_files=None):
+    def check_stack(stack, files_only=False):
+        lower = (set(), set()) if files_only else None
         with tempfile.TemporaryDirectory() as tmp:
             tmp = pathlib.Path(tmp)
-            layers = [make_tar(tmp / f"l{i}.tar", compile_layer(ops, lower_files))
+            layers = [make_tar(tmp / f"l{i}.tar", compile_layer(ops, lower))
                       for i, ops in enumerate(stack)]
             fs, src = load_layers(layers)
             with src:
@@ -763,7 +766,7 @@ class TestLayeredUnionOracle:
     @given(stack=st.lists(LAYER_OPS, min_size=1, max_size=4))
     def test_layers_that_list_only_files_match_sequential_extraction(self, stack):
         # every directory above a member is one its layer implies
-        self.check_stack(stack, lower_files=set())
+        self.check_stack(stack, files_only=True)
 
     @pytest.mark.parametrize("lower, upper, expected", [
         ([("a/b", "file", b"x")], [("a", "file", b"f")], {"/": "directory", "/a": "regular"}),
@@ -788,12 +791,20 @@ class TestLayeredUnionOracle:
                 with pytest.raises(MaterializeError, match="not a regular file"):
                     src.read("/a")
 
+    def test_only_a_lower_link_a_whiteout_took_hides_hardlink_targets(self):
+        # an opaque marker at the root and a whiteout of a plain directory leave
+        # the layer's own files there as targets; one under the lower link l does not
+        ops = [("file", "a/f", b""), ("file", "l/g", b""), ("opq", "r", b""), ("wh", "a", b""),
+               ("lnk", "h", b""), ("lnk", "k", b"x")]
+        members = compile_layer(ops, (set(), {"l"}))
+        assert [m for m in members if m[1] == "lnk"] == [("h", "lnk", "a/f"), ("k", "lnk", "a/f")]
+
     @settings(max_examples=60, deadline=None)
     @given(stack=st.lists(LAYER_OPS, min_size=1, max_size=3))
     def test_layers_over_links_match_sequential_extraction(self, stack):
         # a base layer that makes every top-level name a link, so most later
         # members and whiteouts land where a link leads
-        self.check_stack([[("sym", name, b"") for name in NAMES], *stack], lower_files=set())
+        self.check_stack([[("sym", name, b"") for name in NAMES], *stack], files_only=True)
 
 
 class TestMembersUnderLowerLinks:
@@ -803,7 +814,8 @@ class TestMembersUnderLowerLinks:
     BASE = [("usr", "dir", None), ("usr/lib", "dir", None), ("usr/lib/libc.so.6", "file", b"c"),
             ("lib", "sym", "usr/lib"), ("abs", "sym", "/usr/lib"), ("up", "sym", "../../usr/./lib"),
             ("chain", "sym", "lib"), ("gone", "sym", "opt/none"), ("f", "file", b"f"),
-            ("tofile", "sym", "f"), ("loop", "sym", "loop")]
+            ("tofile", "sym", "f"), ("loop", "sym", "loop"), ("back", "sym", "missing/../lib"),
+            ("spin", "sym", "missing/../spin")]
 
     def load(self, tmp_path, upper):
         layers = [make_tar(tmp_path / "l0.tar", self.BASE), make_tar(tmp_path / "l1.tar", upper)]
@@ -829,7 +841,9 @@ class TestMembersUnderLowerLinks:
         ([("gone/a", "file", b"a")], "/opt/none/a"),
         ([("lib/.wh..wh..opq", "file", b""), ("lib/a", "file", b"a")], "/usr/lib/a"),
         ([("lib/a", "lnk", "abs/libc.so.6")], "/usr/lib/a"),
-    ], ids=["absolute", "dotdot", "chain", "implied", "dangling", "opaque", "hardlink"])
+        ([("back/a", "file", b"a")], "/usr/lib/a"),
+    ], ids=["absolute", "dotdot", "chain", "implied", "dangling", "opaque", "hardlink",
+            "dotdot-out-of-missing"])
     def test_lands_where_the_link_leads(self, tmp_path, upper, landed):
         layers, fs, src = self.load(tmp_path, upper)
         with src:
@@ -840,6 +854,7 @@ class TestMembersUnderLowerLinks:
 
     @pytest.mark.parametrize("name, reason", [
         ("loop/a", "its directory is a symlink loop"),
+        ("spin/a", "its directory is a symlink loop"),
         ("f/a", "its directory reaches /f, which is not a directory"),
         ("tofile/a", "its directory reaches /f, which is not a directory"),
     ])
