@@ -107,6 +107,8 @@ class FileEntry:
     string and is present exactly for symlinks. A loader also records the
     permission bits (``mode``) and where its source finds a regular entry's
     bytes (``where``), or None; neither takes part in equality, hashing or repr.
+    A FileEntry a caller builds is checked; a loader writes its records through
+    ``_record`` without the checks, as its paths are normal by construction.
     """
 
     path: str
@@ -127,6 +129,24 @@ class FileEntry:
             raise ValueError(f"non-regular entry {self.path!r} must have size 0")
         if (self.kind == SYMLINK) != (self.link_target is not None):
             raise ValueError(f"link_target is required iff kind=symlink: {self.path!r}")
+
+
+_SET_PATH, _SET_KIND, _SET_SIZE, _SET_LINK, _SET_MODE, _SET_WHERE = (
+    FileEntry.__dict__[name].__set__ for name in FileEntry.__slots__)
+
+
+def _record(path: str, kind: str, size: int = 0, link_target: str | None = None,
+            mode: int | None = None, where: object = None) -> FileEntry:
+    """A loader's FileEntry, its slots set without ``__post_init__``: ingest
+    writes normal paths, and kinds, sizes and link targets that agree."""
+    entry = object.__new__(FileEntry)
+    _SET_PATH(entry, path)
+    _SET_KIND(entry, kind)
+    _SET_SIZE(entry, size)
+    _SET_LINK(entry, link_target)
+    _SET_MODE(entry, mode)
+    _SET_WHERE(entry, where)
+    return entry
 
 
 class FileSet:
@@ -161,7 +181,9 @@ class FileSet:
 
     @classmethod
     def _over(cls, table: dict[str, FileEntry]) -> FileSet:
-        """The set over ``table`` itself, which a loader fills before it hands the set out."""
+        """The set over ``table`` itself, which a loader fills before it hands the set out.
+        Its records skip the checks (``_record``), as their paths are normal by construction;
+        :meth:`__init__` takes entries a caller built, which were checked."""
         fs = object.__new__(cls)
         object.__setattr__(fs, "entries", MappingProxyType(table))
         return fs
@@ -309,7 +331,7 @@ class RootfsSource(ContentSource):
         root = os.fspath(root)
         if not os.path.isdir(root):
             raise IngestError(f"rootfs is not a readable directory: {root}")
-        table = {"/": FileEntry("/", DIRECTORY, mode=stat.S_IMODE(os.stat(root).st_mode))}
+        table = {"/": _record("/", DIRECTORY, mode=stat.S_IMODE(os.stat(root).st_mode))}
         self.fs = FileSet._over(table)
         todo = [(root, "")]  # the directories still to list: (host path, image path or '')
         while todo:
@@ -336,7 +358,7 @@ class RootfsSource(ContentSource):
                         kind, size, where = REGULAR, st.st_size, child.path
                 except OSError as exc:
                     log.warning("unreadable entry %s: %s", child.path, exc)
-                table[path] = FileEntry(path, kind, size, link, mode, where)
+                table[path] = _record(path, kind, size, link, mode, where)
                 if kind == DIRECTORY:
                     todo.append((child.path, path))
 
@@ -431,13 +453,18 @@ def _tar_members(plain: IO[bytes], label: str) -> Iterator[tuple]:
             break
         name, mode, size, chksum, typ, linkname, prefix = unpack(buf)
         try:
+            try:  # one plain octal read of the three, as nearly every header spells them
+                numbers = (int(chksum.partition(b"\0")[0], 8), int(mode.partition(b"\0")[0], 8),
+                           int(size.partition(b"\0")[0], 8))
+            except ValueError:  # else _number reads each, in the order its errors come
+                numbers = None
             # Compare the checksum, as a byte sum of the block, with the unsigned and
             # signed sums; an ASCII block sums below 65521, to Adler-32's low half - 1.
-            total = _number(chksum) + sum(buf[148:156]) - 256
+            total = (numbers[0] if numbers else _number(chksum)) + sum(buf[148:156]) - 256
             if total not in (((zlib.adler32(buf) & 0xFFFF) - 1,) if buf.isascii() else (
                     sum(buf), sum(struct.unpack("148b8x356b", buf)) + sum(buf[148:156]))):
                 raise bad("bad checksum")
-            mode, size = _number(mode), _number(size)
+            mode, size = numbers[1:] if numbers else (_number(mode), _number(size))
             pos += _BLOCK
             if typ in _EXTENSION_TYPES:
                 nxt, data = data_end(size), read(size)
@@ -493,7 +520,7 @@ class _TarSource(ContentSource):
     def __init__(self, tars: list[tuple[str | os.PathLike | IO[bytes], str]]):
         self._stack = contextlib.ExitStack()
         self._files: dict[IO[bytes], contextlib.ExitStack] = {}
-        table = {"/": FileEntry("/", DIRECTORY)}
+        table = {"/": _record("/", DIRECTORY)}
         self.fs = FileSet._over(table)
         try:
             for source, label in tars:
@@ -528,8 +555,12 @@ class _TarSource(ContentSource):
                 log.warning("whiteout %s names no path; ignored", path)
                 continue
             if getattr(table.get(parent or "/"), "kind", None) != DIRECTORY:
-                path = self._place(path, label)  # no link lies above a directory in the table
-                parent, _, base = path.rpartition("/")
+                up = parent  # a link or file anywhere above, as a directory may lie under a link
+                while up and getattr(table.get(up), "kind", DIRECTORY) == DIRECTORY:
+                    up = up.rpartition("/")[0]
+                if up:  # else _place would take the path as spelled
+                    path = self._place(path, label)
+                    parent, _, base = path.rpartition("/")
             if not base.startswith(WHITEOUT_PREFIX):
                 path = getattr(table.get(path), "path", path)  # the table's key: no second copy
                 self._add(table, plain, path, typ, linkname, size, mode, offset, label)
@@ -537,7 +568,7 @@ class _TarSource(ContentSource):
                 parent = parent or "/"  # walk up to an ancestor the layer implied and still holds
                 while parent not in implied or parent not in table:
                     implied.add(parent)
-                    table[parent] = table.get(parent) or FileEntry(parent, DIRECTORY)
+                    table[parent] = table.get(parent) or _record(parent, DIRECTORY)
                     parent = parent_of(parent)
             else:
                 # Whiteouts hide lower layers only: each drops a gone d and what sorts in
@@ -548,7 +579,7 @@ class _TarSource(ContentSource):
                 hidden = keys[bisect_left(keys, top + "/"):bisect_left(keys, top + "0")]
                 for p in hidden if opaque else [top, *hidden]:
                     if p not in own and table.pop(p, None) and p in implied:
-                        table[p] = FileEntry(p, DIRECTORY)  # a directory the layer implies stays one
+                        table[p] = _record(p, DIRECTORY)  # a directory the layer implies stays one
 
     def _place(self, path: str, label: str) -> str:
         """Where member ``path`` lands, as containerd's applier puts it (continuity's
@@ -588,9 +619,9 @@ class _TarSource(ContentSource):
             for p in [p for p in table if p.startswith(path + "/")]:
                 del table[p]
         if typ == _DIRTYPE:
-            table[path] = FileEntry(path, DIRECTORY, mode=mode)
+            table[path] = _record(path, DIRECTORY, mode=mode)
         elif typ == _SYMTYPE:
-            table[path] = FileEntry(path, SYMLINK, 0, linkname, mode)
+            table[path] = _record(path, SYMLINK, 0, linkname, mode)
         elif typ == _LNKTYPE:
             # Hardlink: a regular entry with its target's size and bytes (tar stores them once).
             link = _tar_member_path(linkname)
@@ -599,11 +630,11 @@ class _TarSource(ContentSource):
                 log.warning("hardlink %s: target %s %s", path, linkname, "is missing" if target
                             is None else f"is not a regular file (kind {target.kind})")
             size, where = (target.size, target.where) if target else (0, None)
-            table[path] = FileEntry(path, REGULAR, size, None, mode, where)
+            table[path] = _record(path, REGULAR, size, None, mode, where)
         elif typ in _REGULAR_TYPES:
-            table[path] = FileEntry(path, REGULAR, size, None, mode, (plain, offset, size))
+            table[path] = _record(path, REGULAR, size, None, mode, (plain, offset, size))
         else:
-            table[path] = FileEntry(path, OTHER, mode=mode)
+            table[path] = _record(path, OTHER, mode=mode)
 
     def _bytes(self, path: str, where: tuple[IO[bytes], int, int] | None) -> bytes:
         if where is None:

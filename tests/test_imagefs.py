@@ -86,6 +86,13 @@ def one_table(fs, src):
                                  if isinstance(value, Mapping) and "/" in value]
 
 
+def assert_records_pass_the_checks(fs):
+    """Every record a loader wrote (unchecked) equals the FileEntry that the
+    checking constructor builds from its fields."""
+    for e in fs.entries.values():
+        assert e == FileEntry(e.path, e.kind, e.size, e.link_target), e
+
+
 def write_tree(root, members):
     """Create root and, under it, the dir, file and sym members (name, kind,
     payload-or-target) in order; returns root."""
@@ -748,6 +755,7 @@ class TestLayeredUnionOracle:
                 assert fileset_inventory(fs) == oracle
                 assert check_parent_closure(fs) == []
                 assert one_table(fs, src)
+                assert_records_pass_the_checks(fs)
                 regular = {p for p, e in fs.entries.items() if e.kind == "regular"}
                 reads = {p: src.read(p) for p in regular}
                 assert reads == file_bytes(tmp / "scratch")
@@ -864,6 +872,32 @@ class TestMembersUnderLowerLinks:
         src.close()
         assert fs.entries["/" + name].kind == "regular"
         assert f"layer 1: member /{name}: {reason}; kept at its own path" in caplog.text
+
+    @pytest.mark.parametrize("name, landed, placed", [
+        ("usr/new/deeper/a", "/usr/new/deeper/a", []),
+        ("lib/new/deeper/a", "/usr/lib/new/deeper/a", ["/lib/new/deeper/a"]),
+    ], ids=["plain-directory", "lower-link"])
+    def test_a_member_under_missing_directories_is_placed_only_below_a_link(
+            self, tmp_path, monkeypatch, name, landed, placed):
+        calls, place = [], LayeredSource._place
+        monkeypatch.setattr(LayeredSource, "_place",
+                            lambda src, path, label: calls.append(path) or place(src, path, label))
+        layers, fs, src = self.load(tmp_path, [(name, "file", b"a")])
+        with src:
+            assert calls == placed
+            assert fs.entries[landed].kind == "regular" and src.read(landed) == b"a"
+            assert fileset_inventory(fs) == sequential_extract_union(layers, tmp_path / "x")
+
+    def test_a_link_above_a_present_directory_still_places_the_member(self, tmp_path):
+        # /f/g is a directory implied under the file /f, which layer 2 makes a link:
+        # a climb that stopped at /f/g would keep layer 3's member at /f/g/x/y
+        stack = [[("f", "file", b"f"), ("usr", "dir", None)], [("f/g/h", "file", b"h")],
+                 [("f", "sym", "usr")], [("f/g/x/y", "file", b"y")]]
+        fs, src = load_layers([make_tar(tmp_path / f"l{i}.tar", layer)
+                               for i, layer in enumerate(stack)])
+        with src:
+            assert fs.entries["/usr/g/x/y"].kind == "regular" and "/f/g/x/y" not in fs.entries
+            assert src.read("/f/g/x/y") == b"y"
 
 
 class TestRefusedMemberNames:
@@ -1185,6 +1219,7 @@ class TestKernelOracle:
         with tempfile.TemporaryDirectory() as tmp:
             root = str(write_tree(pathlib.Path(tmp) / "root", members))
             src = RootfsSource(root)
+            assert_records_pass_the_checks(src.fs)
             names = {name.rsplit("/", 1)[-1] for name, _, _ in members}
             # Each member, each name under each, '.' after each, and '..' after each but
             # a link (which may lead to the root, where '..' would leave the rootfs).
@@ -1262,12 +1297,14 @@ class TestHeaderReaderAgainstTarfile:
 
 
 # Byte ranges of the ustar header fields the hand-made cases change.
-FIELDS = {"size_field": (124, 12), "type": (156, 1), "prefix": (345, 155)}
+FIELDS = {"mode_field": (100, 8), "size_field": (124, 12), "type": (156, 1),
+          "prefix": (345, 155)}
 
 
-def header(name, size=0, signed=False, **fields):
+def header(name, size=0, signed=False, chksum=lambda total: b"%06o\0 " % total, **fields):
     """A ustar header block for a regular member, with raw field overrides
-    and its checksum recomputed (as a signed-char sum if signed)."""
+    and its checksum recomputed (as a signed-char sum if signed) and
+    spelled by ``chksum``."""
     info = tarfile.TarInfo(name)
     info.size = size
     buf = bytearray(info.tobuf(tarfile.USTAR_FORMAT))
@@ -1275,7 +1312,7 @@ def header(name, size=0, signed=False, **fields):
         start, length = FIELDS[field]
         buf[start:start + length] = value.ljust(length, b"\0")
     buf[148:156] = b" " * 8
-    buf[148:156] = b"%06o\0 " % sum(struct.unpack("512b" if signed else "512B", buf))
+    buf[148:156] = chksum(sum(struct.unpack("512b" if signed else "512B", buf)))
     return bytes(buf)
 
 
@@ -1370,6 +1407,69 @@ class TestHandMadeHeaders:
             tf.addfile(info, io.BytesIO())
         with pytest.raises(IngestError, match=r"^flat tar: sparse member 'holes' at byte offset 0"):
             load_flat_tar(tmp_path / "t.tar")
+
+
+NUMBER_FORMS = ("nul", "nul-space", "spaces", "leading-spaces", "all-nul", "all-space",
+                "nul-garbage", "signed", "base256", "junk")
+
+
+def number_field(form, value, width, junk):
+    """``width`` bytes spelling value as a tar number field in one form, some
+    of which (all-NUL, all-space, junk) stand for another value or none."""
+    digits = b"%o" % abs(value)
+    raw = {"nul": digits.rjust(width - 1, b"0") + b"\0",
+           "nul-space": digits.rjust(width - 2, b"0") + b"\0 ",
+           "spaces": digits.ljust(width, b" "),
+           "leading-spaces": (digits + b"\0").rjust(width, b" "),
+           "all-nul": b"\0" * width, "all-space": b" " * width,
+           "nul-garbage": digits + b"\0" + junk,
+           "signed": (b"-" if value < 0 else b"+") + digits + b"\0",
+           "base256": b"\x80" + value.to_bytes(width - 1, "big") if value >= 0 else
+           value.to_bytes(width, "big", signed=True),
+           "junk": junk}[form]
+    return raw[:width].ljust(width, b"\0")
+
+
+def number_reads(block):
+    """(mode, size) of a member header as ``_number`` reads its fields, or the
+    reason an ingest of it must give, in the order the checks come: the
+    checksum field, the checksum against the unsigned and signed byte sums,
+    then mode and size."""
+    try:
+        total = imagefs._number(block[148:156])
+        if total not in (sum(block[:148] + block[156:]) + 256,
+                         sum(struct.unpack("148b8x356b", block)) + 256):
+            return "bad checksum"
+        return imagefs._number(block[100:108]), imagefs._number(block[124:136])
+    except ValueError as exc:
+        return f"invalid header: {exc}"
+
+
+class TestNumberFields:
+    @settings(max_examples=300, deadline=None)
+    @given(forms=st.tuples(*[st.sampled_from(NUMBER_FORMS)] * 3), mode=st.integers(-9, 0o7777),
+           size=st.integers(-9, 600), junk=st.binary(max_size=12), signed=st.booleans())
+    def test_chksum_mode_and_size_read_as_number_reads_them(self, forms, mode, size, junk,
+                                                            signed):
+        block = header("m", signed=signed,
+                       chksum=lambda total: number_field(forms[0], total, 8, junk),
+                       mode_field=number_field(forms[1], mode, 8, junk),
+                       size_field=number_field(forms[2], size, 12, junk))
+        expected = number_reads(block)
+        if isinstance(expected, tuple) and not 0 <= expected[1] <= 4096:
+            expected = "unexpected end of data"
+        data = b"d" * expected[1] if isinstance(expected, tuple) else b""
+        tar = io.BytesIO(block + data_blocks(data) + b"\0" * 1024)
+        if isinstance(expected, str):
+            with pytest.raises(IngestError) as caught:
+                load_flat_tar(tar)
+            assert str(caught.value) == f"flat tar: malformed tar at byte offset 0: " \
+                                        f"cannot open: {expected}"
+            return
+        fs, src = load_flat_tar(tar)
+        with src:
+            assert (src.mode("/m"), fs.entries["/m"].size) == expected
+            assert src.read("/m") == data
 
 
 class TestStreamedWalk:
