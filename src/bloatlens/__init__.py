@@ -54,7 +54,7 @@ from .packages import (  # noqa: F401
     size_reduction_R,
 )
 from .report import (  # noqa: F401
-    AnalysisBundle,
+    Analysis,
     PipelineConfig,
     bloat_degree_histogram,
     cdf_points,

@@ -19,17 +19,13 @@ import os
 import sys
 
 from ._version import __version__
-from .debloat import check_rootfs_out, debloat, materialize
-from .depgraph import to_node_link
+from .debloat import check_rootfs_out, materialize
 from .errors import BloatlensError, ContractViolation, InputError
-from .packages import detect_packages
 from .report import (
     PipelineConfig,
     debloat_section,
     dump_json,
     open_inputs,
-    package_graph,
-    package_rows,
     run_pipeline,
     severity_csv,
     vuln_section,
@@ -38,7 +34,6 @@ from .report import (
     write_report_files,
     write_text,
 )
-from .vuln import surviving_cves
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -147,20 +142,20 @@ def _cmd_debloat(args) -> list[str]:
     rootfs = os.path.join(config.out, "rootfs")
     if args.emit_rootfs:  # before any input is read, as the --out check is
         check_rootfs_out(rootfs)
-    with open_inputs(config) as (fs, source, access, *_):
-        result = debloat(fs, access, keep=config.keep)
-        write_debloated(config.out, result.retained, source, config.emit_tar)
-        write_text(config.out, "debloat.json", dump_json(debloat_section(fs, result)))
+    with open_inputs(config) as a:
+        result = a.debloat
+        write_debloated(a)
+        write_text(config.out, "debloat.json", dump_json(debloat_section(a.fs, result)))
         if args.emit_rootfs:
-            materialize(result.retained, source, rootfs, fmt="dir")
+            materialize(result.retained, a.source, rootfs, fmt="dir")
     print(f"d_c={result.d_c:.2f} ({result.s_c} -> {result.s_c_prime} bytes)")
     return []
 
 
 def _cmd_packages(args) -> list[str]:
     config = _config_from(args)
-    with open_inputs(config, need_trace=False) as (fs, source, _, rules, *_):
-        catalog = detect_packages(fs, source, rules)
+    with open_inputs(config, need_trace=False) as a:
+        catalog = a.catalog
     doc = [
         {
             "manager": r.manager,
@@ -181,11 +176,8 @@ def _cmd_packages(args) -> list[str]:
 
 def _cmd_vulns(args) -> list[str]:
     config = _config_from(args)
-    with open_inputs(config, need_report=True) as (fs, source, access, rules, matches, _):
-        result = debloat(fs, access, keep=config.keep)
-        catalog = detect_packages(fs, source, rules)
-    diff = surviving_cves(matches, result.bloat, catalog)
-    doc = vuln_section(diff, partition=len)
+    with open_inputs(config, need_report=True) as a:
+        doc = vuln_section(a.vuln, partition=len)
     write_text(config.out, "vulndiff.json", dump_json(doc))
     write_text(config.out, "severity_table.csv", severity_csv(doc["severity_table"]))
     print(f"{doc['removed']} of {doc['removed'] + doc['retained']} CVEs removed")
@@ -194,15 +186,12 @@ def _cmd_vulns(args) -> list[str]:
 
 def _cmd_graph(args) -> list[str]:
     config = _config_from(args)
-    with open_inputs(config) as (fs, source, access, rules, matches, partial_errors):
-        result = debloat(fs, access, keep=config.keep)
-        catalog = detect_packages(fs, source, rules)
-    diff = surviving_cves(matches, result.bloat, catalog) if matches is not None else None
-    graph = package_graph(catalog, package_rows(catalog, result.bloat, fs), diff)
-    write_graph(config.out, graph, to_node_link(graph))
+    with open_inputs(config) as a:
+        graph = a.graph
+        write_graph(config.out, graph, a.node_link)
     print(f"graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges, "
           f"{len(graph.excluded)} unreachable packages excluded")
-    return partial_errors
+    return a.partial_errors
 
 
 def _cmd_report(args) -> list[str]:

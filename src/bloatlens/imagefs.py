@@ -520,6 +520,7 @@ class _TarSource(ContentSource):
     def __init__(self, tars: list[tuple[str | os.PathLike | IO[bytes], str]]):
         self._stack = contextlib.ExitStack()
         self._files: dict[IO[bytes], contextlib.ExitStack] = {}
+        self._kept = False  # a member kept at its own path, maybe under a non-directory
         table = {"/": _record("/", DIRECTORY)}
         self.fs = FileSet._over(table)
         try:
@@ -609,13 +610,14 @@ class _TarSource(ContentSource):
                 return f"{end.rstrip('/')}/{base}"
             reason = f"reaches {end}, which is not a directory"
         log.warning("%s: member %s: its directory %s; kept at its own path", label, path, reason)
+        self._kept = True
         return path
 
     def _add(self, table: dict[str, FileEntry], plain: IO[bytes], path: str, typ: bytes,
              linkname: str, size: int, mode: int, offset: int, label: str) -> None:
-        """Put one member in the union, dropping the subtree of a directory it replaces."""
+        """Put one member in the union; a non-directory drops the subtree of what it replaces."""
         old = table.get(path)
-        if old is not None and old.kind == DIRECTORY and typ != _DIRTYPE:
+        if old is not None and typ != _DIRTYPE and (old.kind == DIRECTORY or self._kept):
             for p in [p for p in table if p.startswith(path + "/")]:
                 del table[p]
         if typ == _DIRTYPE:
@@ -686,7 +688,7 @@ def load_layers(layer_tars: Iterable[str | os.PathLike | IO[bytes]]
     whiteout as it is read; whiteouts act on lower layers only, so they spare
     every path the layer itself adds. A hardlink takes its target as the union
     holds it when the link is read. Later members replace earlier entries at
-    the same path; replacing a directory with a non-directory drops its subtree.
+    the same path; a non-directory drops the subtree of whatever it replaces.
     An ancestor that no member names is a directory of the layer that implies
     it, as extraction makes it: that layer's whiteouts spare it, an upper
     layer's whiteout of its children leaves it, and a later non-directory at

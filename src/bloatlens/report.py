@@ -1,9 +1,10 @@
 """Pipeline orchestration and report generation.
 
-``run_pipeline`` wires the stages together (filesystem -> trace ->
-debloat -> packages -> vulnerabilities -> dependency graph) and produces
-an :class:`AnalysisBundle` whose serializable document is written as
-``bundle.json``. Every CSV table and plot-data file the toolkit emits is
+``open_inputs`` reads one container's inputs into an :class:`Analysis`,
+which runs each stage (debloat -> packages -> vulnerabilities ->
+dependency graph) when an output first needs it. ``run_pipeline`` builds
+the analysis's serializable document, written as ``bundle.json``.
+Every CSV table and plot-data file the toolkit emits is
 derived from that document alone, so reports can be regenerated without
 re-ingesting the container. Output bytes are deterministic for identical
 inputs; the provenance timestamp honors ``SOURCE_DATE_EPOCH``.
@@ -22,8 +23,9 @@ import math
 import os
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import cached_property
 from typing import Callable, Sequence
 
 from ._version import __version__
@@ -67,8 +69,8 @@ from .packages import (
     quartile_summary,
     size_reduction_R,
 )
-from .trace import parse_trace
-from .vuln import VulnDiff, load_any_report, severity_table, surviving_cves
+from .trace import AccessSet, parse_trace
+from .vuln import VulnDiff, VulnMatch, load_any_report, severity_table, surviving_cves
 
 log = logging.getLogger(__name__)
 
@@ -156,20 +158,6 @@ class PipelineConfig:
     emit_tar: bool = False
 
 
-@dataclass
-class AnalysisBundle:
-    """Everything one pipeline run produced, plus its JSON document."""
-
-    container_id: str
-    debloat: DebloatResult
-    catalog: list[PackageRecord]
-    vuln: VulnDiff | None
-    graph: PackageAttrGraph
-    node_link: dict  # graph.json; the document's graph section extends it
-    document: dict
-    partial_errors: list[str] = field(default_factory=list)
-
-
 def _timestamp() -> str:
     """The provenance time: SOURCE_DATE_EPOCH when set, else now. A value
     that is no representable Unix time is an InputError."""
@@ -195,11 +183,11 @@ def open_inputs(config: PipelineConfig, need_trace: bool = True,
     """Check every input the config names, read the rules and the
     vulnerability report, then load the image, take each report location to
     the entry its ``FileSet.lookup`` names, and parse the trace (if named);
-    yields (fs, source, access, rules, matches, partial_errors) and closes the
-    source. Inputs are checked here alone, before any ingest: a bad or absent
-    required input is an InputError naming its flag, and an unreadable report
-    a VulnReportError under ``need_report``. Otherwise the report is optional:
-    an unreadable one gives ``matches`` None and a ``partial_errors`` line."""
+    yields them as an :class:`Analysis` and closes the source. Inputs are
+    checked here alone, before any ingest: a bad or absent required input is an
+    InputError naming its flag, and an unreadable report a VulnReportError under
+    ``need_report``. Otherwise the report is optional: an unreadable one gives
+    ``matches`` None and a ``partial_errors`` line."""
     for path, needed, what, flag in (
             (config.trace, need_trace, "trace log", "--trace"),
             (config.vuln_report, need_report, "vulnerability report", "--vuln-report"),
@@ -239,28 +227,67 @@ def open_inputs(config: PipelineConfig, need_trace: bool = True,
         if config.trace:
             access = parse_trace(config.trace, root_prefix=config.root_prefix,
                                  include_failed=config.include_failed)
-        yield fs, source, access, rules, matches, partial_errors
+        yield Analysis(config, fs, source, access, rules, matches, partial_errors)
 
 
-# (record, bloat bytes, d_p) of one catalog package
-PackageRow = tuple[PackageRecord, int, float]
+@dataclass
+class Analysis:
+    """One container's inputs, as ``open_inputs`` read them, and its stages, each run
+    once, when an output first needs it. A stage reads its inputs in the pipeline's
+    order (debloat before packages), so their warnings keep that order. Stage functions
+    are looked up in this module when called, so a wrapper set on a name sees each call."""
+
+    config: PipelineConfig
+    fs: FileSet
+    source: ContentSource
+    access: AccessSet | None
+    rules: tuple[str, ...]
+    matches: list[VulnMatch] | None  # None without a readable vulnerability report
+    partial_errors: list[str]
+    document: dict | None = None  # bundle.json's document, once run_pipeline builds it
+
+    @cached_property
+    def container_id(self) -> str:
+        name = os.path.basename(os.path.normpath(self.config.rootfs or self.config.layers[0]))
+        return self.config.container_id or name or "container"
+
+    @cached_property
+    def debloat(self) -> DebloatResult:
+        return debloat(self.fs, self.access, keep=self.config.keep)
+
+    @cached_property
+    def catalog(self) -> list[PackageRecord]:
+        return detect_packages(self.fs, self.source, self.rules)
+
+    @cached_property
+    def rows(self) -> list[tuple[PackageRecord, int, float]]:
+        """(record, bloat bytes, d_p) of each catalog package."""
+        bloat = self.debloat.bloat
+        return [(rec, *package_bloat(rec, bloat, self.fs)) for rec in self.catalog]
+
+    @cached_property
+    def vuln(self) -> VulnDiff | None:
+        if self.matches is None:
+            return None
+        return surviving_cves(self.matches, self.debloat.bloat, self.catalog)
+
+    @cached_property
+    def graph(self) -> PackageAttrGraph:
+        """The attribute graph over the catalog, built from each graph key's d_p
+        and the diff's per-package finding counts."""
+        dp_map: dict[str, float] = {}
+        for rec, _, dp in self.rows:
+            dp_map.setdefault(rec.graph_key, dp)
+        diff = self.vuln
+        return build_graph(self.catalog, dp_map, diff.by_package if diff is not None else {})
+
+    @cached_property
+    def node_link(self) -> dict:
+        """graph.json; the document's graph section extends it."""
+        return to_node_link(self.graph)
 
 
-def package_rows(catalog: list[PackageRecord], bloat: FileSet, fs: FileSet) -> list[PackageRow]:
-    return [(rec, *package_bloat(rec, bloat, fs)) for rec in catalog]
-
-
-def package_graph(catalog: list[PackageRecord], rows: list[PackageRow],
-                  diff: VulnDiff | None) -> PackageAttrGraph:
-    """The attribute graph over the catalog, built from each graph key's d_p
-    and the diff's per-package finding counts."""
-    dp_map: dict[str, float] = {}
-    for rec, _, dp in rows:
-        dp_map.setdefault(rec.graph_key, dp)
-    return build_graph(catalog, dp_map, diff.by_package if diff is not None else {})
-
-
-def run_pipeline(config: PipelineConfig) -> AnalysisBundle:
+def run_pipeline(config: PipelineConfig) -> Analysis:
     """Execute the full analysis and (if configured) write all outputs.
 
     Optional inputs produce partial bundles: without a vulnerability
@@ -269,29 +296,11 @@ def run_pipeline(config: PipelineConfig) -> AnalysisBundle:
     aborting the run.
     """
     generated_at = _timestamp()
-    with open_inputs(config) as (fs, source, access, rules, matches, partial_errors):
-        container_id = config.container_id or _default_container_id(config)
-        result = debloat(fs, access, keep=config.keep)
-        catalog = detect_packages(fs, source, rules)
-        rows = package_rows(catalog, result.bloat, fs)
-        diff = surviving_cves(matches, result.bloat, catalog) if matches is not None else None
-        graph = package_graph(catalog, rows, diff)
-        node_link = to_node_link(graph)
-        document = _build_document(config, container_id, fs, result, catalog, rows,
-                                   diff, graph, node_link, partial_errors, generated_at)
-        bundle = AnalysisBundle(
-            container_id=container_id, debloat=result, catalog=catalog, vuln=diff,
-            graph=graph, node_link=node_link, document=document, partial_errors=partial_errors,
-        )
+    with open_inputs(config) as analysis:
+        analysis.document = _build_document(analysis, generated_at)
         if config.out:
-            write_outputs(bundle, config, source)
-        return bundle
-
-
-def _default_container_id(config: PipelineConfig) -> str:
-    base = config.rootfs or config.layers[0]
-    name = os.path.basename(os.path.normpath(base))
-    return name or "container"
+            write_outputs(analysis)
+        return analysis
 
 
 def _provenance(config: PipelineConfig, fs: FileSet, generated_at: str) -> dict:
@@ -323,11 +332,9 @@ def _provenance(config: PipelineConfig, fs: FileSet, generated_at: str) -> dict:
     }
 
 
-def _build_document(config: PipelineConfig, container_id: str, fs: FileSet,
-                    result: DebloatResult, catalog: list[PackageRecord],
-                    rows: list[PackageRow],
-                    diff: VulnDiff | None, graph: PackageAttrGraph,
-                    node_link: dict, partial_errors: list[str], generated_at: str) -> dict:
+def _build_document(a: Analysis, generated_at: str) -> dict:
+    fs, result, catalog, rows, diff, graph, node_link = (  # every stage, in order
+        a.fs, a.debloat, a.catalog, a.rows, a.vuln, a.graph, a.node_link)
     owners = build_owner_index(catalog, fs)
     container_breakdown = category_breakdown(fs, owners)
     bloat_breakdown = category_breakdown(result.bloat, owners)
@@ -394,8 +401,8 @@ def _build_document(config: PipelineConfig, container_id: str, fs: FileSet,
     cdfs = _cdf_section(per_node, graph)
 
     return {
-        "container_id": container_id,
-        "provenance": _provenance(config, fs, generated_at),
+        "container_id": a.container_id,
+        "provenance": _provenance(a.config, fs, generated_at),
         "debloat": debloat_section(fs, result),
         "packages": {
             "catalog": catalog_rows,
@@ -420,7 +427,7 @@ def _build_document(config: PipelineConfig, container_id: str, fs: FileSet,
             "original": [_pareto_row(r) for r in pareto_files(fs, PARETO_FRACTION)],
             "retained": [_pareto_row(r) for r in pareto_files(result.retained, PARETO_FRACTION)],
         },
-        "partial_errors": list(partial_errors),
+        "partial_errors": list(a.partial_errors),
     }
 
 
@@ -704,26 +711,26 @@ def write_graph(out: str, graph: PackageAttrGraph, node_link: dict) -> None:
     write_text(out, "graph.dot", to_dot(graph))
 
 
-def write_debloated(out: str, retained: FileSet, source: ContentSource,
-                    emit_tar: bool) -> None:
-    """manifest.tsv, and with ``emit_tar`` the retained files as debloated.tar."""
+def write_debloated(a: Analysis) -> None:
+    """manifest.tsv, and with ``config.emit_tar`` the retained files as debloated.tar."""
+    out, retained = a.config.out, a.debloat.retained
     write_text(out, "manifest.tsv", render_manifest(retained))
-    if emit_tar:
-        materialize(retained, source, os.path.join(out, "debloated.tar"), fmt="tar")
+    if a.config.emit_tar:
+        materialize(retained, a.source, os.path.join(out, "debloated.tar"), fmt="tar")
 
 
-def write_outputs(bundle: AnalysisBundle, config: PipelineConfig,
-                  source: ContentSource) -> None:
+def write_outputs(a: Analysis) -> None:
+    """bundle.json and every file derived from it under ``a.config.out``."""
     # The view renders once each section that graph.json or a plot file repeats.
-    view = dict(bundle.document)
+    out, view = a.config.out, dict(a.document)
     for section, key in [("graph", "nodes"), ("graph", "edges"), *_PLOT_SECTIONS.values()]:
         if view[section] is not None:
             view[section] = {**view[section], key: Rendered(dump_json(view[section][key])[:-1])}
     if view["vuln"] is not None:
         view["vuln"] = {**view["vuln"], "removed": _match_rows_text(view["vuln"]["removed"]),
                         "retained": _match_rows_text(view["vuln"]["retained"])}
-    with open_output(config.out, "bundle.json") as f:
+    with open_output(out, "bundle.json") as f:
         dump_json(view, f.write)
-    write_graph(config.out, bundle.graph, {k: view["graph"][k] for k in bundle.node_link})
-    write_report_files(bundle.document, config.out, view)
-    write_debloated(config.out, bundle.debloat.retained, source, config.emit_tar)
+    write_graph(out, a.graph, {k: view["graph"][k] for k in a.node_link})
+    write_report_files(a.document, out, view)
+    write_debloated(a)

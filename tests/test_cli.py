@@ -1,9 +1,14 @@
+import ast
 import json
 import os
+import subprocess
+import sys
 import tarfile
+from pathlib import Path
 
 import pytest
 
+import bloatlens
 from bloatlens.cli import main
 
 from fixtures import mergedusr
@@ -832,6 +837,71 @@ class TestStagesMatchAnalyze:
         diff = json.loads((outputs / "vulns" / "vulndiff.json").read_text())
         assert diff == {**vuln, "removed": len(vuln["removed"]),
                         "retained": len(vuln["retained"])}
+
+
+class TestOneAnalysis:
+    """Every subcommand runs the one stage chain of ``report.Analysis``."""
+
+    def test_each_command_runs_each_stage_its_outputs_need_once_in_order(
+            self, mini_rootfs, mini_trace_path, mini_vuln_path, tmp_path, capsys, monkeypatch):
+        from bloatlens import report
+
+        calls = []
+        for name in ("parse_trace", "debloat", "detect_packages", "surviving_cves",
+                     "build_graph"):
+            def spy(*args, _name=name, _real=getattr(report, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(report, name, spy)
+        image = ["--rootfs", str(mini_rootfs)]
+        traced = [*image, "--trace", str(mini_trace_path)]
+        report_flag = ["--vuln-report", str(mini_vuln_path)]
+        runs = {"analyze": [*traced, *report_flag], "debloat": [*traced, "--emit-tar"],
+                "packages": image, "vulns": [*traced, *report_flag],
+                "graph": [*traced, *report_flag]}
+        seen = {}
+        for command, argv in runs.items():
+            calls.clear()
+            code, _, _ = run_cli(capsys, command, *argv, "--out", str(tmp_path / command))
+            assert code == 0, command
+            seen[command] = list(calls)
+        chain = ["parse_trace", "debloat", "detect_packages", "surviving_cves", "build_graph"]
+        assert seen == {"analyze": chain, "debloat": chain[:2], "packages": ["detect_packages"],
+                        "vulns": chain[:4], "graph": chain}
+
+    def test_each_stage_is_called_at_one_site(self):
+        stages = ("debloat", "detect_packages", "surviving_cves", "build_graph", "to_node_link")
+        sites = dict.fromkeys(stages, 0)
+        for path in Path(bloatlens.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in sites:
+                        sites[name] += 1
+        assert sites == dict.fromkeys(stages, 1)
+
+    @pytest.mark.parametrize("command", ["analyze", "vulns", "graph"])
+    def test_debloat_warns_before_packages(self, command, mini_rootfs, mini_trace_path,
+                                           mini_vuln_path, tmp_path):
+        for prefix in ("a", "b"):  # one pip name and version in two site directories
+            di = mini_rootfs / prefix / "demo-1.dist-info"
+            di.mkdir(parents=True)
+            (di / "RECORD").write_text(f"{prefix}.py,,\n")
+        trace = tmp_path / "trace.log"
+        trace.write_text(mini_trace_path.read_text()
+                         + '100 openat(AT_FDCWD, "/no/such/file", O_RDONLY) = 3\n')
+        argv = [sys.executable, "-m", "bloatlens.cli", command, "--rootfs", str(mini_rootfs),
+                "--trace", str(trace), "--vuln-report", str(mini_vuln_path),
+                "--out", str(tmp_path / "out")]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bloatlens.__file__)),
+               "BLOATLENS_LOG": "WARNING"}
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines() == [
+            "WARNING bloatlens.debloat: 1 accessed paths are not in the filesystem (runtime "
+            "files?); first missing path: '/no/such/file'",
+            "WARNING bloatlens.packages: duplicate package record ('pip', 'demo', '1'); "
+            "keeping the first"]
 
 
 def merged_usr_inputs(kind, tmp_path, links=mergedusr.MERGED_LINKS):

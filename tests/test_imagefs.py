@@ -899,6 +899,18 @@ class TestMembersUnderLowerLinks:
             assert fs.entries["/usr/g/x/y"].kind == "regular" and "/f/g/x/y" not in fs.entries
             assert src.read("/f/g/x/y") == b"y"
 
+    def test_a_link_over_a_file_drops_what_was_kept_under_it(self, tmp_path):
+        # layer 1's f/g/h stays at its own path under the file /f; the link that
+        # replaces /f drops it, as a non-directory drops any subtree it replaces
+        stack = [[("f", "file", b"f"), ("usr", "dir", None)], [("f/g/h", "file", b"h")],
+                 [("f", "sym", "usr")], [("f/g/k", "file", b"k")]]
+        fs, src = load_layers([make_tar(tmp_path / f"l{i}.tar", layer)
+                               for i, layer in enumerate(stack)])
+        with src:
+            assert fs.entries["/usr/g/k"].kind == "regular"
+            assert not [p for p in fs.entries if p.startswith("/f/")]
+            assert check_parent_closure(fs) == []
+
 
 class TestRefusedMemberNames:
     @pytest.mark.parametrize("members, refused", [

@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import math
@@ -5,7 +6,6 @@ import tarfile
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -426,9 +426,10 @@ class TestVulnRows:
         removed, retained = ([VulnMatch(*m) for m in ms] for ms in (removed, retained))
         total = len(removed) + len(retained)
         diff = VulnDiff(tuple(removed), tuple(retained), len(removed) / total if total else None)
-        bundle = replace(mini_bundle, vuln=diff,
-                         document={**mini_bundle.document, "vuln": vuln_section(diff)})
+        bundle = copy.copy(mini_bundle)  # keeps every stage the run computed
+        bundle.vuln, bundle.document = diff, {**mini_bundle.document, "vuln": vuln_section(diff)}
         with tempfile.TemporaryDirectory() as out:
-            write_outputs(bundle, PipelineConfig(out=out), None)
+            bundle.config = PipelineConfig(out=out)
+            write_outputs(bundle)
             text = (Path(out) / "bundle.json").read_text(encoding="ascii")
         assert text == stdlib_json(bundle.document)
