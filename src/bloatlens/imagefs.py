@@ -157,10 +157,9 @@ class FileSet:
 
     Equality compares entries (paths, kinds, sizes, link targets). Loaders
     record every entry's ancestors: one that no tar member names is a
-    directory of the layer that implies it. So every non-root entry's parent
-    is present as a directory, unless a member's directory part loops or
-    reaches a file (which extraction cannot place either); derived sets such
-    as the bloat complement do not (see :func:`check_parent_closure`).
+    directory of the layer that implies it. So a loader's set is a tree, every
+    non-root entry's parent present as a directory; derived sets such as the
+    bloat complement are not (see :func:`check_parent_closure`).
     """
 
     __slots__ = ("entries",)
@@ -220,13 +219,17 @@ class FileSet:
         end, rest = self._walk(path, crossed)
         return None if rest or end not in self.entries else end
 
-    def _walk(self, path: str, crossed: list[str] | None = None) -> tuple[str, list[str]]:
+    def _walk(self, path: str, crossed: list[str] | None = None,
+              _missing: str | None = None) -> tuple[str, list[str]]:
         """Where :meth:`resolve` stops and the components it has left, last first:
         none once it has taken them all (to the entry it returns, or a missing
-        path), else some, at a missing path, a non-directory or an empty link."""
+        path), else some, at a missing path, a non-directory or an empty link.
+        A missing component counts as kind ``_missing``: placement passes
+        DIRECTORY, so the walk goes on under it as spelled, '..' out of it is
+        lexical and links after it are still followed."""
         entries, todo, cur, hops = self.entries, path.split("/")[::-1], "/", 0
         while todo:
-            if getattr(entries.get(cur), "kind", None) != DIRECTORY:
+            if getattr(entries.get(cur), "kind", _missing) != DIRECTORY:
                 break  # only a directory has components
             name = todo.pop()
             cur = parent_of(cur) if name == ".." else cur if name in ("", ".") else \
@@ -520,7 +523,6 @@ class _TarSource(ContentSource):
     def __init__(self, tars: list[tuple[str | os.PathLike | IO[bytes], str]]):
         self._stack = contextlib.ExitStack()
         self._files: dict[IO[bytes], contextlib.ExitStack] = {}
-        self._kept = False  # a member kept at its own path, maybe under a non-directory
         table = {"/": _record("/", DIRECTORY)}
         self.fs = FileSet._over(table)
         try:
@@ -561,6 +563,8 @@ class _TarSource(ContentSource):
                     up = up.rpartition("/")[0]
                 if up:  # else _place would take the path as spelled
                     path = self._place(path, label)
+                    if path is None:
+                        continue
                     parent, _, base = path.rpartition("/")
             if not base.startswith(WHITEOUT_PREFIX):
                 path = getattr(table.get(path), "path", path)  # the table's key: no second copy
@@ -582,42 +586,30 @@ class _TarSource(ContentSource):
                     if p not in own and table.pop(p, None) and p in implied:
                         table[p] = _record(p, DIRECTORY)  # a directory the layer implies stays one
 
-    def _place(self, path: str, label: str) -> str:
+    def _place(self, path: str, label: str) -> str | None:
         """Where member ``path`` lands, as containerd's applier puts it (continuity's
-        RootPath): the links in its directory part followed inside the image, and
-        from a missing component on, a dangling link's target too, the rest taken
-        as spelled until a '..' climbs back out of it. A directory part that loops
-        or reaches a non-directory leaves path as it is, with a warning."""
+        RootPath): its directory part walked through the union, links followed
+        inside the image and a missing component, a dangling link's target too,
+        taken as spelled. None, with a warning, when that part loops or reaches a
+        non-directory, where no runtime can apply the member."""
         directory, _, base = path.rpartition("/")
-        crossed: list[str] = []
         try:
-            end, rest = self.fs._walk(directory + "/.", crossed)
-            while end not in self.fs.entries and ".." in rest:
-                # A missing name and the '..' that climbs back out of it; the walk
-                # goes on from there, through any links the rest holds.
-                todo = rest[::-1]
-                up = todo.index("..") + 1
-                end = normalize_path(end, "/".join(todo[:up]))
-                end, rest = self.fs._walk(f"{end.rstrip('/')}/{'/'.join(todo[up:])}", crossed)
-                if len(crossed) > 40:
-                    raise MaterializeError(f"cannot place {path}: symlink loop")
+            end, rest = self.fs._walk(directory + "/.", _missing=DIRECTORY)
         except MaterializeError:
             reason = "is a symlink loop"
         else:
-            if end not in self.fs.entries:  # missing from here on
-                end, rest = normalize_path(end, "/".join(rest[::-1])), []
             if not rest:
                 return f"{end.rstrip('/')}/{base}"
             reason = f"reaches {end}, which is not a directory"
-        log.warning("%s: member %s: its directory %s; kept at its own path", label, path, reason)
-        self._kept = True
-        return path
+        log.warning("%s: member %s: its directory %s; refused", label, path, reason)
+        return None
 
     def _add(self, table: dict[str, FileEntry], plain: IO[bytes], path: str, typ: bytes,
              linkname: str, size: int, mode: int, offset: int, label: str) -> None:
-        """Put one member in the union; a non-directory drops the subtree of what it replaces."""
+        """Put one member in the union; a non-directory drops the subtree of a directory
+        it replaces (the union is a tree, so only a directory has one)."""
         old = table.get(path)
-        if old is not None and typ != _DIRTYPE and (old.kind == DIRECTORY or self._kept):
+        if old is not None and typ != _DIRTYPE and old.kind == DIRECTORY:
             for p in [p for p in table if p.startswith(path + "/")]:
                 del table[p]
         if typ == _DIRTYPE:
@@ -696,8 +688,10 @@ def load_layers(layer_tars: Iterable[str | os.PathLike | IO[bytes]]
     directory link (a merged-/usr 'lib -> usr/lib') lands where the link leads,
     as containerd applies a layer; a missing component on the way, a dangling
     link's target included, becomes such an implied directory. A name whose
-    directory part loops or reaches a file stays as named, and one with a '..'
-    component is refused; each is logged as a warning naming it and its layer.
+    directory part loops or reaches a non-directory, which no runtime can
+    apply, and one with a '..' component are refused: each is left out of the
+    union and logged as a warning naming it and its layer, and a hardlink to
+    such a name finds its target missing.
     """
     content = LayeredSource(layer_tars)
     return content.fs, content

@@ -331,7 +331,8 @@ def root_path(root, rel) -> str:
     directory ``root``) with the links in it followed by os.readlink inside
     root, absolute targets from root and '..' stopping at it. A missing
     component, a dangling link's target included, is kept as spelled, as is
-    whatever follows a non-directory. Returns a path relative to root ('' for
+    whatever follows a non-directory (a member placed there is one no runtime
+    can apply, which the caller skips). Returns a path relative to root ('' for
     root itself); raises ResolveLoop past 255 links, as RootPath does."""
     done, todo, links = [], rel.split("/")[::-1], 0
     while todo:
@@ -370,8 +371,9 @@ def sequential_extract_union(layer_paths, scratch) -> dict[str, tuple[str, int, 
     """Reference layered-union semantics by actually extracting to disk, one
     member at a time in tar order, as containerd's applier does: each name's
     directory part (a hardlink's target's too) goes through root_path inside
-    scratch, and a whiteout hides lower layers only, sparing what its own
-    layer placed."""
+    scratch, a member or whiteout whose directory lands under a file is
+    skipped (apply fails with ENOTDIR), and a whiteout hides lower layers
+    only, sparing what its own layer placed."""
     scratch = os.fspath(scratch)
     os.makedirs(scratch, exist_ok=True)
     for layer in layer_paths:
@@ -382,6 +384,11 @@ def sequential_extract_union(layer_paths, scratch) -> dict[str, tuple[str, int, 
                 if base == ".wh.":  # names no path (the spec's <name> is never empty)
                     continue
                 directory = root_path(scratch, head)
+                up = directory  # its nearest present component must be a directory
+                while up and not os.path.lexists(os.path.join(scratch, up)):
+                    up = posixpath.dirname(up)
+                if not os.path.isdir(os.path.join(scratch, up)):
+                    continue  # under a file: apply fails with ENOTDIR
                 if base == ".wh..wh..opq":
                     if os.path.isdir(os.path.join(scratch, directory)):
                         for child in os.listdir(os.path.join(scratch, directory)):

@@ -161,6 +161,33 @@ class TestAnalyze:
             payload = tf.extractfile("./app/cfg.yaml").read()
         assert payload == b"y" * 20  # content comes from the upper layer
 
+    @pytest.mark.parametrize("command, flag", [("analyze", "--emit-tar"),
+                                               ("debloat", "--emit-rootfs")])
+    def test_member_under_a_lower_file_is_refused_not_emitted(self, command, flag, tmp_path,
+                                                              capsys, caplog):
+        # Layer 1's f/g lies under layer 0's file f, where no runtime can apply it.
+        layers = []
+        for i, members in enumerate([[("usr", tarfile.DIRTYPE), ("f", tarfile.REGTYPE)],
+                                     [("f/g", tarfile.REGTYPE)]]):
+            layers.append(tmp_path / f"l{i}.tar")
+            with tarfile.open(layers[-1], "w") as tf:
+                for name, typ in members:
+                    info = tarfile.TarInfo(name)
+                    info.type = typ
+                    tf.addfile(info)
+        trace = tmp_path / "trace.log"
+        trace.write_text('100 openat(AT_FDCWD, "/f/g", O_RDONLY) = 3\n')
+        out = tmp_path / "out"
+        code, _, _ = run_cli(capsys, command, "--layers", *map(str, layers),
+                             "--trace", str(trace), flag, "--out", str(out))
+        assert code == 0
+        assert "layer 1: member /f/g: its directory reaches /f, which is not a directory; " \
+               "refused" in caplog.text
+        # no output names it, debloated.tar's './f/g' member included
+        written = list(out.rglob("*"))
+        assert written and not [p for p in written if p.is_file() and b"/f/g" in p.read_bytes()]
+        assert not (out / "rootfs" / "f").exists()
+
     def test_truncated_gzip_layer_is_input_error(self, mini_rootfs, mini_trace_path,
                                                  tmp_path, capsys):
         import gzip

@@ -47,9 +47,10 @@ from oracles import (
 
 
 def inventory(loaded):
-    """The FileSet of a tar loader's (FileSet, source) pair; closes the source."""
+    """The FileSet of a tar loader's (FileSet, source) pair, a tree; closes the source."""
     fs, source = loaded
     source.close()
+    assert check_parent_closure(fs) == []
     return fs
 
 
@@ -691,13 +692,14 @@ def compile_layer(ops, lower=None):
     them: each path once, its ancestors first as directory members, and
     hardlinks only to regular files earlier in the same tar. Given ``lower``,
     the sets of names that lower layers gave regular files and symlinks, the
-    layer names no ancestor directory, skips any member under one of those
-    files (extraction cannot place it) and adds its own files and links to
-    the sets. A member under a lower link lands where the link leads; every
-    link target starts with an 'x' that no name holds, so only a file at one
-    of the member's ancestor names can block it. A hardlink then targets no
-    file under a lower link that a whiteout earlier in the layer took, as
-    that name no longer leads to the file."""
+    layer names no ancestor directory, writes a member under one of those
+    files without recording it (no runtime can apply it, so no hardlink
+    targets it) and adds its own files and links to the sets. A member under
+    a lower link lands where the link leads; every link target starts with
+    an 'x' that no name holds, so only a file at one of the member's ancestor
+    names can block it. A hardlink then targets no file under a lower link
+    that a whiteout earlier in the layer took, as that name no longer leads
+    to the file."""
     members, kinds, hidden = [], {}, set()  # hidden: the lower links this layer's whiteouts took
     files_only = lower is not None
     lower_files, lower_links = lower or (set(), set())
@@ -708,6 +710,7 @@ def compile_layer(ops, lower=None):
         if path in kinds or any(kinds.get(a, "dir") != "dir" for a in ancestors):
             return
         if files_only and any(a in lower_files for a in ancestors):
+            members.append((path, kind, arg))  # refused at load: kept out of kinds
             return
         for a in ancestors:
             if a not in kinds:
@@ -865,13 +868,19 @@ class TestMembersUnderLowerLinks:
         ("spin/a", "its directory is a symlink loop"),
         ("f/a", "its directory reaches /f, which is not a directory"),
         ("tofile/a", "its directory reaches /f, which is not a directory"),
-    ])
-    def test_loop_or_file_keeps_the_member_where_it_is_named(self, tmp_path, caplog, name,
-                                                             reason):
-        _, fs, src = self.load(tmp_path, [(name, "file", b"a")])
+        ("f/.wh.x", "its directory reaches /f, which is not a directory"),
+        ("loop/.wh..wh..opq", "its directory is a symlink loop"),
+    ], ids=["loop", "spin", "file", "link-to-file", "whiteout-under-file", "opaque-under-loop"])
+    def test_a_member_no_runtime_can_apply_is_refused(self, tmp_path, caplog, name, reason):
+        # containerd's apply fails with ELOOP or ENOTDIR here: the member, or the
+        # whiteout, changes nothing in the union and is one warning
+        _, fs, src = self.load(tmp_path, [(name, "file", b"")])
         src.close()
-        assert fs.entries["/" + name].kind == "regular"
-        assert f"layer 1: member /{name}: {reason}; kept at its own path" in caplog.text
+        assert "/" + name not in fs.entries
+        assert fs == inventory(load_layers([make_tar(tmp_path / "base.tar", self.BASE)]))
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            f"layer 1: member /{name}: {reason}; refused"]
+        assert check_parent_closure(fs) == []
 
     @pytest.mark.parametrize("name, landed, placed", [
         ("usr/new/deeper/a", "/usr/new/deeper/a", []),
@@ -888,27 +897,20 @@ class TestMembersUnderLowerLinks:
             assert fs.entries[landed].kind == "regular" and src.read(landed) == b"a"
             assert fileset_inventory(fs) == sequential_extract_union(layers, tmp_path / "x")
 
-    def test_a_link_above_a_present_directory_still_places_the_member(self, tmp_path):
-        # /f/g is a directory implied under the file /f, which layer 2 makes a link:
-        # a climb that stopped at /f/g would keep layer 3's member at /f/g/x/y
+    @pytest.mark.parametrize("member, landed", [
+        ("f/g/x/y", "/usr/g/x/y"), ("f/g/k", "/usr/g/k"),
+    ], ids=["below-a-missing-directory", "one-level-down"])
+    def test_a_member_under_a_file_is_refused_and_a_later_link_places_its_name(
+            self, tmp_path, member, landed):
+        # layer 1's f/g/h is refused, not kept, as /f is a file: no /f/g is implied
+        # under it, and layer 3's member lands where layer 2's link over /f leads
         stack = [[("f", "file", b"f"), ("usr", "dir", None)], [("f/g/h", "file", b"h")],
-                 [("f", "sym", "usr")], [("f/g/x/y", "file", b"y")]]
+                 [("f", "sym", "usr")], [(member, "file", b"m")]]
         fs, src = load_layers([make_tar(tmp_path / f"l{i}.tar", layer)
                                for i, layer in enumerate(stack)])
         with src:
-            assert fs.entries["/usr/g/x/y"].kind == "regular" and "/f/g/x/y" not in fs.entries
-            assert src.read("/f/g/x/y") == b"y"
-
-    def test_a_link_over_a_file_drops_what_was_kept_under_it(self, tmp_path):
-        # layer 1's f/g/h stays at its own path under the file /f; the link that
-        # replaces /f drops it, as a non-directory drops any subtree it replaces
-        stack = [[("f", "file", b"f"), ("usr", "dir", None)], [("f/g/h", "file", b"h")],
-                 [("f", "sym", "usr")], [("f/g/k", "file", b"k")]]
-        fs, src = load_layers([make_tar(tmp_path / f"l{i}.tar", layer)
-                               for i, layer in enumerate(stack)])
-        with src:
-            assert fs.entries["/usr/g/k"].kind == "regular"
-            assert not [p for p in fs.entries if p.startswith("/f/")]
+            assert fs.entries[landed].kind == "regular" and src.read("/" + member) == b"m"
+            assert not [p for p in fs.entries if p.startswith(("/f/", "/usr/g/h"))]
             assert check_parent_closure(fs) == []
 
 
