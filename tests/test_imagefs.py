@@ -897,19 +897,28 @@ class TestMembersUnderLowerLinks:
             assert fs.entries[landed].kind == "regular" and src.read(landed) == b"a"
             assert fileset_inventory(fs) == sequential_extract_union(layers, tmp_path / "x")
 
-    @pytest.mark.parametrize("member, landed", [
-        ("f/g/x/y", "/usr/g/x/y"), ("f/g/k", "/usr/g/k"),
-    ], ids=["below-a-missing-directory", "one-level-down"])
-    def test_a_member_under_a_file_is_refused_and_a_later_link_places_its_name(
-            self, tmp_path, member, landed):
-        # layer 1's f/g/h is refused, not kept, as /f is a file: no /f/g is implied
-        # under it, and layer 3's member lands where layer 2's link over /f leads
+    def load_over_a_file(self, tmp_path, member):
+        """Layer 1's f/g/h under the file /f, a link over /f, then ``member``."""
         stack = [[("f", "file", b"f"), ("usr", "dir", None)], [("f/g/h", "file", b"h")],
                  [("f", "sym", "usr")], [(member, "file", b"m")]]
-        fs, src = load_layers([make_tar(tmp_path / f"l{i}.tar", layer)
-                               for i, layer in enumerate(stack)])
+        return load_layers([make_tar(tmp_path / f"l{i}.tar", layer)
+                            for i, layer in enumerate(stack)])
+
+    def test_a_link_above_a_present_directory_still_places_the_member(self, tmp_path):
+        # layer 1's f/g/h is refused, as /f is a file, so no /f/g is implied under
+        # it: layer 3's member below the missing /f/g lands where the link leads
+        fs, src = self.load_over_a_file(tmp_path, "f/g/x/y")
         with src:
-            assert fs.entries[landed].kind == "regular" and src.read("/" + member) == b"m"
+            assert fs.entries["/usr/g/x/y"].kind == "regular" and "/f/g/x/y" not in fs.entries
+            assert src.read("/f/g/x/y") == b"m"
+            assert check_parent_closure(fs) == []
+
+    def test_a_link_over_a_file_drops_what_was_kept_under_it(self, tmp_path):
+        # nothing is kept under the file /f: layer 1's f/g/h is refused, the link
+        # over /f leaves no /f/ name, and layer 3's member lands where it leads
+        fs, src = self.load_over_a_file(tmp_path, "f/g/k")
+        with src:
+            assert fs.entries["/usr/g/k"].kind == "regular" and src.read("/f/g/k") == b"m"
             assert not [p for p in fs.entries if p.startswith(("/f/", "/usr/g/h"))]
             assert check_parent_closure(fs) == []
 
