@@ -562,13 +562,15 @@ class _TarSource(ContentSource):
                 while up and getattr(table.get(up), "kind", DIRECTORY) == DIRECTORY:
                     up = up.rpartition("/")[0]
                 if up:  # else _place would take the path as spelled
-                    path = self._place(path, label)
-                    if path is None:
+                    landed, refusal = self._place(path)
+                    if refusal:
+                        log.warning("%s: member %s: %s; refused", label, path, refusal)
                         continue
+                    path = landed
                     parent, _, base = path.rpartition("/")
             if not base.startswith(WHITEOUT_PREFIX):
                 path = getattr(table.get(path), "path", path)  # the table's key: no second copy
-                self._add(table, plain, path, typ, linkname, size, mode, offset, label)
+                self._add(table, plain, path, typ, linkname, size, mode, offset)
                 own.add(path)
                 parent = parent or "/"  # walk up to an ancestor the layer implied and still holds
                 while parent not in implied or parent not in table:
@@ -586,26 +588,23 @@ class _TarSource(ContentSource):
                     if p not in own and table.pop(p, None) and p in implied:
                         table[p] = _record(p, DIRECTORY)  # a directory the layer implies stays one
 
-    def _place(self, path: str, label: str) -> str | None:
+    def _place(self, path: str) -> tuple[str | None, str]:
         """Where member ``path`` lands, as containerd's applier puts it (continuity's
         RootPath): its directory part walked through the union, links followed
         inside the image and a missing component, a dangling link's target too,
-        taken as spelled. None, with a warning, when that part loops or reaches a
-        non-directory, where no runtime can apply the member."""
+        taken as spelled. Returns (landed path, ""), or (None, why) when that part
+        loops or reaches a non-directory, where no runtime can apply the member."""
         directory, _, base = path.rpartition("/")
         try:
             end, rest = self.fs._walk(directory + "/.", _missing=DIRECTORY)
         except MaterializeError:
-            reason = "is a symlink loop"
-        else:
-            if not rest:
-                return f"{end.rstrip('/')}/{base}"
-            reason = f"reaches {end}, which is not a directory"
-        log.warning("%s: member %s: its directory %s; refused", label, path, reason)
-        return None
+            return None, "its directory is a symlink loop"
+        if rest:
+            return None, f"its directory reaches {end}, which is not a directory"
+        return f"{end.rstrip('/')}/{base}", ""
 
     def _add(self, table: dict[str, FileEntry], plain: IO[bytes], path: str, typ: bytes,
-             linkname: str, size: int, mode: int, offset: int, label: str) -> None:
+             linkname: str, size: int, mode: int, offset: int) -> None:
         """Put one member in the union; a non-directory drops the subtree of a directory
         it replaces (the union is a tree, so only a directory has one)."""
         old = table.get(path)
@@ -619,8 +618,11 @@ class _TarSource(ContentSource):
         elif typ == _LNKTYPE:
             # Hardlink: a regular entry with its target's size and bytes (tar stores them once).
             link = _tar_member_path(linkname)
-            target = table.get(self._place(link, label)) if link else None
-            if target is None or target.kind != REGULAR:
+            landed, refusal = self._place(link) if link else (None, "")
+            target = table.get(landed)
+            if refusal:  # no runtime could place the target, so no member is there
+                log.warning("hardlink %s: target %s: %s", path, linkname, refusal)
+            elif target is None or target.kind != REGULAR:
                 log.warning("hardlink %s: target %s %s", path, linkname, "is missing" if target
                             is None else f"is not a regular file (kind {target.kind})")
             size, where = (target.size, target.where) if target else (0, None)

@@ -48,31 +48,34 @@ EMITTING_SYSCALLS = {
 }
 
 # What the parser does with each tracked syscall: its kind, the index of its
-# path argument (None for calls without one), and whether its successful
-# return value is a descriptor worth remembering (fchdir and dirfd
-# resolution look these up later).
-_ACCESS, _CHDIR, _FCHDIR, _CLOSE, _FORK = range(5)
+# path argument (None for calls without one; fchdir's descriptor argument is
+# its path), and whether its successful return value is a descriptor worth
+# remembering (fchdir and dirfd resolution look these up later). The kinds
+# after _FORK are the other events a line's body decodes to (see _event).
+_ACCESS, _CHDIR, _CLOSE, _FORK, _EXCLUDED, _NOOP, _UNFINISHED, _RESUMED, _UNPARSED = range(9)
 _FORKS = frozenset(("fork", "vfork", "clone", "clone3"))
 _KINDS = {
     **{name: (_ACCESS, idx, name in ("open", "openat", "openat2", "creat"))
        for name, idx in EMITTING_SYSCALLS.items()},
     **dict.fromkeys(_FORKS, (_FORK, None, False)),
     "chdir": (_CHDIR, 0, False),
-    "fchdir": (_FCHDIR, None, False), "close": (_CLOSE, None, False),
+    "fchdir": (_CHDIR, None, False), "close": (_CLOSE, None, False),
 }
 
 _NAME = r"([a-zA-Z0-9_]+)"
 # Greedy: the argument list runs to the last ") = " on the line. The return
 # token stops at "<": tracers run with fd annotation print "3</opt/app>".
 _ARGS_RET = r"(.*)\) = \s*([^\s<]*)"
-# A whole line: the pid, then the first event form that matches all the
-# rest. A call name (group 2) opens an unfinished call (args in group 3,
-# which keeps the marker: a group that ends right before a literal makes
-# the regex engine backtrack slowly over the whole line) or a finished one
-# (args and return token in groups 4-5); then come a resumed half (name
-# and rest in groups 6-7) and signal or exit noise.
-_EVENT_RE = re.compile(
-    r"\s*(\d+)\s+(?:" + _NAME + r"\((?:(.*<unfinished \.\.\.>)|" + _ARGS_RET + r".*)"
+# A line is its pid prefix (_PID_RE: the pid and one whitespace character)
+# and its body: more whitespace, then the first event form that matches all
+# the rest. A call name (group 1) opens an unfinished call (args in group 2,
+# which keeps the marker: a group that ends right before a literal makes the
+# regex engine backtrack slowly over the whole line) or a finished one (args
+# and return token in groups 3-4); then come a resumed half (name and rest in
+# groups 5-6) and signal or exit noise.
+_PID_RE = re.compile(r"\s*(\d+)\s")
+_BODY_RE = re.compile(
+    r"\s*(?:" + _NAME + r"\((?:(.*<unfinished \.\.\.>)|" + _ARGS_RET + r".*)"
     r"|<\.\.\. " + _NAME + r" resumed>(.*)"
     r"|---\s.*---|\+\+\+\s.*\+\+\+)")
 _UNFINISHED_LEN = len("<unfinished ...>")
@@ -87,6 +90,10 @@ _QUOTED = r'"([^"\\]*(?:\\.[^"\\]*)*)"(\.\.\.)?'
 _PATH_ARG_RE = (re.compile(r"\s*()" + _QUOTED),
                 re.compile(r"\s*(\d+<[^>]*>|[^,]*?)\s*,\s*" + _QUOTED))
 _CWD = -1  # a relative path's base when it resolves against the working directory
+_EXCLUDED_EVENT, _NOOP_EVENT, _UNPARSED_EVENT = (_EXCLUDED,), (_NOOP,), (_UNPARSED,)
+# Distinct events (and pid texts) one parse keeps decoded. A full memo takes
+# no more entries: its memory stays fixed however many distinct lines follow.
+_MEMO_CAP = 2048
 
 
 @dataclass
@@ -159,7 +166,13 @@ def _path_arg(args: str, idx: int) -> tuple[int | None, str | None]:
         return None, normalize_path("/", path)
     if idx == 0 or m[1] == "AT_FDCWD":
         return _CWD, path
-    dm = _DIRFD_RE.match(m[1])
+    return _at(m[1], path)
+
+
+def _at(dirfd: str, path: str) -> tuple[int | None, str | None]:
+    """(base, path) for relative ``path`` under the descriptor text ``dirfd``,
+    as :func:`_path_arg` returns it."""
+    dm = _DIRFD_RE.match(dirfd)
     if dm is None:
         return None, None
     if not dm["path"]:
@@ -168,6 +181,48 @@ def _path_arg(args: str, idx: int) -> tuple[int | None, str | None]:
     if not dm["path"].startswith("/"):
         return None, None
     return None, normalize_path(dm["path"], path)
+
+
+def _event(body: str, include_failed: bool) -> tuple:
+    """Decode an event, the body of a line after its pid prefix, into what
+    the parser applies to that pid's state: ``(_UNFINISHED, name, args, forks)``,
+    ``(_RESUMED, name, rest)``, a call as :func:`_call` decodes it, or
+    ``(_NOOP,)`` for signal and exit noise and ``(_UNPARSED,)`` for text
+    that is no event."""
+    m = _BODY_RE.fullmatch(body)
+    if m is None:
+        return _UNPARSED_EVENT
+    name, unfinished_args, args, ret, resumed, rest = m.groups()
+    if unfinished_args is not None:
+        return _UNFINISHED, name, unfinished_args[:-_UNFINISHED_LEN], name in _FORKS
+    if resumed is not None:
+        return _RESUMED, resumed, rest.lstrip()
+    return _NOOP_EVENT if name is None else _call(name, args, ret, include_failed)
+
+
+def _call(name: str, args: str, ret: str, include_failed: bool) -> tuple:
+    """Decode a finished call: ``(_ACCESS or _CHDIR, base, path, opened_fd)``
+    with base and path as :func:`_path_arg` returns them, ``(_CLOSE, fd)``,
+    ``(_FORK, child)``, ``(_EXCLUDED,)`` for a failed access that is not
+    included, or ``(_NOOP,)`` for a call that changes nothing."""
+    spec = _KINDS.get(name)
+    if spec is None:
+        return _NOOP_EVENT  # recognized grammar, uninteresting syscall
+    kind, idx, opens = spec
+    try:
+        retval = int(ret)
+    except ValueError:
+        retval = -1  # "?" or garbage; treat as failure
+    if retval < 0 and not (kind == _ACCESS and include_failed):
+        return _EXCLUDED_EVENT if kind == _ACCESS else _NOOP_EVENT
+    if kind == _CLOSE:
+        dm = _DIRFD_RE.match(args)
+        return _NOOP_EVENT if dm is None else (_CLOSE, _int(dm["fd"]))
+    if kind == _FORK:
+        return (_FORK, retval) if retval > 0 else _NOOP_EVENT
+    # fchdir's descriptor is the directory
+    base, path = _at(args, "") if idx is None else _path_arg(args, idx)
+    return kind, base, path, retval if opens and retval >= 0 else None
 
 
 class _PidState:
@@ -193,15 +248,17 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
     under_root, cut = root + "/", len(root)
     paths: set[str] = set()
     states: dict[int, _PidState] = {}
-    pending: dict[int, tuple[str, str]] = {}
+    pending: dict[int, tuple] = {}  # PID -> its unfinished call's event
     # PID with an unfinished fork-family call -> new PIDs that took its state
     forks: dict[int, list[int]] = {}
-    # Per path index: argument text -> (base, path) from _path_arg. It holds
-    # one entry per distinct argument text and is dropped on return.
-    memos: tuple[dict, dict] = ({}, {})
+    # Body (a line's text after its pid prefix) -> its decoded event, and pid
+    # text -> pid: each distinct text is decoded once while its memo has room
+    # (_MEMO_CAP). Both are dropped on return.
+    events: dict[str, tuple] = {}
+    pids: dict[str, int] = {}
     lines = unparsed = matched = failed_excluded = unresolvable = outside_root = 0
     first_unparsed = None
-    event, kinds = _EVENT_RE.fullmatch, _KINDS.get
+    decode, pid_prefix, cap = _event, _PID_RE.match, _MEMO_CAP
 
     with (open(fspath(log_input), "r", encoding="utf-8", errors="surrogateescape")
           if isinstance(log_input, (str, PathLike)) else nullcontext(log_input)) as log_lines:
@@ -210,13 +267,29 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
             if not line:
                 continue
             lines += 1
-            m = event(line)
-            pid = m and _int(m[1])
-            if pid is None:
+            # The pid prefix, read as _PID_RE reads it: the split at the first
+            # space is exact when what precedes it is \d+, the class that
+            # str.isdecimal tests. Any other prefix form belongs in this read,
+            # never in the body, which is the memo's key.
+            head, _, body = line.partition(" ")
+            if not head.isdecimal():
+                m = pid_prefix(line)
+                head, body = (m[1], line[m.end():]) if m else ("", "")
+            ev = events.get(body)
+            if ev is None:
+                ev = decode(body, include_failed)
+                if len(events) < cap:
+                    events[body] = ev
+            kind = ev[0]
+            pid = pids.get(head)
+            if pid is None and kind != _UNPARSED:
+                pid = _int(head)  # None for "" (no pid) or past int()'s digit limit
+                if pid is not None and len(pids) < cap:
+                    pids[head] = pid
+            if pid is None or kind == _UNPARSED:
                 unparsed += 1
                 first_unparsed = first_unparsed or line
                 continue
-            _, name, unfinished_args, args, ret, resumed, rest = m.groups()
             st = states.get(pid)
             if st is None:
                 # The child of the one unfinished fork takes its state, and
@@ -229,86 +302,64 @@ def parse_trace(log_input: str | PathLike | IO[str] | Iterable[str],
                 else:
                     st = states[pid] = _PidState(root)
             born = ()
-            if unfinished_args is not None:
-                pending[pid] = (name, unfinished_args[:-_UNFINISHED_LEN])
-                if name in _FORKS:
-                    forks[pid] = []
-                else:
-                    forks.pop(pid, None)
-                continue
-            if name is None:
-                if resumed is None:
-                    continue  # signal or exit noise
-                prev = pending.pop(pid, None)
+            if kind >= _NOOP:
+                if kind == _NOOP:
+                    continue
+                if kind == _UNFINISHED:
+                    pending[pid] = ev
+                    if ev[3]:
+                        forks[pid] = []
+                    else:
+                        forks.pop(pid, None)
+                    continue
+                prev = pending.pop(pid, None)  # a resumed half
                 born = forks.pop(pid, ())
                 cm = None
-                if prev and prev[0] == resumed:
-                    cm = _CALL_RE.match(f"{resumed}({prev[1]}{rest.lstrip()}")
+                if prev and prev[1] == ev[1]:
+                    cm = _CALL_RE.match(f"{ev[1]}({prev[2]}{ev[2]}")
                 if cm is None:
                     unparsed += 1
                     first_unparsed = first_unparsed or line
                     continue
-                name, args, ret = cm.groups()
-            spec = kinds(name)
-            if spec is None:
-                continue  # recognized grammar, uninteresting syscall
-            kind, idx, opens = spec
-            try:
-                retval = int(ret)
-            except ValueError:
-                retval = -1  # "?" or garbage; treat as failure
+                ev = _call(*cm.groups(), include_failed)
+                kind = ev[0]
 
+            if kind > _CHDIR:
+                if kind == _CLOSE:
+                    st.fds.pop(ev[1], None)
+                elif kind == _FORK:
+                    if ev[1] not in born:
+                        states[ev[1]] = _PidState(st.cwd, st.fds)
+                elif kind == _EXCLUDED:
+                    matched += 1
+                    failed_excluded += 1
+                continue
+            # an access or chdir: resolve its path
+            _, base, path, fd = ev
             if kind == _ACCESS:
                 matched += 1
-                if retval < 0 and not include_failed:
-                    failed_excluded += 1
-                    continue
-            elif retval < 0:
+            if base is not None:
+                base = st.cwd if base == _CWD else st.fds.get(base)
+                path = None if base is None else normalize_path(base, path)
+            if kind == _CHDIR:
+                st.cwd = path
+            if path is None:
+                unresolvable += 1
                 continue
-            if idx is not None:  # an access or chdir: resolve its path
-                memo = memos[idx]
-                hit = memo.get(args)
-                if hit is None:
-                    hit = memo[args] = _path_arg(args, idx)
-                base, path = hit
-                if base is not None:
-                    base = st.cwd if base == _CWD else st.fds.get(base)
-                    path = None if base is None else normalize_path(base, path)
-                if kind == _CHDIR:
-                    st.cwd = path
-                if path is None:
-                    unresolvable += 1
-                    continue
-                if kind == _CHDIR:
-                    continue
-                if opens and retval >= 0:
-                    st.fds[retval] = path
-                if cut > 1:
-                    if path == root:
-                        path = "/"
-                    elif path.startswith(under_root):
-                        path = path[cut:]
-                    else:
-                        outside_root += 1
-                        log.debug("dropping path outside container root: %s", path)
-                        continue
-                paths.add(path)
-            elif kind == _CLOSE:
-                if args.isdecimal():
-                    st.fds.pop(_int(args), None)
-                elif dm := _DIRFD_RE.match(args):
-                    st.fds.pop(_int(dm["fd"]), None)
-            elif kind == _FORK:
-                if retval > 0 and retval not in born:
-                    states[retval] = _PidState(st.cwd, st.fds)
-            else:  # fchdir
-                dm = _DIRFD_RE.match(args)
-                fd_path = dm and (dm["path"] or st.fds.get(_int(dm["fd"])))
-                if fd_path and fd_path.startswith("/"):
-                    st.cwd = fd_path
+            if kind == _CHDIR:
+                continue
+            if fd is not None:
+                st.fds[fd] = path
+            if cut > 1:
+                if path == root:
+                    path = "/"
+                elif path.startswith(under_root):
+                    path = path[cut:]
                 else:
-                    st.cwd = None
-                    unresolvable += 1
+                    outside_root += 1
+                    log.debug("dropping path outside container root: %s", path)
+                    continue
+            paths.add(path)
 
     # An unfinished call that never resumed is unparsed, not parsed.
     unparsed += len(pending)

@@ -150,10 +150,13 @@ def parse_trace_oracle(lines, root_prefix: str = "/", include_failed: bool = Fal
             continue
         stats.lines += 1
         m = _O_LINE_RE.fullmatch(line)
-        if not m:
+        try:
+            pid = int(m[1]) if m else None
+        except ValueError:  # more digits than int() converts: unparsed, as documented
+            pid = None
+        if pid is None:
             stats.unparsed += 1
             continue
-        pid = int(m[1])
         rest = m[2]
         children = set()
         if rest.endswith("<unfinished ...>") and (um := _O_UNFINISHED_RE.match(rest)):

@@ -591,6 +591,17 @@ class TestHardlinksResolveInTheirOwnTar:
                 src.read("/h")
         assert f"hardlink /h: target d {why}" in caplog.text
 
+    def test_link_to_a_target_no_runtime_can_place_is_one_warning(self, tmp_path, caplog):
+        # layer 1 holds no member f/g: its one warning names the hardlink and target
+        fs, src = load_layers([make_tar(tmp_path / "l0.tar", [("f", "file", b"x")]),
+                               make_tar(tmp_path / "l1.tar", [("h", "lnk", "f/g")])])
+        with src:
+            assert fs.entries["/h"] == FileEntry("/h", "regular", 0)
+            with pytest.raises(MaterializeError, match="dangling hardlink"):
+                src.read("/h")
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            "hardlink /h: target f/g: its directory reaches /f, which is not a directory"]
+
     def test_link_under_directory_replaced_earlier_in_layer_dangles(self, tmp_path):
         l1 = make_tar(tmp_path / "l1.tar", [("d", "dir", None), ("d/x", "file", b"gone")])
         l2 = make_tar(tmp_path / "l2.tar", [("d", "file", b"f"), ("h", "lnk", "d/x")])
@@ -890,7 +901,7 @@ class TestMembersUnderLowerLinks:
             self, tmp_path, monkeypatch, name, landed, placed):
         calls, place = [], LayeredSource._place
         monkeypatch.setattr(LayeredSource, "_place",
-                            lambda src, path, label: calls.append(path) or place(src, path, label))
+                            lambda src, path: calls.append(path) or place(src, path))
         layers, fs, src = self.load(tmp_path, [(name, "file", b"a")])
         with src:
             assert calls == placed

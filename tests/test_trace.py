@@ -492,6 +492,52 @@ class TestParseTrace:
         assert acc.paths == {"/b"}
         assert (acc.stats.unparsed, acc.stats.unresolvable) == (unparsed, unresolvable)
 
+    @pytest.mark.parametrize("lines,paths,unparsed", [
+        (['  7 open("/a", O_RDONLY) = 3', '\x0c7 chdir("/a") = 0', '7 open("b", O_RDONLY) = 4'],
+         {"/a", "/a/b"}, 0),
+        (['7\tchdir("/a") = 0', '7   open("b", O_RDONLY) = 3', '7 \t open("c", O_RDONLY) = 4'],
+         {"/a/b", "/a/c"}, 0),
+        (['٧ chdir("/a") = 0', '7 open("b", O_RDONLY) = 3', '0٧ open("c", O_RDONLY) = 4'],
+         {"/a/b", "/a/c"}, 0),
+        ([HUGE + ' chdir("/a") = 0', '7 open("b", O_RDONLY) = 3', HUGE + ' open("c", O_RDONLY) = 4'],
+         {"/b"}, 2),
+        (["7", "7 ", " 7\t", '7 open("/a", O_RDONLY) = 3'], {"/a"}, 3),
+        (['7 open("/x) = 3", O_RDONLY <unfinished ...>', "7 <... open resumed>) = 3"],
+         {"/x) = 3"}, 0),
+    ], ids=["leading-space", "tab-or-spaces-after-pid", "non-ascii-digits", "oversized-pid",
+            "bare-pid", "unfinished-holding-a-return"])
+    def test_pid_prefix_forms_match_oracle(self, lines, paths, unparsed):
+        acc = parse(lines)
+        assert (acc.paths, acc.stats.unparsed) == (paths, unparsed)
+        for root_prefix in ("/", "/a"):
+            for include_failed in (False, True):
+                assert_same_as_oracle(lines, root_prefix=root_prefix,
+                                      include_failed=include_failed)
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(lines=_traces())
+    def test_property_matches_oracle_past_a_full_memo(self, cap, lines):
+        # a memo of 1 or 3 events fills within a few lines: later lines mix hits
+        # with events decoded afresh, and resumed halves splice across both
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("bloatlens.trace._MEMO_CAP", cap)
+            for root_prefix, include_failed in (("/", False), ("/", True), ("/srv", False)):
+                assert_same_as_oracle(lines, root_prefix=root_prefix,
+                                      include_failed=include_failed)
+
+    def test_each_distinct_event_is_decoded_once(self, monkeypatch):
+        bodies = [f'openat(AT_FDCWD, "/d/f{i}", O_RDONLY) = 3' for i in range(5)] + [
+            "close(3) = 0", 'chdir("/d") = 0', 'stat("f0", {st_mode=S_IFREG, ...}) = 0',
+            "getpid() = 7", "--- SIGCHLD {si_signo=SIGCHLD} ---"]
+        # every body under every one of 5 pids, 1,000 lines in all
+        lines = [f"{1 + i // 10 % 5} {bodies[i % 10]}" for i in range(1000)]
+        calls, decode = [], bloatlens.trace._event
+        monkeypatch.setattr("bloatlens.trace._event",
+                            lambda body, *context: calls.append(body) or decode(body, *context))
+        assert_same_as_oracle(lines)
+        assert sorted(calls) == sorted(bodies)
+
     def test_truncated_path_unresolvable(self):
         acc = parse('7 open("/very/long/pa"..., O_RDONLY) = 3')
         assert acc.paths == set()
