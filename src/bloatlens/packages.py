@@ -3,9 +3,10 @@
 Three package managers are covered, each through its on-disk metadata:
 
 * APT: /var/lib/dpkg/status stanzas plus /var/lib/dpkg/info/<pkg>.list
-  file lists.
+  file lists, both split on newlines only, as dpkg writes them.
 * PIP: <site-packages>/<name>-<version>.dist-info directories, file lists
-  from RECORD, dependencies from METADATA Requires-Dist.
+  from RECORD, name, version and Requires-Dist from the METADATA header
+  block, read as the email package's compat32 parser reads it.
 * Conda: <env>/conda-meta/<name>-<version>-<build>.json documents.
 
 Detection must run on the ORIGINAL filesystem: debloating may remove the
@@ -15,7 +16,6 @@ very metadata files parsed here.
 from __future__ import annotations
 
 import csv
-import email.parser
 import fnmatch
 import importlib.resources
 import io
@@ -56,11 +56,14 @@ _DPKG_INFO_DIR = "/var/lib/dpkg/info"
 _DIST_INFO_RE = re.compile(r"^(?P<root>.*)/(?P<dir>[^/]+)\.dist-info/(?P<file>[^/]+)$")
 _CONDA_META_RE = re.compile(r"^(?P<prefix>.*)/conda-meta/(?P<name>[^/]+)\.json$")
 _REQ_NAME_RE = re.compile(r"^\s*(?P<name>[A-Za-z0-9][A-Za-z0-9._-]*)")
+_PEP503_RUN_RE = re.compile(r"[-_.]+")
+# A header line as email.feedparser splits and matches it: lead ('From ', 'name:', blank), rest, end
+_HEADER_LINE_RE = re.compile(r"(From |[\041-\071\073-\176]*:|[\t ])([^\r\n]*)(\r\n|\r|\n|\Z)")
 
 
 def canonical_pip_name(name: str) -> str:
     """PEP 503 normalization: lowercase, runs of -_. collapse to '-'."""
-    return re.sub(r"[-_.]+", "-", name).lower()
+    return _PEP503_RUN_RE.sub("-", name).lower()
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,7 @@ def _parse_deb_stanzas(text: str) -> Iterable[dict[str, str]]:
     """Split dpkg status text into field dicts (deb822 continuation rules)."""
     stanza: dict[str, str] = {}
     last_field = None
-    for line in text.splitlines():
+    for line in text.split("\n"):
         if not line.strip():
             if stanza:
                 yield stanza
@@ -153,13 +156,7 @@ def _parse_dep_field(value: str) -> tuple[tuple[str, ...], ...]:
 
 
 def _dpkg_list_paths(text: str) -> frozenset[str]:
-    paths = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        paths.add(normalize_path("/", line))
-    return frozenset(paths)
+    return frozenset(normalize_path("/", line) for line in map(str.strip, text.split("\n")) if line)
 
 
 def _detect_apt(fs: FileSet, source: ContentSource) -> Iterator[_Found]:
@@ -207,10 +204,28 @@ def _req_dist_name(req: str) -> str | None:
     return canonical_pip_name(m.group("name")) if m else None
 
 
+def _metadata_fields(text: str) -> tuple[str | None, str | None, list[str]]:
+    """Name, Version and Requires-Dist as email's compat32 parser reads a METADATA header
+    block: the first field of a name (in any case) wins, and a folded value keeps its line
+    ends. A 'From ' or ':' line is a field no one asks for: it ends the one before it."""
+    fields: list[list[str]] = []  # [lowercased name, value] in order
+    pos = 0
+    while m := _HEADER_LINE_RE.match(text, pos):
+        lead, rest, end = m.groups()
+        pos = m.end()
+        if lead not in (" ", "\t"):
+            fields.append([lead[:-1].lower(), rest.lstrip(" \t") + end])
+        elif fields:  # a continuation with no field before it is dropped
+            fields[-1][1] += lead + rest + end
+    fields = [[name, value.rstrip("\r\n")] for name, value in fields]
+    first = dict(reversed(fields))
+    return first.get("name"), first.get("version"), [v for n, v in fields if n == "requires-dist"]
+
+
 def _detect_pip(fs: FileSet, source: ContentSource) -> Iterator[_Found]:
     dist_infos: dict[str, tuple[str, str]] = {}  # dist-info dir -> (site root, dirname)
     for path in fs.entries:
-        m = _DIST_INFO_RE.match(path)
+        m = ".dist-info/" in path and _DIST_INFO_RE.match(path)
         if m:
             di_dir = f"{m.group('root')}/{m.group('dir')}.dist-info"
             dist_infos[di_dir] = (m.group("root") or "/", m.group("dir"))
@@ -221,11 +236,9 @@ def _detect_pip(fs: FileSet, source: ContentSource) -> Iterator[_Found]:
         meta_path = f"{di_dir}/METADATA"
         if meta_path in fs.entries:
             try:
-                msg = email.parser.Parser().parsestr(
+                name, version, requires = _metadata_fields(
                     source.read(meta_path).decode("utf-8", errors="replace"))
-                name = msg.get("Name")
-                version = msg.get("Version")
-                for req in msg.get_all("Requires-Dist") or []:
+                for req in requires:
                     dep = _req_dist_name(req)
                     if dep:
                         deps.append((dep,))
@@ -259,7 +272,7 @@ def _detect_pip(fs: FileSet, source: ContentSource) -> Iterator[_Found]:
 
 
 def _detect_conda(fs: FileSet, source: ContentSource) -> Iterator[_Found]:
-    for path in sorted(filter(_CONDA_META_RE.match, fs.entries)):
+    for path in sorted(p for p in fs.entries if "/conda-meta/" in p and _CONDA_META_RE.match(p)):
         prefix = _CONDA_META_RE.match(path).group("prefix") or "/"
         try:
             doc = json.loads(source.read(path).decode("utf-8", errors="replace"))
@@ -342,7 +355,8 @@ def detect_packages(fs: FileSet, source: ContentSource,
         if key in seen:
             log.warning("duplicate package record %s; keeping the first", key)
             continue
-        files = frozenset(map(fs.lookup, files))
+        if not files <= fs.entries.keys():  # else lookup would return each path as it is
+            files = frozenset(map(fs.lookup, files))
         seen[key] = PackageRecord(
             manager=manager, name=name, version=version, files=files,
             declared_deps=deps, provides=provides,

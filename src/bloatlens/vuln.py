@@ -33,7 +33,8 @@ _SEVERITY_ALIASES = {s.lower(): s for s in SEVERITIES} | {
 
 @dataclass(frozen=True, slots=True)
 class VulnMatch:
-    """One scanner finding tied to a package and optionally to files."""
+    """One scanner finding tied to a package and optionally to files. A VulnMatch
+    a caller builds is checked; ``load_report`` builds its own through ``_match``."""
 
     cve_id: str
     severity: str
@@ -46,6 +47,22 @@ class VulnMatch:
             raise ValueError(f"unknown severity {self.severity!r}")
         if not self.locations and not self.pkg_name:
             raise ValueError(f"{self.cve_id}: needs locations or a package name")
+
+
+_SET_CVE, _SET_SEVERITY, _SET_NAME, _SET_VERSION, _SET_LOCATIONS = (
+    VulnMatch.__dict__[name].__set__ for name in VulnMatch.__slots__)
+
+
+def _match(key: tuple[str, str, str], severity: str, locations: set[str]) -> VulnMatch:
+    """_merged's VulnMatch for an (id, name, version) key, built without ``__post_init__``:
+    the severity is normalized, and the readers refuse a finding with no name or locations."""
+    match = object.__new__(VulnMatch)
+    _SET_CVE(match, key[0])
+    _SET_SEVERITY(match, severity)
+    _SET_NAME(match, key[1])
+    _SET_VERSION(match, key[2])
+    _SET_LOCATIONS(match, frozenset(locations))
+    return match
 
 
 @dataclass(frozen=True)
@@ -87,8 +104,7 @@ def _merged(findings: Iterable[tuple]) -> list[VulnMatch]:
         if first != sev:
             log.warning("conflicting severities for %s; keeping %s", (cve, name, version), first)
         kept |= locs
-    return [VulnMatch(cve, sev, name, version, frozenset(locs))
-            for (cve, name, version), (sev, locs) in sorted(merged.items())]
+    return [_match(key, *merged[key]) for key in sorted(merged)]
 
 
 def load_report(doc: Any) -> list[VulnMatch]:

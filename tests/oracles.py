@@ -8,6 +8,7 @@ instead of BFS) so agreement actually means something.
 
 from __future__ import annotations
 
+import email.parser
 import fnmatch
 import io
 import os
@@ -454,6 +455,13 @@ def _pep503_oracle(name: str) -> str:
         else:
             out.append(ch)
     return "".join(out)
+
+
+def metadata_oracle(text: str) -> tuple[str | None, str | None, list[str]]:
+    """(Name, Version, Requires-Dist values) of a METADATA text as the standard
+    library's email parser reads the whole message under its compat32 policy."""
+    msg = email.parser.Parser().parsestr(text)
+    return msg.get("Name"), msg.get("Version"), msg.get_all("Requires-Dist") or []
 
 
 def catalog_match_oracle(match, catalog):

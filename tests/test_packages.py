@@ -5,7 +5,7 @@ import tarfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bloatlens import imagefs
@@ -30,8 +30,9 @@ from bloatlens.packages import (
     quartile_summary,
     size_reduction_R,
 )
+from bloatlens.packages import _dpkg_list_paths, _metadata_fields
 
-from oracles import functionality_oracle
+from oracles import functionality_oracle, metadata_oracle
 
 
 def fs_from(entries):
@@ -294,6 +295,68 @@ class TestDetectPackages:
         b = detect_packages(fs, RootfsSource(mini_rootfs))
         assert [r.key for r in a] == [r.key for r in b]
         assert [r.key for r in a] == sorted(r.key for r in a)
+
+
+# dpkg writes its files with "\n" line ends; str.splitlines would also break at these.
+_OTHER_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestDpkgLines:
+    @pytest.mark.parametrize("brk", _OTHER_LINE_BREAKS, ids=lambda brk: f"U+{ord(brk):04X}")
+    def test_list_paths_split_on_newlines_only(self, brk):
+        assert _dpkg_list_paths(f"/usr/lib/x{brk}y\n/bin/z\r\n") == {f"/usr/lib/x{brk}y", "/bin/z"}
+
+    def test_status_continuation_keeps_a_field_after_another_line_break(self, tmp_path):
+        dbdir = tmp_path / "var" / "lib" / "dpkg"
+        dbdir.mkdir(parents=True)
+        (dbdir / "status").write_text(
+            "Package: one\nStatus: install ok installed\nVersion: 1.0\nDescription: one\n"
+            + "".join(f" more{brk}Version: 9\n" for brk in _OTHER_LINE_BREAKS), encoding="utf-8")
+        [rec] = detect_packages(*load_rootfs(tmp_path))
+        assert (rec.name, rec.version) == ("one", "1.0")
+
+
+_FIELD_NAMES = st.sampled_from(["Name", "name", "NAME", "Version", "vERSION", "Requires-Dist",
+                                "requires-dist", "Summary", "From", "Content-Type"])
+_VALUE = st.text(st.sampled_from("ab1 -.:;\t\x0c\x1c\x85\u2028é") | st.characters(
+    blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=6) | st.sampled_from(
+    ["multipart/mixed; boundary=b", "message/rfc822", "--b", "Name: body"])
+_METADATA_LINE = st.one_of(
+    st.tuples(_FIELD_NAMES, st.sampled_from([":", ": ", ":\t", ":  "]), _VALUE).map("".join),
+    st.tuples(st.sampled_from([" ", "\t"]), _VALUE).map("".join),  # a continuation
+    _VALUE.map("From ".__add__),  # an envelope line
+    _VALUE.map(":".__add__),  # a field with no name
+    st.text(st.sampled_from("ab-é "), min_size=1, max_size=4),  # no colon: the block may end
+    st.just(""),  # the block ends; what follows is the body
+)
+
+
+@st.composite
+def _metadata_texts(draw):
+    """METADATA-like text: header, continuation, envelope and body lines with
+    mixed line ends, and no line end after the last line half of the time."""
+    lines = draw(st.lists(st.tuples(_METADATA_LINE, st.sampled_from(["\r\n", "\r", "\n"])),
+                          max_size=12))
+    text = "".join(line + end for line, end in lines)
+    return text[:-len(lines[-1][1])] if lines and draw(st.booleans()) else text
+
+
+class TestMetadataReader:
+    @given(_metadata_texts())
+    @example("Name: a\r\nVersion: 1\rRequires-Dist: x\nRequires-Dist: y")
+    @example("From me\nName: a\nFrom you\n folded\nVersion: 1\nFrom them\n")
+    @example(" Name: lost\n:Name: nameless\nNAME: a  \nname: b\nversion:\t1\n")
+    @example("Name: a\nno colon\nVersion: 1\n\nVersion: 2\n")
+    @example("Requires-Dist: x\x0c\n \u2028y\r\n\tz \nREQUIRES-DIST: é\n")
+    @settings(max_examples=300, deadline=None)
+    def test_reader_agrees_with_the_email_parser(self, text):
+        try:
+            expected = metadata_oracle(text)
+        except Exception:  # the reader, too, must fall into the 'unreadable METADATA' path
+            with pytest.raises(Exception):
+                _metadata_fields(text)
+        else:
+            assert _metadata_fields(text) == expected
 
 
 class TestClassifyFunctionality:

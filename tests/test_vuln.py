@@ -297,6 +297,16 @@ def _faulty_reports(draw):
     return holder[0], faults
 
 
+def _checked_rows(doc) -> list[tuple]:
+    """load_report's rows; each match it built unchecked equals the VulnMatch
+    that the checking constructor builds from its fields."""
+    rows = []
+    for m in load_report(doc):
+        assert m == VulnMatch(m.cve_id, m.severity, m.pkg_name, m.pkg_version, m.locations), m
+        rows.append((m.cve_id, m.severity, m.pkg_name, m.pkg_version, m.locations))
+    return rows
+
+
 def _outcome(read, doc):
     """The rows a reader gives, or the message of its VulnReportError."""
     try:
@@ -310,10 +320,21 @@ class TestReaderOracle:
     @settings(max_examples=250, deadline=None)
     def test_reader_agrees_with_the_step_by_step_oracle(self, case):
         doc, faults = case
-        rows = _outcome(lambda d: [(m.cve_id, m.severity, m.pkg_name, m.pkg_version,
-                                    m.locations) for m in load_report(d)], doc)
+        rows = _outcome(_checked_rows, doc)
         assert rows == _outcome(report_oracle, doc)
         assert faults or isinstance(rows, list)  # a valid report reads
+
+    def test_keys_that_differ_in_non_ascii_or_nul_keep_the_tuple_order(self):
+        # Joined into one string with a \0 separator, ('a', '1\0') would sort after
+        # ('a\0', '1'); as UTF-16, U+1F600 would sort before U+FF21.
+        keys = [("CVE-1", "a", "1\0"), ("CVE-1", "a\0", "1"), ("CVE-1\0", "a", "1"),
+                ("CVE-1", "é", "1"), ("CVE-1", "e\u0301", "1"), ("CVE-1", "\uff21", "1"),
+                ("CVE-1", "\U0001f600", "1"), ("CVE-1", "a", "é"), ("CVE-1", "a", "1")]
+        doc = grype_doc(*(grype_match(cve, "High", name, version, ["/x"])
+                          for cve, name, version in reversed(keys)))
+        rows = _checked_rows(doc)
+        assert [(cve, name, version) for cve, _, name, version, _ in rows] == sorted(keys)
+        assert rows == report_oracle(doc)
 
 
 class TestOneReader:
